@@ -48,13 +48,13 @@ int main() {
       FLOR_CHECK(overhead <= epsilon + 1e-9)
           << name << ": overhead exceeded epsilon";
 
-      sim::ClusterReplayOptions copts;
+      ClusterPlanOptions copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
+      copts.num_workers = 4;
       copts.costs = sim::PaperPlatformCosts();
       auto replay = sim::ClusterReplay(
           workloads::MakeWorkloadFactory(profile, workloads::kProbeInner),
-          &fs, copts);
+          &fs, copts, sim::kP3_8xLarge);
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
 

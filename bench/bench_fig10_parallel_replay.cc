@@ -57,13 +57,12 @@ int main() {
     int64_t segments = 0;
     InitMode effective[2] = {InitMode::kWeak, InitMode::kStrong};
     for (int m = 0; m < 2; ++m) {
-      sim::ClusterReplayOptions copts;
+      ClusterPlanOptions copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
-      copts.cluster.instance = sim::kP3_8xLarge;
+      copts.num_workers = 4;
       copts.init_mode = m == 0 ? InitMode::kWeak : InitMode::kStrong;
       copts.costs = sim::PaperPlatformCosts();
-      auto result = sim::ClusterReplay(factory, &fs, copts);
+      auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
       FLOR_CHECK(result.ok()) << result.status().ToString();
       FLOR_CHECK(result->deferred.ok)
           << profile.name << ": "
@@ -174,7 +173,7 @@ int main() {
   for (int procs : {1, 2, 4}) {
     exec::ProcessReplayExecutorOptions popts;
     popts.run_prefix = "run";
-    popts.num_partitions = procs;
+    popts.num_workers = procs;
     // One pool slot per partition, as on a cluster with one node per
     // modeled GPU: the scheduler must not serialize device-bound
     // partitions behind this host's core count.

@@ -25,16 +25,15 @@ sim::ClusterReplayResult BestOverPool(const ProgramFactory& factory,
   sim::ClusterReplayResult best;
   bool first = true;
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ClusterPlanOptions copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = 4 * machines;
     // Weak initialization: strong init would re-run every preceding
     // epoch's unskippable statements per worker, erasing the gains of
     // partial replay (the paper's scale-out runs use weak init, Fig. 13).
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, fs, copts);
+    auto result = sim::ClusterReplay(factory, fs, copts, sim::kP3_8xLarge);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
     if (first || result->latency_seconds < best.latency_seconds * 0.98) {

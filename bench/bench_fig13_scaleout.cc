@@ -45,13 +45,12 @@ int main() {
 
   const int max_machines = bench::SmokeIters(4, 1);
   for (int machines = 1; machines <= max_machines; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ClusterPlanOptions copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;  // the paper's Fig. 13 uses weak
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts);
+    auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
 
@@ -139,7 +138,7 @@ int main() {
   for (int procs = 1; procs <= max_threads; procs *= 2) {
     exec::ProcessReplayExecutorOptions popts;
     popts.run_prefix = "run";
-    popts.num_partitions = procs;  // scale-out: one process per partition
+    popts.num_workers = procs;  // scale-out: one process per partition
     // One pool slot per partition (a cluster node per modeled GPU); the
     // elastic sweep below is where the pool shrinks under G.
     popts.max_concurrent_children = procs;
@@ -190,7 +189,7 @@ int main() {
     if (pool > elastic_parts) continue;  // smoke trims the sweep
     exec::ProcessReplayExecutorOptions popts;
     popts.run_prefix = "run";
-    popts.num_partitions = elastic_parts;
+    popts.num_workers = elastic_parts;
     popts.max_concurrent_children = pool;
     popts.init_mode = InitMode::kWeak;
     popts.costs = sim::PaperPlatformCosts();

@@ -57,15 +57,14 @@ int main() {
         bench::RunVanilla(&fs, profile, workloads::kProbeInner);
     const double serial_cost = sim::InstanceCost(sim::kP3_2xLarge, vanilla);
 
-    sim::ClusterReplayOptions copts;
+    ClusterPlanOptions copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = c.machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = 4 * c.machines;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
     auto result = sim::ClusterReplay(
         workloads::MakeWorkloadFactory(profile, workloads::kProbeInner), &fs,
-        copts);
+        copts, sim::kP3_8xLarge);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
 
@@ -150,18 +149,18 @@ int main() {
           nominal * fs.ListPrefix("s3/run/ckpt/").size();
       const double s3_monthly = S3MonthlyCost(bucket_bytes);
 
-      sim::ClusterReplayOptions copts;
+      ClusterPlanOptions copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = frontier_case.machines;
-      copts.cluster.instance = sim::kP3_8xLarge;
+      copts.num_workers = 4 * frontier_case.machines;
       copts.init_mode = InitMode::kWeak;
       copts.costs = sim::PaperPlatformCosts();
-      copts.bucket_prefix = "s3";
-      copts.bucket_rehydrate = false;  // every bucket restore stays visible
+      copts.tier.bucket_prefix = "s3";
+      // Rehydration off: every bucket restore stays visible.
+      copts.tier.bucket_rehydrate = false;
       auto replay = sim::ClusterReplay(
           workloads::MakeWorkloadFactory(frontier_profile,
                                          workloads::kProbeInner),
-          &fs, copts);
+          &fs, copts, sim::kP3_8xLarge);
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
 

@@ -12,14 +12,11 @@
 // contend on the admission gate or the GC worker. Set BENCH_JSON=<path>
 // to capture `stage: "service_mixed"` rows.
 //
-// A second stage measures the admission-gate fairness fix: one burst
-// tenant floods a two-slot gate with back-to-back records while steady
-// tenants each want a single slot. Under the legacy global FIFO cv-gate
-// the burst backlog barges ahead of the steady arrivals (their admission
-// p99 grows with the whole backlog); under fair admission the burst
-// tenant is quota-capped to one slot and freed slots hand off round-robin,
-// so a steady tenant's wait is bounded by roughly one record duration.
-// Captured as `stage: "skewed_mix"` rows, one per gate.
+// A second stage measures admission fairness: one burst tenant floods a
+// two-slot gate with back-to-back records while steady tenants each want a
+// single slot. The burst tenant is quota-capped to one slot and freed
+// slots hand off round-robin, so a steady tenant's wait is bounded by
+// roughly one record duration. Captured as a `stage: "skewed_mix"` row.
 
 #include <algorithm>
 #include <chrono>
@@ -191,7 +188,7 @@ int main() {
               "steady p99", "burst peak");
   bench::Hr();
 
-  for (const bool fair : {false, true}) {
+  {
     MemFileSystem fs;
     Env env(std::make_unique<WallClock>(), &fs);
 
@@ -200,8 +197,7 @@ int main() {
     copts.ckpt_shards = profile.ckpt_shards;
     copts.tier.bucket_prefix = "s3";
     copts.max_concurrent_records = 2;
-    copts.max_records_per_tenant = 1;  // enforced under the fair gate only
-    copts.fair_admission = fair;
+    copts.max_records_per_tenant = 1;
     auto conn = Connection::Open(&env, copts);
     FLOR_CHECK(conn.ok()) << conn.status().ToString();
 
@@ -238,10 +234,9 @@ int main() {
       });
     }
     // Let the burst saturate the gate before the steady tenants arrive —
-    // the starvation-prone arrival order. Under the fair gate the burst
-    // tenant's quota caps it at one running record, so one is saturation.
-    const int burst_peak_possible = fair ? 1 : 2;
-    while ((*conn)->stats().active_records < burst_peak_possible) {
+    // the starvation-prone arrival order. The burst tenant's quota caps it
+    // at one running record, so one is saturation.
+    while ((*conn)->stats().active_records < 1) {
       std::this_thread::yield();
     }
     for (int t = 0; t < steady_tenants; ++t) {
@@ -262,11 +257,11 @@ int main() {
     FLOR_CHECK(stats.records_completed ==
                burst_threads * burst_runs_each + steady_tenants);
     const int burst_peak = stats.tenants.at("burst").max_observed_records;
-    if (fair) FLOR_CHECK(burst_peak == 1);  // quota held
+    FLOR_CHECK(burst_peak == 1);  // quota held
 
     const double p50 = Percentile(&steady_waits, 0.50);
     const double p99 = Percentile(&steady_waits, 0.99);
-    const char* gate = fair ? "fair" : "fifo";
+    const char* gate = "fair";
     std::printf("%9s %10s %13s %13s %13d\n", gate,
                 HumanSeconds(wall).c_str(), HumanSeconds(p50).c_str(),
                 HumanSeconds(p99).c_str(), burst_peak);
@@ -282,8 +277,8 @@ int main() {
         .Field("steady_wait_p99_seconds", p99);
   }
 
-  std::printf("\nThe fair gate quota-caps the burst tenant and hands freed "
-              "slots round-robin:\nsteady-tenant admission p99 drops from "
-              "backlog-scaled (fifo) to about one record\nduration.\n");
+  std::printf("\nThe gate quota-caps the burst tenant and hands freed "
+              "slots round-robin:\nsteady-tenant admission p99 stays at "
+              "about one record duration.\n");
   return 0;
 }

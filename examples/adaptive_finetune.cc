@@ -64,11 +64,12 @@ int main() {
   std::printf("== consequence for replay: sparse checkpoints bound "
               "parallelism ==\n");
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "runs/rte";
-  copts.cluster.num_machines = 1;  // 4 GPUs
+  copts.num_workers = 4;  // 4 GPUs
   copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs_adaptive, copts);
+  auto result =
+      sim::ClusterReplay(factory, &fs_adaptive, copts, sim::kP3_8xLarge);
   FLOR_CHECK(result.ok()) << result.status().ToString();
   FLOR_CHECK(result->deferred.ok);
   std::printf("  partitions available: %lld (from the sparse checkpoints)\n",

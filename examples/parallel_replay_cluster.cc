@@ -49,13 +49,12 @@ int main() {
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
   const double vanilla = profile.VanillaSeconds();
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ClusterPlanOptions copts;
     copts.run_prefix = "runs/rsnt";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts);
+    auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << "replay anomaly: " << result->deferred.anomalies[0];

@@ -2,7 +2,8 @@
 # Pre-PR gate: configure, build everything (libs, tests, benches, examples)
 # with warnings-as-errors, run the full test suite, then run the smoke
 # benches (capturing the parallel-replay curves as BENCH_fig10.json /
-# BENCH_fig13.json). Run from anywhere; exits nonzero on the first failure.
+# BENCH_fig13.json), then build the hindsight_bench package and run its
+# smoke entries. Run from anywhere; exits nonzero on the first failure.
 #
 #   ./scripts/check.sh                 # full gate
 #   BUILD_DIR=out ./scripts/check.sh   # custom build dir
@@ -32,6 +33,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # bash < 4.4 (macOS ships 3.2).
 CMAKE_ARGS=(-DFLOR_WERROR=ON)
 TSAN_ARGS=(-DFLOR_TSAN=ON)
+HINDSIGHT_ARGS=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE:-Release}")
 if [[ -n "${FLOR_BUILD_TYPE:-}" ]]; then
   CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
   TSAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
@@ -39,6 +41,7 @@ fi
 if [[ "${FLOR_CCACHE:-0}" != "0" ]] && command -v ccache >/dev/null 2>&1; then
   CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
   TSAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  HINDSIGHT_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
 echo "== test-seed audit =="
@@ -96,6 +99,15 @@ BENCH_SMOKE=1 BENCH_JSON=BENCH_table4.json \
 BENCH_SMOKE=1 BENCH_JSON=BENCH_service.json \
     "${BUILD_DIR}/bench_service_mixed" > /dev/null
 echo "wrote BENCH_fig10.json BENCH_fig11.json BENCH_fig13.json BENCH_fig14.json BENCH_table4.json BENCH_service.json"
+
+echo "== hindsight benchmark package (${BUILD_DIR}-hindsight) =="
+# hindsight_bench/ is a CMake package of its own that builds the flor
+# libraries from source and links bench_hindsight against them; nothing
+# above compiles it, so an src/ API change could break it unnoticed.
+cmake -S hindsight_bench -B "${BUILD_DIR}-hindsight" "${HINDSIGHT_ARGS[@]}"
+cmake --build "${BUILD_DIR}-hindsight" -j "${JOBS}" --target bench_hindsight
+ctest --test-dir "${BUILD_DIR}-hindsight" --output-on-failure \
+      --no-tests=error -R '^(smoke_bench_hindsight|compare_self_check)$'
 
 if [[ -n "${BENCH_BASELINE:-}" ]]; then
   echo "== bench regression diff vs ${BENCH_BASELINE} =="

@@ -157,7 +157,10 @@ std::string EncodeCheckpoint(const NamedSnapshots& snaps) {
 Result<NamedSnapshots> DecodeCheckpoint(const std::string& bytes) {
   FrameReader reader(bytes);
   std::string compressed;
-  FLOR_RETURN_IF_ERROR(reader.Next(&compressed));
+  const Status first = reader.Next(&compressed);
+  // An empty object is a torn write, not a missing key.
+  if (first.IsNotFound()) return Status::Corruption("empty checkpoint object");
+  FLOR_RETURN_IF_ERROR(first);
   if (!reader.done())
     return Status::Corruption("trailing data after checkpoint frame");
   FLOR_ASSIGN_OR_RETURN(std::string payload, Decompress(compressed));

@@ -19,6 +19,82 @@ bool IsEpochLevel(const CheckpointRecord& rec) {
   return rec.key.ctx.find('/') == std::string::npos;
 }
 
+/// The records at `retire`, shard by shard (manifest order within a
+/// shard) — the order every pass deletes in. Planning is manifest-only:
+/// the store is never listed or scanned.
+std::vector<CheckpointRecord> RetiredByShard(
+    const Manifest& manifest, const std::vector<size_t>& retire) {
+  std::vector<CheckpointRecord> retired;
+  retired.reserve(retire.size());
+  for (size_t idx : retire) retired.push_back(manifest.records[idx]);
+  std::stable_sort(retired.begin(), retired.end(),
+                   [](const CheckpointRecord& a, const CheckpointRecord& b) {
+                     return a.shard < b.shard;
+                   });
+  return retired;
+}
+
+/// Prunes the retire set from the manifest and persists it FIRST: from
+/// this atomic write on, no replay plan can reference a retired epoch.
+/// If the persist fails, the in-memory manifest is restored and the
+/// caller deletes nothing.
+Status PersistPrunedManifest(FileSystem* fs, const std::string& path,
+                             const std::vector<size_t>& retire,
+                             Manifest* manifest, GcReport* report) {
+  std::vector<CheckpointRecord> pruned;
+  pruned.reserve(manifest->records.size() - retire.size());
+  {
+    std::set<size_t> retire_set(retire.begin(), retire.end());
+    for (size_t i = 0; i < manifest->records.size(); ++i) {
+      if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
+    }
+  }
+  std::vector<CheckpointRecord> original = std::move(manifest->records);
+  manifest->records = std::move(pruned);
+  Status persisted = fs->WriteFile(path, manifest->Serialize());
+  if (!persisted.ok()) {
+    manifest->records = std::move(original);
+    return persisted;
+  }
+  report->manifest_rewritten = true;
+  report->surviving_records = static_cast<int64_t>(manifest->records.size());
+  return Status::OK();
+}
+
+/// Counts one local delete of `rec`: reclaimed, already gone, or failed
+/// (an orphan for the reconciliation sweep).
+void CountDelete(const Status& s, const CheckpointRecord& rec,
+                 GcShardStats* stats) {
+  if (s.ok()) {
+    ++stats->retired_objects;
+    stats->retired_bytes += rec.stored_bytes;
+  } else if (s.IsNotFound()) {
+    ++stats->already_absent;
+  } else {
+    ++stats->failed_deletes;
+  }
+}
+
+/// A finished run's manifest and its store, opened the way every
+/// between-sessions maintenance entry point needs them.
+struct OpenedRun {
+  Manifest manifest;
+  std::unique_ptr<CheckpointStore> store;
+};
+
+Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& manifest_path,
+                          const std::string& ckpt_prefix,
+                          const std::string& bucket_prefix) {
+  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
+                        fs->ReadFile(manifest_path));
+  OpenedRun run;
+  FLOR_ASSIGN_OR_RETURN(run.manifest, Manifest::Deserialize(manifest_bytes));
+  TierOptions tier;
+  tier.bucket_prefix = bucket_prefix;
+  run.store = CheckpointStore::Open(fs, ckpt_prefix, tier, &run.manifest);
+  return run;
+}
+
 }  // namespace
 
 std::vector<size_t> PlanRetirement(const Manifest& manifest,
@@ -66,23 +142,14 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
                                    const GcPolicy& policy) {
   GcReport report;
   report.shards.resize(static_cast<size_t>(store->num_shards()));
+  report.surviving_records = static_cast<int64_t>(manifest->records.size());
 
   const std::vector<size_t> retire = PlanRetirement(*manifest, policy);
-  if (retire.empty()) {
-    // Guaranteed no-op: no manifest rewrite, no deletes, store untouched.
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    return report;
-  }
+  // Guaranteed no-op: no manifest rewrite, no deletes, store untouched.
+  if (retire.empty()) return report;
 
-  // Group the retire set by shard up front (planning is manifest-only; the
-  // store is never listed or scanned).
-  std::vector<std::vector<CheckpointRecord>> by_shard(
-      static_cast<size_t>(store->num_shards()));
-  for (size_t idx : retire) {
-    const CheckpointRecord& rec = manifest->records[idx];
-    by_shard[static_cast<size_t>(rec.shard)].push_back(rec);
-  }
+  const std::vector<CheckpointRecord> retired =
+      RetiredByShard(*manifest, retire);
 
   if (store->has_bucket()) {
     // Demotion: the bucket mirror keeps every retired record readable, so
@@ -90,69 +157,27 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
     // Objects the bucket does not hold (unspooled, or the spool failed)
     // are skipped — demotion never makes a record unreadable.
     report.demoted_to_bucket = true;
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    for (int shard = 0; shard < store->num_shards(); ++shard) {
-      GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
-      for (const CheckpointRecord& rec :
-           by_shard[static_cast<size_t>(shard)]) {
-        if (!store->fs()->Exists(store->BucketPathFor(rec.key))) {
-          ++stats.skipped_unspooled;
-          continue;
-        }
-        Status s = store->DeleteObject(rec.key);
-        if (s.ok()) {
-          ++stats.retired_objects;
-          stats.retired_bytes += rec.stored_bytes;
-        } else if (s.IsNotFound()) {
-          ++stats.already_absent;
-        } else {
-          ++stats.failed_deletes;
-        }
+    for (const CheckpointRecord& rec : retired) {
+      GcShardStats& stats = report.shards[static_cast<size_t>(rec.shard)];
+      if (!store->fs()->Exists(store->BucketPathFor(rec.key))) {
+        ++stats.skipped_unspooled;
+        continue;
       }
+      CountDelete(store->DeleteObject(rec.key), rec, &stats);
     }
     return report;
   }
 
-  // Prune the manifest and persist it FIRST: from this atomic write on, no
-  // replay plan can reference a retired epoch. If the persist fails, the
-  // in-memory manifest is restored and nothing is deleted.
-  std::vector<CheckpointRecord> pruned;
-  pruned.reserve(manifest->records.size() - retire.size());
-  {
-    std::set<size_t> retire_set(retire.begin(), retire.end());
-    for (size_t i = 0; i < manifest->records.size(); ++i) {
-      if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
-    }
-  }
-  std::vector<CheckpointRecord> original = std::move(manifest->records);
-  manifest->records = std::move(pruned);
-  Status persisted =
-      store->fs()->WriteFile(manifest_path, manifest->Serialize());
-  if (!persisted.ok()) {
-    manifest->records = std::move(original);
-    return persisted;
-  }
-  report.manifest_rewritten = true;
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
+  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(store->fs(), manifest_path,
+                                             retire, manifest, &report));
 
   // Delete the retired objects shard by shard. Each delete goes through
   // the shard's writer lock, so a concurrent materializer on another shard
   // never contends with retirement here. Failures leak an orphan (the
   // manifest already dropped the record) — reported, never fatal.
-  for (int shard = 0; shard < store->num_shards(); ++shard) {
-    GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
-    for (const CheckpointRecord& rec : by_shard[static_cast<size_t>(shard)]) {
-      Status s = store->DeleteObject(rec.key);
-      if (s.ok()) {
-        ++stats.retired_objects;
-        stats.retired_bytes += rec.stored_bytes;
-      } else if (s.IsNotFound()) {
-        ++stats.already_absent;
-      } else {
-        ++stats.failed_deletes;
-      }
-    }
+  for (const CheckpointRecord& rec : retired) {
+    CountDelete(store->DeleteObject(rec.key), rec,
+                &report.shards[static_cast<size_t>(rec.shard)]);
   }
   return report;
 }
@@ -167,66 +192,40 @@ Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
   }
   GcReport report;
   report.shards.resize(static_cast<size_t>(store->num_shards()));
+  report.surviving_records = static_cast<int64_t>(manifest->records.size());
 
   GcPolicy local_shape;
   local_shape.keep_last_k = policy.keep_last_k;
   local_shape.pinned_epochs = policy.pinned_epochs;
   const std::vector<size_t> retire = PlanRetirement(*manifest, local_shape);
-  if (retire.empty()) {
-    report.surviving_records =
-        static_cast<int64_t>(manifest->records.size());
-    return report;
-  }
+  if (retire.empty()) return report;
 
-  std::vector<std::vector<CheckpointRecord>> by_shard(
-      static_cast<size_t>(store->num_shards()));
-  for (size_t idx : retire) {
-    const CheckpointRecord& rec = manifest->records[idx];
-    by_shard[static_cast<size_t>(rec.shard)].push_back(rec);
-  }
+  const std::vector<CheckpointRecord> retired =
+      RetiredByShard(*manifest, retire);
 
   // Same ordering contract as the local tier: the pruned manifest lands
   // first (one atomic WriteFile), deletes follow. A crash mid-delete
   // leaves orphans in either tier, never a dangling record.
-  std::vector<CheckpointRecord> pruned;
-  pruned.reserve(manifest->records.size() - retire.size());
-  {
-    std::set<size_t> retire_set(retire.begin(), retire.end());
-    for (size_t i = 0; i < manifest->records.size(); ++i) {
-      if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
-    }
-  }
-  std::vector<CheckpointRecord> original = std::move(manifest->records);
-  manifest->records = std::move(pruned);
-  Status persisted =
-      store->fs()->WriteFile(manifest_path, manifest->Serialize());
-  if (!persisted.ok()) {
-    manifest->records = std::move(original);
-    return persisted;
-  }
-  report.manifest_rewritten = true;
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
+  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(store->fs(), manifest_path,
+                                             retire, manifest, &report));
 
   // Per record, reclaim both tiers: the bucket object and any local copy
   // demotion has not yet removed. A hard failure on either tier leaks an
   // orphan for the reconciliation sweep; both tiers already gone means a
   // prior pass (or crash) got here first.
-  for (int shard = 0; shard < store->num_shards(); ++shard) {
-    GcShardStats& stats = report.shards[static_cast<size_t>(shard)];
-    for (const CheckpointRecord& rec :
-         by_shard[static_cast<size_t>(shard)]) {
-      Status bucket =
-          store->DeleteShardPath(rec.shard, store->BucketPathFor(rec.key));
-      Status local = store->DeleteObject(rec.key);
-      if ((!bucket.ok() && !bucket.IsNotFound()) ||
-          (!local.ok() && !local.IsNotFound())) {
-        ++stats.failed_deletes;
-      } else if (bucket.IsNotFound() && local.IsNotFound()) {
-        ++stats.already_absent;
-      } else {
-        ++stats.retired_objects;
-        stats.retired_bytes += rec.stored_bytes;
-      }
+  for (const CheckpointRecord& rec : retired) {
+    GcShardStats& stats = report.shards[static_cast<size_t>(rec.shard)];
+    Status bucket =
+        store->DeleteShardPath(rec.shard, store->BucketPathFor(rec.key));
+    Status local = store->DeleteObject(rec.key);
+    if ((!bucket.ok() && !bucket.IsNotFound()) ||
+        (!local.ok() && !local.IsNotFound())) {
+      ++stats.failed_deletes;
+    } else if (bucket.IsNotFound() && local.IsNotFound()) {
+      ++stats.already_absent;
+    } else {
+      ++stats.retired_objects;
+      stats.retired_bytes += rec.stored_bytes;
     }
   }
   return report;
@@ -277,14 +276,10 @@ Result<GcReport> RetireRun(FileSystem* fs, const std::string& manifest_path,
                            const std::string& ckpt_prefix,
                            const GcPolicy& policy,
                            const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return RetireCheckpoints(store.get(), &manifest, manifest_path, policy);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
+                                               ckpt_prefix, bucket_prefix));
+  return RetireCheckpoints(run.store.get(), &run.manifest, manifest_path,
+                           policy);
 }
 
 Result<GcReport> RetireBucketRun(FileSystem* fs,
@@ -292,29 +287,19 @@ Result<GcReport> RetireBucketRun(FileSystem* fs,
                                  const std::string& ckpt_prefix,
                                  const std::string& bucket_prefix,
                                  const BucketGcPolicy& policy) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return RetireBucketCheckpoints(store.get(), &manifest, manifest_path,
-                                 policy);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
+                                               ckpt_prefix, bucket_prefix));
+  return RetireBucketCheckpoints(run.store.get(), &run.manifest,
+                                 manifest_path, policy);
 }
 
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
                                      const std::string& manifest_path,
                                      const std::string& ckpt_prefix,
                                      const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  TierOptions tier;
-  tier.bucket_prefix = bucket_prefix;
-  auto store = CheckpointStore::Open(fs, ckpt_prefix, tier, &manifest);
-  return ReconcileOrphans(store.get(), manifest);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
+                                               ckpt_prefix, bucket_prefix));
+  return ReconcileOrphans(run.store.get(), run.manifest);
 }
 
 }  // namespace flor

@@ -167,39 +167,14 @@ SpoolReport SpoolStore(const CheckpointStore& store,
          store.fs()->ListPrefix(store.ShardPrefix(shard) + "/")) {
       // Preserve the shard layout under the destination: the bucket
       // mirrors the store, so a shard-aware reader finds objects the same
-      // way on either side. JoinObjectPath normalizes slashes so the
-      // mirror layout is byte-identical to SpoolToS3's for the same
-      // destination, trailing slash or not.
+      // way on either side. JoinObjectPath normalizes slashes, so a
+      // destination with or without a trailing slash yields one layout.
       const std::string rel = path.substr(base.size());
       queue.Enqueue(shard, path, JoinObjectPath(dst_prefix, rel));
     }
   }
   queue.Drain();
   return queue.TotalReport();
-}
-
-Result<SpoolReport> SpoolToS3(FileSystem* fs, const std::string& src_prefix,
-                              const std::string& dst_prefix) {
-  SpoolQueue queue(fs, /*num_shards=*/1);
-  // Normalize the source base to exactly one trailing slash before taking
-  // relative paths: a caller passing "run/ckpt" and one passing
-  // "run/ckpt/" must produce the same mirror layout (the un-normalized
-  // substr either swallowed the leading character of every relative path
-  // or emitted "dst//…" double-slash keys, diverging from SpoolStore).
-  std::string base = src_prefix;
-  while (!base.empty() && base.back() == '/') base.pop_back();
-  base += '/';
-  for (const auto& path : fs->ListPrefix(base)) {
-    const std::string rel = path.substr(base.size());
-    queue.Enqueue(/*shard=*/0, path, JoinObjectPath(dst_prefix, rel));
-  }
-  queue.Drain();
-  SpoolReport report = queue.TotalReport();
-  if (!report.ok()) {
-    return Status::IOError(
-        report.first_error.empty() ? "spool failed" : report.first_error);
-  }
-  return report;
 }
 
 }  // namespace flor

@@ -143,14 +143,6 @@ SpoolReport SpoolStore(const CheckpointStore& store,
                        const std::string& dst_prefix,
                        const SpoolOptions& options = SpoolOptions());
 
-/// Legacy one-shot spool: copies all objects under `src_prefix` to
-/// `dst_prefix` and prices them. Now a thin wrapper over SpoolQueue; the
-/// first abandoned object surfaces as an error status. Trailing slashes
-/// on either prefix are normalized away, so the mirror layout is
-/// byte-identical to SpoolStore's for the same destination.
-Result<SpoolReport> SpoolToS3(FileSystem* fs, const std::string& src_prefix,
-                              const std::string& dst_prefix);
-
 }  // namespace flor
 
 #endif  // FLOR_CHECKPOINT_SPOOL_H_

@@ -97,12 +97,10 @@ struct TierStats {
   int64_t bloom_false_positives = 0;
 };
 
-/// Read-tier selection shared by every replay entry point (ReplayOptions
-/// and the three engine option structs inherit it) and by the service
+/// Read-tier selection, held as a `tier` member by the replay request
+/// (ClusterPlanOptions), the thread engine's options and the service
 /// ConnectionOptions: which bucket mirror, if any, backs local misses, and
 /// whether the store fronts its shards with manifest-seeded bloom filters.
-/// Declaring the fields once here is what keeps the four entry-point
-/// structs from drifting apart again.
 struct TierOptions {
   /// Bucket tier of the run's checkpoint store (the spool mirror prefix).
   /// Non-empty makes reads survive aggressive local GC: a local miss falls

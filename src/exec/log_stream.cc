@@ -118,15 +118,24 @@ std::string LogStream::Serialize() const {
 }
 
 Result<LogStream> LogStream::Deserialize(const std::string& data) {
+  // Strict inverse of Serialize: accepted bytes re-serialize exactly, so
+  // a torn or mutated stream never passes as a shorter or defaulted one.
+  if (!data.empty() && data.back() != '\n')
+    return Status::Corruption("log stream does not end with a newline");
+  std::vector<std::string> lines = StrSplit(data, '\n');
+  lines.pop_back();  // the empty piece after the final newline
   LogStream out;
-  for (const auto& line : StrSplit(data, '\n')) {
-    if (line.empty()) continue;
+  for (const auto& line : lines) {
     auto fields = StrSplit(line, '\t');
     if (fields.size() != 5)
       return Status::Corruption("malformed log line: " + line);
     LogEntry e;
     e.stmt_uid = static_cast<int32_t>(std::strtol(fields[0].c_str(),
                                                   nullptr, 10));
+    std::string canonical_uid;
+    DecimalTo(e.stmt_uid, &canonical_uid);
+    if (canonical_uid != fields[0] || (fields[2] != "0" && fields[2] != "1"))
+      return Status::Corruption("malformed log line: " + line);
     FLOR_ASSIGN_OR_RETURN(e.context, Unescape(fields[1]));
     e.init_mode = fields[2] == "1";
     FLOR_ASSIGN_OR_RETURN(e.label, Unescape(fields[3]));

@@ -94,7 +94,6 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
 /// the parent's buffered state.
 [[noreturn]] void RunChild(int worker_id, int attempt, FileSystem* shared_fs,
                            const ProgramFactory& factory,
-                           const ClusterPlanOptions& plan,
                            const ProcessReplayExecutorOptions& options,
                            const std::string& scratch_path) {
   PosixFileSystem scratch_fs(scratch_path);
@@ -104,7 +103,7 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
   auto run_worker = [&]() -> Result<ReplayResult> {
     Env env(std::make_unique<WallClock>(), shared_fs);
     FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-    ReplaySession session(&env, WorkerReplayOptions(plan, worker_id));
+    ReplaySession session(&env, WorkerReplayOptions(options, worker_id));
     exec::Frame frame;
     return session.Run(instance.program.get(), &frame);
   };
@@ -130,18 +129,8 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
 Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     const ProgramFactory& factory) {
   const double wall_start = WallNowSeconds();
-
-  ClusterPlanOptions plan;
-  plan.run_prefix = options_.run_prefix;
-  plan.num_workers = options_.num_partitions > 0 ? options_.num_partitions
-                                                 : 1;
-  plan.init_mode = options_.init_mode;
-  plan.costs = options_.costs;
-  plan.sample_epochs = options_.sample_epochs;
-  static_cast<TierOptions&>(plan) = options_;  // bucket + bloom, one slice
-
   FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, plan));
+                        PlanActiveWorkers(factory, fs_, options_));
 
   const int max_attempts = std::max(1, options_.max_attempts);
   int pool = options_.max_concurrent_children;
@@ -231,7 +220,7 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
       return Status::IOError(
           StrCat("fork failed for replay partition ", w));
     if (pid == 0)
-      RunChild(w, attempt, fs_, factory, plan, options_, scratch_path);
+      RunChild(w, attempt, fs_, factory, options_, scratch_path);
     running.emplace(pid, LiveAttempt{w, attempt, speculative});
     ++total_forks;
     if (speculative) ++speculative_forks;
@@ -394,7 +383,6 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   ProcessReplayExecutorResult result;
   FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
                         merger.Finish(fs_, options_.run_prefix));
-  result.processes_used = active;
   result.pool_size = pool;
   result.total_forks = total_forks;
   result.max_observed_children = max_children;

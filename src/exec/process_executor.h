@@ -56,22 +56,9 @@
 namespace flor {
 namespace exec {
 
-/// Process-engine configuration. The read-tier fields (bucket
-/// fall-through, bloom filters) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into the cluster plan, so every
-/// forked child's store sees them.
-struct ProcessReplayExecutorOptions : TierOptions {
-  std::string run_prefix = "run";
-  /// Log partitions (the paper's G); one worker process replays each
-  /// partition. The planner may clamp to fewer when checkpoints are
-  /// sparse.
-  int num_partitions = 4;
-  InitMode init_mode = InitMode::kStrong;
-  /// Carried for parity with the other engines (only charged under
-  /// simulated clocks; wall-clock restores are simply measured).
-  MaterializerCosts costs;
-  /// Non-empty selects iteration-sampling replay on a single worker.
-  std::vector<int64_t> sample_epochs;
+/// Process-engine configuration: the replay request (one worker process
+/// replays each of its `num_workers` partitions) plus scheduler knobs.
+struct ProcessReplayExecutorOptions : ClusterPlanOptions {
   /// Directory for worker result files. Empty: a fresh mkdtemp scratch
   /// directory, removed after the run. Non-empty: used as-is (created if
   /// missing, stale worker files cleared, left in place afterwards) so
@@ -105,22 +92,17 @@ struct ProcessReplayExecutorOptions : TierOptions {
   /// `before_result_write` after the session but before the result file
   /// is committed — a hook that kills the process at either point models
   /// a worker lost mid-partition.
-  std::function<void(int worker_id, int attempt)> child_before_session;
-  std::function<void(int worker_id, int attempt)> child_before_result_write;
+  std::function<void(int worker_id, int attempt)> child_before_session{};
+  std::function<void(int worker_id, int attempt)> child_before_result_write{};
 };
 
 /// Outcome of a process-level replay: the engine-agnostic merge plus
-/// process-side measurements and scheduler statistics.
+/// scheduler statistics.
 struct ProcessReplayExecutorResult : MergedClusterReplay {
-  /// Measured wall-clock time of the whole replay (plan + fork + children
-  /// + merge), parent perspective.
-  double wall_seconds = 0;
-  /// Partitions replayed (== workers_used; kept for bench continuity).
-  int processes_used = 0;
   /// Effective scheduler pool size (after defaulting).
   int pool_size = 0;
   /// Worker processes forked in total, including retries and speculative
-  /// twins (== processes_used when nothing died).
+  /// twins (== workers_used when nothing died).
   int total_forks = 0;
   /// Most worker processes alive at any instant (never exceeds
   /// pool_size).

@@ -91,24 +91,27 @@ WorkStealingPool::Stats WorkStealingPool::Run(
 }
 
 ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
-                               ReplayExecutorOptions options)
-    : fs_(shared_fs), options_(std::move(options)) {}
+                               const ReplayExecutorOptions& options)
+    : ReplayExecutor(shared_fs,
+                     ClusterPlanOptions{options.run_prefix,
+                                        options.num_partitions > 0
+                                            ? options.num_partitions
+                                            : options.num_threads,
+                                        options.init_mode, options.costs,
+                                        options.sample_epochs, options.tier},
+                     options.num_threads) {}
+
+ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
+                               ClusterPlanOptions request, int num_threads)
+    : fs_(shared_fs),
+      request_(std::move(request)),
+      num_threads_(num_threads) {}
 
 Result<ReplayExecutorResult> ReplayExecutor::Run(
     const ProgramFactory& factory) {
   const double wall_start = WallNowSeconds();
-
-  ClusterPlanOptions plan;
-  plan.run_prefix = options_.run_prefix;
-  plan.num_workers = options_.num_partitions > 0 ? options_.num_partitions
-                                                 : options_.num_threads;
-  plan.init_mode = options_.init_mode;
-  plan.costs = options_.costs;
-  plan.sample_epochs = options_.sample_epochs;
-  static_cast<TierOptions&>(plan) = options_;  // bucket + bloom, one slice
-
   FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, plan));
+                        PlanActiveWorkers(factory, fs_, request_));
 
   // One task per partition. Every worker owns its clock, program instance,
   // and log stream; the only shared object is the (thread-safe) filesystem.
@@ -117,11 +120,11 @@ Result<ReplayExecutorResult> ReplayExecutor::Run(
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<size_t>(active));
   for (int w = 0; w < active; ++w) {
-    tasks.push_back([this, &factory, &plan, &slots, w] {
+    tasks.push_back([this, &factory, &slots, w] {
       auto run_worker = [&]() -> Result<ReplayResult> {
         Env env(std::make_unique<WallClock>(), fs_);
         FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-        ReplaySession session(&env, WorkerReplayOptions(plan, w));
+        ReplaySession session(&env, WorkerReplayOptions(request_, w));
         exec::Frame frame;
         return session.Run(instance.program.get(), &frame);
       };
@@ -130,7 +133,7 @@ Result<ReplayExecutorResult> ReplayExecutor::Run(
   }
 
   const WorkStealingPool::Stats pool_stats =
-      WorkStealingPool::Run(options_.num_threads, tasks);
+      WorkStealingPool::Run(num_threads_, tasks);
 
   ReplayMerger merger;
   for (int w = 0; w < active; ++w) {
@@ -144,8 +147,8 @@ Result<ReplayExecutorResult> ReplayExecutor::Run(
   }
   ReplayExecutorResult result;
   FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(fs_, options_.run_prefix));
-  result.threads_used = std::min(options_.num_threads, active);
+                        merger.Finish(fs_, request_.run_prefix));
+  result.threads_used = std::min(num_threads_, active);
   result.steals = pool_stats.steals;
   result.wall_seconds = WallNowSeconds() - wall_start;
   return result;

@@ -45,11 +45,10 @@ class WorkStealingPool {
                    const std::vector<std::function<void()>>& tasks);
 };
 
-/// Real-engine configuration. The read-tier fields (bucket fall-through,
-/// bloom filters) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into the cluster plan, so every
-/// worker's store sees them.
-struct ReplayExecutorOptions : TierOptions {
+/// Thread-engine configuration in its long-standing spelling: the fields
+/// of the replay request (ClusterPlanOptions, with G spelled
+/// `num_partitions`) plus the pool size.
+struct ReplayExecutorOptions {
   std::string run_prefix = "run";
   /// Worker threads in the pool.
   int num_threads = 4;
@@ -57,22 +56,16 @@ struct ReplayExecutorOptions : TierOptions {
   /// num_threads: threads then steal the surplus partitions.
   int num_partitions = 0;
   InitMode init_mode = InitMode::kStrong;
-  /// Restore-cost model, carried for parity with the simulated engine (it
-  /// is only charged under simulated clocks; wall-clock restores are simply
-  /// measured).
   MaterializerCosts costs;
-  /// Non-empty selects iteration-sampling replay on a single worker.
   std::vector<int64_t> sample_epochs;
+  TierOptions tier;
 };
 
 /// Outcome of a real parallel replay: the engine-agnostic merge (latency,
-/// merged logs — byte-identical across thread counts and engines —
-/// deferred check; flor/replay_plan.h) plus pool-side measurements.
+/// wall time, merged logs — byte-identical across thread counts and
+/// engines — deferred check; flor/replay_plan.h) plus pool-side
+/// measurements.
 struct ReplayExecutorResult : MergedClusterReplay {
-  /// Measured wall-clock time of the whole replay (plan + sessions +
-  /// merge), coordinating thread perspective; latency_seconds from the
-  /// base is the max over worker session runtimes (no-barrier latency).
-  double wall_seconds = 0;
   int threads_used = 0;
   /// Partitions executed by a thread they were not dealt to.
   int64_t steals = 0;
@@ -84,7 +77,11 @@ class ReplayExecutor {
  public:
   /// Does not own `shared_fs`, which must be thread-safe (all flor
   /// FileSystem implementations are).
-  ReplayExecutor(FileSystem* shared_fs, ReplayExecutorOptions options);
+  ReplayExecutor(FileSystem* shared_fs, const ReplayExecutorOptions& options);
+  /// Replays `request` (G = request.num_workers partitions) on a pool of
+  /// `num_threads` threads.
+  ReplayExecutor(FileSystem* shared_fs, ClusterPlanOptions request,
+                 int num_threads);
 
   /// Plans partitions, replays them on the pool, merges, deferred-checks.
   /// `factory` is invoked once per worker, on the worker's thread; it must
@@ -94,7 +91,8 @@ class ReplayExecutor {
 
  private:
   FileSystem* fs_;
-  ReplayExecutorOptions options_;
+  ClusterPlanOptions request_;
+  int num_threads_;
 };
 
 }  // namespace exec

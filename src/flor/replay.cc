@@ -37,8 +37,8 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   // The manifest decides the shard layout; Open applies the whole tier
   // configuration (bucket attach, bloom sizing + manifest seeding) in one
   // place shared with GC and the service Connection.
-  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), options_,
-                                 &manifest_);
+  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(),
+                                 options_.tier, &manifest_);
   for (const auto& rec : manifest_.records)
     records_by_key_[rec.key.ToString()] = &rec;
 

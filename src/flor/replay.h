@@ -32,25 +32,31 @@
 
 namespace flor {
 
-/// Replay configuration. Inherits the shared read-tier fields
-/// (bucket_prefix / bucket_rehydrate / bloom_filter / bloom_target_fpr)
-/// from TierOptions (checkpoint/store.h) — the same aggregate every engine
-/// option struct and the service ConnectionOptions carry, so tier
-/// configuration is declared once and flows everywhere by slice
-/// assignment.
-struct ReplayOptions : TierOptions {
+/// The replay request: everything needed to plan worker partitions of a
+/// recorded run (flor/replay_plan.h) and to open each worker's store. Every
+/// engine, the per-worker ReplayOptions and the service Session::Replay
+/// consume this one struct and add only their own execution knobs.
+struct ClusterPlanOptions {
   std::string run_prefix = "run";
+  /// Requested log partitions (the paper's G). The effective worker count
+  /// can be lower when the main loop is short or checkpoints are sparse.
+  int num_workers = 1;
   /// Requested worker-initialization mode; falls back to weak when the
   /// record run checkpointed sparsely (§5.4.2).
   InitMode init_mode = InitMode::kStrong;
+  /// Cost model for restore pricing (only charged under simulated clocks).
+  MaterializerCosts costs;
+  /// Non-empty selects iteration-sampling replay over these main-loop
+  /// epochs on a single worker instead of contiguous partitions.
+  std::vector<int64_t> sample_epochs;
+  /// Read tier of every worker's store (bucket fall-through, bloom).
+  TierOptions tier;
+};
+
+/// One worker's replay configuration: the request plus its identity.
+struct ReplayOptions : ClusterPlanOptions {
   /// This worker's identity within a parallel replay (PID in Fig. 8).
   int worker_id = 0;
-  int num_workers = 1;
-  /// Non-empty selects iteration-sampling replay over these main-loop
-  /// epochs instead of a contiguous partition.
-  std::vector<int64_t> sample_epochs;
-  /// Cost model for restore pricing under a simulated clock.
-  MaterializerCosts costs;
   /// Skip the deferred log check (used when a caller merges worker logs and
   /// checks once).
   bool run_deferred_check = true;
@@ -79,7 +85,7 @@ struct ReplayResult {
   /// Restores served by the bucket tier (local store miss, bucket hit).
   int64_t bucket_faults = 0;
   /// Store lookups the bloom filter answered definite-miss without
-  /// touching a shard (0 when ReplayOptions::bloom_filter is off).
+  /// touching a shard (0 when ReplayOptions::tier.bloom_filter is off).
   int64_t bloom_skipped_probes = 0;
 };
 

@@ -108,18 +108,9 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
 
 ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
                                   int worker_id) {
-  ReplayOptions ropts;
-  ropts.run_prefix = options.run_prefix;
-  ropts.init_mode = options.init_mode;
-  ropts.worker_id = worker_id;
-  ropts.num_workers = options.sample_epochs.empty() ? options.num_workers : 1;
-  ropts.sample_epochs = options.sample_epochs;
-  ropts.costs = options.costs;
-  ropts.run_deferred_check = false;  // merged check in ReplayMerger
-  // Tier configuration (bucket + bloom) travels as one slice: both structs
-  // inherit TierOptions, so a field added there flows to workers without
-  // touching this function.
-  static_cast<TierOptions&>(ropts) = options;
+  ReplayOptions ropts{options, worker_id,
+                      /*run_deferred_check=*/false};  // merged in ReplayMerger
+  if (!ropts.sample_epochs.empty()) ropts.num_workers = 1;
   return ropts;
 }
 

@@ -27,22 +27,8 @@
 
 namespace flor {
 
-/// Engine-agnostic cluster-replay configuration: everything needed to plan
-/// worker partitions and build per-worker ReplayOptions. The read-tier
-/// fields (bucket + bloom) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into every worker's ReplayOptions,
-/// so each worker's store sees the same tier configuration.
-struct ClusterPlanOptions : TierOptions {
-  std::string run_prefix = "run";
-  /// Requested log partitions (the paper's G). The effective worker count
-  /// can be lower when the main loop is short or checkpoints are sparse.
-  int num_workers = 1;
-  InitMode init_mode = InitMode::kStrong;
-  /// Cost model for restore pricing (only charged under simulated clocks).
-  MaterializerCosts costs;
-  /// Non-empty selects iteration-sampling replay on a single worker.
-  std::vector<int64_t> sample_epochs;
-};
+// ClusterPlanOptions, the replay request every engine consumes, is declared
+// in flor/replay.h next to the per-worker ReplayOptions built from it.
 
 /// Main-loop epochs usable as partition boundaries for `program`: every
 /// skippable epoch-level loop has a checkpoint there (intersection across
@@ -59,9 +45,8 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
                               const ClusterPlanOptions& options);
 
-/// Per-worker ReplayOptions derived from the cluster-level options. The
-/// deferred check is disabled per worker: the merger checks the merged
-/// stream once.
+/// Per-worker ReplayOptions: the request plus `worker_id`. The deferred
+/// check is disabled per worker: the merger checks the merged stream once.
 ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
                                   int worker_id);
 
@@ -84,6 +69,10 @@ struct MergedClusterReplay {
   /// Max over worker runtimes (no merge barrier in Flor; partitions are
   /// concatenated by worker order).
   double latency_seconds = 0;
+  /// Measured wall-clock time of the whole replay (plan + workers +
+  /// merge) from the coordinator's side; 0 under the simulated engine,
+  /// whose latency_seconds is modeled.
+  double wall_seconds = 0;
   std::vector<double> worker_seconds;
   int workers_used = 0;
   int64_t partition_segments = 0;

@@ -116,7 +116,6 @@ Status Connection::Close(double deadline_seconds) {
       // closing_ and fail with Unavailable, which releases their
       // in-flight op guard.
       for (auto& entry : gates_) entry.second.cv.notify_all();
-      slot_freed_.notify_all();
     }
     const auto idle = [this] { return in_flight_ops_ == 0; };
     if (deadline_seconds > 0) {
@@ -243,39 +242,8 @@ Status Connection::AcquireRecordSlot(const std::string& tenant,
     return Status::Unavailable("connection is closed to new work");
   TenantGate* gate = GateLocked(tenant);
 
-  if (!options_.fair_admission) {
-    // Legacy global FIFO cv-gate, kept for before/after measurement of
-    // the fairness fix: wakeup order is whatever the cv delivers, and a
-    // burst tenant's backlog can starve everyone else. No per-tenant
-    // quota is enforced here.
-    bool waited = false;
-    const auto start = std::chrono::steady_clock::now();
-    while (!closing_ && options_.max_concurrent_records > 0 &&
-           active_records_ >= options_.max_concurrent_records) {
-      waited = true;
-      slot_freed_.wait(lock);
-    }
-    if (closing_) {
-      return Status::Unavailable(
-          "connection closed while waiting for admission");
-    }
-    AdmitLocked(gate);
-    if (waited) {
-      const double secs = SecondsSince(start);
-      *waited_seconds = secs;
-      ++stats_.admission_waits;
-      ++gate->stats.admission_waits;
-      gate->stats.admission_wait_seconds += secs;
-      gate->stats.max_admission_wait_seconds =
-          std::max(gate->stats.max_admission_wait_seconds, secs);
-      ++gate->stats.starved_wait_hist[static_cast<size_t>(
-          StarvedWaitBucket(secs))];
-    }
-    return Status::OK();
-  }
-
-  // Fair gate fast path: only when nobody is queued — arrivals may not
-  // barge past the wait ring.
+  // Fast path: only when nobody is queued — arrivals may not barge past
+  // the wait ring.
   if (wait_ring_.empty() && GlobalSlotFreeLocked() &&
       TenantSlotFreeLocked(*gate)) {
     AdmitLocked(gate);
@@ -322,11 +290,7 @@ void Connection::ReleaseRecordSlot(const std::string& tenant) {
   TenantGate* gate = GateLocked(tenant);
   --active_records_;
   --gate->stats.active_records;
-  if (options_.fair_admission) {
-    GrantSlotsLocked();
-  } else {
-    slot_freed_.notify_one();
-  }
+  GrantSlotsLocked();
 }
 
 bool Connection::AnyRecordActive() const {

@@ -212,12 +212,12 @@ void Server::Stop() {
     if (!options_.unix_path.empty())
       ::unlink(options_.unix_path.c_str());
   }
-  std::vector<std::thread> handlers;
+  std::map<std::thread::id, std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
+  for (auto& [id, t] : handlers) {
     if (t.joinable()) t.join();
   }
 }
@@ -234,14 +234,24 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (or hard error): stop accepting
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    // Join handlers whose clients have left, so an always-on server holds
+    // one thread (and its stack) per live client, not per client ever seen.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      for (const std::thread::id id : finished_ids_)
+        finished.push_back(std::move(handlers_.extract(id).mapped()));
+      finished_ids_.clear();
+      ++stats_.connections_accepted;
+      client_fds_.push_back(fd);
+      std::thread handler([this, fd] { HandleClient(fd); });
+      handlers_.emplace(handler.get_id(), std::move(handler));
     }
-    ++stats_.connections_accepted;
-    client_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { HandleClient(fd); });
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -288,6 +298,7 @@ void Server::HandleClient(int fd) {
       std::remove(client_fds_.begin(), client_fds_.end(), fd),
       client_fds_.end());
   ::close(fd);
+  finished_ids_.push_back(std::this_thread::get_id());
 }
 
 wire::Response Server::Dispatch(const wire::Request& req) {

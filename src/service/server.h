@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,7 +119,10 @@ class Server {
   mutable std::mutex mu_;
   bool stopping_ = false;
   std::vector<int> client_fds_;
-  std::vector<std::thread> handlers_;
+  std::map<std::thread::id, std::thread> handlers_;
+  /// Handlers that have returned from HandleClient; the accept loop joins
+  /// and drops them.
+  std::vector<std::thread::id> finished_ids_;
   ServerStats stats_;
 };
 

@@ -96,16 +96,11 @@ struct ConnectionOptions {
   /// frees (counted in ConnectionStats::admission_waits). 0 = unlimited.
   int max_concurrent_records = 0;
   /// Per-tenant admission quota: at most this many of the global slots
-  /// may be held by one tenant at a time. 0 = no per-tenant cap. Only
-  /// meaningful under fair admission.
+  /// may be held by one tenant at a time. 0 = no per-tenant cap. Freed
+  /// slots are handed round-robin across *tenants* with waiting
+  /// recorders, and arrivals cannot barge past the wait ring, so a burst
+  /// tenant cannot starve steady ones.
   int max_records_per_tenant = 0;
-  /// Fair admission (the default): freed slots are handed round-robin
-  /// across *tenants* with waiting recorders, and arrivals cannot barge
-  /// past the wait ring, so a burst tenant cannot starve steady ones.
-  /// false selects the legacy global FIFO cv-gate — kept so the skewed
-  /// bench can measure the fairness fix (per-tenant quotas are not
-  /// enforced in this mode).
-  bool fair_admission = true;
 };
 
 /// Starved-wait histogram shape: exponential admission-wait buckets
@@ -330,8 +325,7 @@ class Connection {
   BackgroundQueue gc_queue_;
 
   mutable std::mutex mu_;
-  std::condition_variable slot_freed_;  ///< legacy FIFO gate only
-  std::condition_variable ops_idle_;    ///< Close waits here
+  std::condition_variable ops_idle_;  ///< Close waits here
   std::map<std::string, TenantGate> gates_;
   /// Round-robin grant order: tenants with waiting recorders, each at
   /// most once.
@@ -357,8 +351,10 @@ struct SessionRecordOptions {
   double vanilla_runtime_seconds = 0;
 };
 
-/// Per-call replay knobs: engine choice, worker count, scratch dir. The
-/// tier configuration (bucket + bloom) always comes from the connection.
+/// Per-call replay knobs. Session::Replay turns `workers`, `init_mode`,
+/// `sample_epochs` and `costs` plus the run prefix and the connection's
+/// tier into one replay request (ClusterPlanOptions); the rest are engine
+/// knobs.
 struct SessionReplayOptions {
   ReplayEngine engine = ReplayEngine::kSimulated;
   /// Log partitions (the paper's G); one worker per partition.
@@ -366,15 +362,12 @@ struct SessionReplayOptions {
   /// Thread-engine pool size; 0 = one thread per worker.
   int num_threads = 0;
   InitMode init_mode = InitMode::kStrong;
-  /// Non-empty selects iteration-sampling replay on a single worker.
   std::vector<int64_t> sample_epochs;
-  /// Restore-cost model (charged under simulated clocks only).
   MaterializerCosts costs;
   /// Process-engine result-file directory; empty = fresh mkdtemp scratch.
   std::string scratch_dir;
-  /// Simulated-engine billing shape: workers fill machines of this
-  /// instance type, `workers` must be a multiple of instance.gpus so the
-  /// partition count stays exactly `workers`.
+  /// Simulated-engine billing: workers fill ceil(workers / instance.gpus)
+  /// machines of this instance type.
   sim::Ec2Instance instance = sim::kP3_2xLarge;
 };
 
@@ -392,9 +385,6 @@ struct SessionRecordResult : RecordResult {
 /// dispatch.
 struct SessionReplayResult : MergedClusterReplay {
   ReplayEngine engine = ReplayEngine::kSimulated;
-  /// Measured wall time (thread/process engines; 0 under the simulated
-  /// engine, whose latency_seconds is modeled).
-  double wall_seconds = 0;
   /// Simulated-cluster billing (simulated engine only).
   double total_cost_dollars = 0;
 };

@@ -100,66 +100,35 @@ Result<SessionReplayResult> Session::Replay(
   }
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  const TierOptions& tier = conn_->options().tier;
+  FileSystem* fs = conn_->env()->fs();
+  const ClusterPlanOptions request{prefix, options.workers, options.init_mode,
+                                   options.costs, options.sample_epochs,
+                                   conn_->options().tier};
 
   SessionReplayResult out;
   out.engine = options.engine;
   switch (options.engine) {
     case ReplayEngine::kSimulated: {
-      if (options.instance.gpus < 1 ||
-          options.workers % options.instance.gpus != 0) {
-        return Status::InvalidArgument(
-            StrCat("simulated replay: workers (", options.workers,
-                   ") must be a positive multiple of instance gpus (",
-                   options.instance.gpus, ")"));
-      }
-      sim::ClusterReplayOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.cluster.instance = options.instance;
-      eopts.cluster.num_machines = options.workers / options.instance.gpus;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
       FLOR_ASSIGN_OR_RETURN(
           sim::ClusterReplayResult r,
-          sim::ClusterReplay(factory, conn_->env()->fs(), eopts));
+          sim::ClusterReplay(factory, fs, request, options.instance));
       out.total_cost_dollars = r.total_cost_dollars;
       static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
     }
     case ReplayEngine::kThreads: {
-      exec::ReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.num_threads =
-          options.num_threads > 0 ? options.num_threads : options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      exec::ReplayExecutor executor(conn_->env()->fs(), std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ReplayExecutorResult r,
+      exec::ReplayExecutor executor(
+          fs, request,
+          options.num_threads > 0 ? options.num_threads : options.workers);
+      FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(out),
                             executor.Run(factory));
-      out.wall_seconds = r.wall_seconds;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
     }
     case ReplayEngine::kProcesses: {
-      exec::ProcessReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      eopts.scratch_dir = options.scratch_dir;
-      exec::ProcessReplayExecutor executor(conn_->env()->fs(),
-                                           std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ProcessReplayExecutorResult r,
+      exec::ProcessReplayExecutor executor(
+          fs, exec::ProcessReplayExecutorOptions{request, options.scratch_dir});
+      FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(out),
                             executor.Run(factory));
-      out.wall_seconds = r.wall_seconds;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
     }
   }

@@ -19,9 +19,6 @@
 #ifndef FLOR_SIM_PARALLEL_REPLAY_H_
 #define FLOR_SIM_PARALLEL_REPLAY_H_
 
-#include <string>
-#include <vector>
-
 #include "env/filesystem.h"
 #include "flor/replay.h"
 #include "flor/replay_plan.h"
@@ -29,18 +26,6 @@
 
 namespace flor {
 namespace sim {
-
-/// Engine configuration. The read-tier fields (bucket fall-through, bloom
-/// filters) come from the shared TierOptions base (checkpoint/store.h) and
-/// are sliced into the cluster plan, so every worker's store sees them.
-struct ClusterReplayOptions : TierOptions {
-  std::string run_prefix = "run";
-  Cluster cluster;
-  InitMode init_mode = InitMode::kStrong;
-  MaterializerCosts costs;
-  /// Optional iteration sampling (single worker) instead of partitioning.
-  std::vector<int64_t> sample_epochs;
-};
 
 /// Aggregate outcome of a cluster replay: the engine-agnostic merge
 /// (latency, merged logs, deferred check — flor/replay_plan.h) plus
@@ -51,13 +36,15 @@ struct ClusterReplayResult : MergedClusterReplay {
   double total_cost_dollars = 0;
 };
 
-/// Runs a parallel replay of the record run at `run_prefix` (stored on
-/// `shared_fs`). `factory` rebuilds the *current* (possibly probed) program
+/// Runs a parallel replay of the record run at `plan.run_prefix` (stored
+/// on `shared_fs`) with G = `plan.num_workers` workers, billed as
+/// ceil(G / instance.gpus) machines of type `instance` (idle machines are
+/// not billed). `factory` rebuilds the *current* (possibly probed) program
 /// for each worker.
 Result<ClusterReplayResult> ClusterReplay(const ProgramFactory& factory,
                                           FileSystem* shared_fs,
-                                          const ClusterReplayOptions&
-                                              options);
+                                          const ClusterPlanOptions& plan,
+                                          const Ec2Instance& instance);
 
 }  // namespace sim
 }  // namespace flor

@@ -257,7 +257,7 @@ TEST(BloomReplay, FilteredReplayMatchesFilterlessByteForByte) {
     EXPECT_TRUE(instance.ok());
     ReplayOptions ropts;
     ropts.run_prefix = "run";
-    ropts.bloom_filter = bloom;
+    ropts.tier.bloom_filter = bloom;
     ReplaySession session(&env, ropts);
     exec::Frame frame;
     auto result = session.Run(instance->program.get(), &frame);

@@ -70,14 +70,11 @@ TEST(Checkpoint, ModuleAndOptimizerSnapshotsRoundTrip) {
 }
 
 TEST(Checkpoint, AnyByteCorruptionDetected) {
-  std::string bytes = EncodeCheckpoint(SampleSnapshots());
-  // Sample positions across the frame (every 7th byte for speed).
-  for (size_t i = 0; i < bytes.size(); i += 7) {
-    std::string corrupted = bytes;
-    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x40);
-    EXPECT_FALSE(DecodeCheckpoint(corrupted).ok())
-        << "undetected corruption at byte " << i;
-  }
+  testutil::ExpectCorruptionsRejected(
+      EncodeCheckpoint(SampleSnapshots()), /*salt=*/96, /*splices=*/200,
+      [](const std::string& bytes) {
+        return DecodeCheckpoint(bytes).status();
+      });
 }
 
 TEST(Checkpoint, RawBytesAccounting) {
@@ -289,22 +286,18 @@ TEST(Manifest, NonNumericFieldsAreCorruptionNotZero) {
 }
 
 TEST(Manifest, GarbageBytesFuzz) {
-  // Random mutations of a valid manifest must parse, or fail with
-  // Corruption — nothing else (no crashes, no other codes).
-  const std::string full = ShardedManifest(4, 6).Serialize();
-  Rng rng = testutil::SeededRng(97);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = full;
-    const int flips = 1 + static_cast<int>(rng.Uniform(4));
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos = rng.Uniform(mutated.size());
-      mutated[pos] = static_cast<char>(rng.Uniform(256));
-    }
-    auto got = Manifest::Deserialize(mutated);
-    if (!got.ok()) {
-      EXPECT_TRUE(got.status().IsCorruption()) << "trial " << trial;
-    }
-  }
+  // Mutations of a valid manifest must parse, or fail with Corruption —
+  // nothing else (no crashes, no other codes). The manifest is plain text
+  // with no checksum, so a flipped digit can parse as another value.
+  testutil::ForEachCorruption(
+      ShardedManifest(4, 6).Serialize(), /*salt=*/97, /*splices=*/200,
+      [](const testutil::Corrupted& c) {
+        auto got = Manifest::Deserialize(c.bytes);
+        if (!got.ok()) {
+          EXPECT_TRUE(got.status().IsCorruption())
+              << c.what << ": " << got.status().ToString();
+        }
+      });
 }
 
 TEST(ShardRouter, PlacementIsDeterministicAndInRange) {
@@ -476,15 +469,16 @@ TEST(Materializer, CostModelHelpers) {
 
 TEST(Spool, CopiesAndPrices) {
   MemFileSystem fs;
-  ASSERT_TRUE(fs.WriteFile("run/ckpt/a", std::string(1024, 'x')).ok());
-  ASSERT_TRUE(fs.WriteFile("run/ckpt/b", std::string(2048, 'y')).ok());
-  auto report = SpoolToS3(&fs, "run/ckpt/", "s3/ckpt/");
+  CheckpointStore store(&fs, "run/ckpt");
+  ASSERT_TRUE(store.PutBytes({1, "e=0"}, std::string(1024, 'x')).ok());
+  ASSERT_TRUE(store.PutBytes({1, "e=1"}, std::string(2048, 'y')).ok());
+  SpoolReport report = SpoolStore(store, "s3/ckpt/");
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->objects, 2);
-  EXPECT_EQ(report->bytes, 3072u);
-  EXPECT_TRUE(fs.Exists("s3/ckpt/a"));
-  EXPECT_TRUE(fs.Exists("s3/ckpt/b"));
-  EXPECT_DOUBLE_EQ(report->monthly_cost_dollars, S3MonthlyCost(3072));
+  EXPECT_EQ(report.objects, 2);
+  EXPECT_EQ(report.bytes, 3072u);
+  EXPECT_TRUE(fs.Exists("s3/ckpt/L1@e=0.ckpt"));
+  EXPECT_TRUE(fs.Exists("s3/ckpt/L1@e=1.ckpt"));
+  EXPECT_DOUBLE_EQ(report.monthly_cost_dollars, S3MonthlyCost(3072));
 }
 
 TEST(Spool, S3PricingMatchesPaperBallpark) {

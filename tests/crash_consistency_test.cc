@@ -361,11 +361,11 @@ TEST_F(CrashConsistencyTest, KilledMidGcLeavesReplayableStore) {
   // (c) Both engines replay the crashed-GC store green, byte-identically.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -466,12 +466,12 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   // (c) The crashed-GC run replays green with the bucket attached.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  copts.tier.bucket_prefix = "s3";
+  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -699,7 +699,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
 
   exec::ProcessReplayExecutorOptions popts;
   popts.run_prefix = "run";
-  popts.num_partitions = 4;
+  popts.num_workers = 4;
   popts.init_mode = InitMode::kWeak;
   popts.scratch_dir = scratch;
   // Pre-scheduler fail-fast contract, preserved verbatim at
@@ -753,11 +753,11 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_TRUE(rerun->deferred.ok);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(rerun->merged_logs.Serialize(),
@@ -805,7 +805,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
 
   exec::ProcessReplayExecutorOptions popts;  // default max_attempts = 2
   popts.run_prefix = "run";
-  popts.num_partitions = 4;
+  popts.num_workers = 4;
   popts.init_mode = InitMode::kWeak;
   popts.scratch_dir = scratch;
   popts.child_before_result_write = [scratch](int worker_id, int attempt) {
@@ -837,11 +837,11 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   ASSERT_TRUE(committed.ok());
   EXPECT_TRUE(DecodeWorkerResult(*committed).ok());
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts);
+  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(result->merged_logs.Serialize(),

@@ -181,12 +181,12 @@ TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
   const std::string encoded =
       EncodeResultSections({"alpha", "beta", "gamma"});
   // Every strict prefix fails — including the empty file and cuts at
-  // exact frame boundaries (the header's section count catches those).
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    auto got = DecodeResultSections(encoded.substr(0, cut));
-    ASSERT_FALSE(got.ok()) << "prefix of " << cut << " bytes parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "cut " << cut;
-  }
+  // exact frame boundaries (the header's section count catches those) —
+  // and so does every flip and splice.
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/61, /*splices=*/200, [](const std::string& bytes) {
+        return DecodeResultSections(bytes).status();
+      });
   // Appending a stray well-formed frame is also a count mismatch.
   std::string extra = encoded;
   AppendFrame(&extra, "stray");
@@ -198,14 +198,14 @@ TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
 }
 
 TEST(ResultFile, SingleByteMutationsNeverParse) {
-  const std::string encoded = EncodeResultSections({"alpha", "beta"});
-  for (size_t pos = 0; pos < encoded.size(); ++pos) {
-    std::string mutated = encoded;
-    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x20);
-    auto got = DecodeResultSections(mutated);
-    ASSERT_FALSE(got.ok()) << "mutation at " << pos << " parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "mutation at " << pos;
-  }
+  // Empty and binary sections: frames whose payload is zero bytes or
+  // holds NULs must be just as tamper-evident.
+  const std::string encoded =
+      EncodeResultSections({"", std::string("\0bin\0", 5), "beta"});
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/62, /*splices=*/200, [](const std::string& bytes) {
+        return DecodeResultSections(bytes).status();
+      });
 }
 
 TEST(ResultFile, WriteReadThroughFilesystem) {

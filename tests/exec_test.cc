@@ -84,6 +84,34 @@ TEST(LogStream, MalformedLineRejected) {
   EXPECT_TRUE(LogStream::Deserialize("").ok());  // empty is fine
 }
 
+TEST(LogStream, CorruptedBytesFailTypedOrReserializeExactly) {
+  // Record logs are read back from disk and from worker result files: a
+  // torn or mutated stream must fail with Corruption, or parse into
+  // entries that serialize back to exactly the bytes that were read —
+  // never a silently defaulted uid, flag, or dropped line.
+  LogStream stream;
+  for (int i = 0; i < 4; ++i) {
+    LogEntry e;
+    e.stmt_uid = i == 2 ? -7 : 100 + i;
+    e.context = StrCat("e=", i, "/i=0");
+    e.init_mode = i == 0;
+    e.label = "loss";
+    e.text = i == 3 ? "tab\there\\" : StrCat("0.", i, "25");
+    stream.Append(e);
+  }
+  testutil::ForEachCorruption(
+      stream.Serialize(), /*salt=*/31, /*splices=*/200,
+      [](const testutil::Corrupted& c) {
+        auto got = LogStream::Deserialize(c.bytes);
+        if (got.ok()) {
+          EXPECT_EQ(got->Serialize(), c.bytes) << c.what;
+        } else {
+          EXPECT_TRUE(got.status().IsCorruption())
+              << c.what << ": " << got.status().ToString();
+        }
+      });
+}
+
 /// The historical per-entry serializer (escape into a temporary, StrCat a
 /// line, append): the reference the single-allocation Serialize() is
 /// pinned against.

@@ -249,13 +249,13 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   ASSERT_GT(report->retired_objects(), 0);
 
   // Simulated engine on the retired store.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
                                                            kProbeInner),
-                                       &fs, copts);
+                                       &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok)
       << (sim_result->deferred.anomalies.empty()
@@ -455,15 +455,15 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
 
   // And the demoted run replays green, byte-identically on both engines,
   // faulting old epochs in from the bucket.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
+  copts.tier.bucket_prefix = "s3";
+  copts.tier.bucket_rehydrate = false;
   auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
                                                            kProbeInner),
-                                       &fs, copts);
+                                       &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
@@ -473,8 +473,8 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   xopts.num_threads = 4;
   xopts.num_partitions = 4;
   xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
-  xopts.bucket_rehydrate = false;
+  xopts.tier.bucket_prefix = "s3";
+  xopts.tier.bucket_rehydrate = false;
   auto real_result = exec::ReplayExecutor(&fs, xopts)
                          .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();

@@ -133,11 +133,11 @@ TEST(MultiLoop, ParallelReplayIntersectsBoundaries) {
     Frame frame;
     ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
   }
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;  // 4 workers over 6 epochs
+  copts.num_workers = 4;  // 4 workers over 6 epochs
   auto result = sim::ClusterReplay([] { return TwoLoopProgram(true); }, &fs,
-                                   copts);
+                                   copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 6 epochs balance optimally onto 3 workers (2-2-2); a 4th would not
   // reduce the maximum share, so the partitioner does not use it.

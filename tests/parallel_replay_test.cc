@@ -52,14 +52,13 @@ TEST(ClusterReplay, InnerProbeScalesAcrossWorkers) {
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = sim::kP3_8xLarge;  // 4 GPUs
+  copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  auto result = sim::ClusterReplay(factory, &fs, copts);
+  auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->workers_used, 4);
@@ -82,16 +81,16 @@ TEST(ClusterReplay, WeakAndStrongInitAgree) {
   RecordOnto(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
 
   copts.init_mode = InitMode::kStrong;
-  auto strong = sim::ClusterReplay(factory, &fs, copts);
+  auto strong = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(strong.ok());
   copts.init_mode = InitMode::kWeak;
-  auto weak = sim::ClusterReplay(factory, &fs, copts);
+  auto weak = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(weak.ok());
 
   EXPECT_TRUE(strong->deferred.ok);
@@ -113,13 +112,13 @@ TEST(ClusterReplay, SpeedupBoundedByLoadBalanceCeiling) {
   const WorkloadProfile profile = ParProfile(10);
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+                         copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok());
   const double speedup = record_seconds / result->latency_seconds;
   EXPECT_LE(speedup, 10.0 / 3.0 + 0.01);
@@ -131,13 +130,13 @@ TEST(ClusterReplay, MoreWorkersThanEpochsUsesEpochCount) {
   const WorkloadProfile profile = ParProfile(3);
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 2;  // 8 GPUs for 3 epochs
+  copts.num_workers = 8;  // 8 GPUs for 3 epochs
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+                         copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->workers_used, 3);
   EXPECT_TRUE(result->deferred.ok);
@@ -148,12 +147,12 @@ TEST(ClusterReplay, OuterProbeIsCheapAndParallel) {
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
   auto result = sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeOuter),
-                                   &fs, copts);
+                                   &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok());
   // Partial replay: all training loops restored, not executed.
   EXPECT_EQ(result->skipblocks.executed, 0);
@@ -169,13 +168,13 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
   const WorkloadProfile profile = ParProfile();
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+                         copts, sim::kP3_8xLarge);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->machine_usage.size(), 1u);
   EXPECT_NEAR(result->machine_usage[0].cost_dollars,

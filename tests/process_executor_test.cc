@@ -68,7 +68,7 @@ Result<exec::ProcessReplayExecutorResult> RunProcesses(
     FileSystem* fs, const WorkloadProfile& p, int partitions,
     exec::ProcessReplayExecutorOptions opts = {}) {
   opts.run_prefix = "run";
-  opts.num_partitions = partitions;
+  opts.num_workers = partitions;
   opts.init_mode = InitMode::kWeak;
   exec::ProcessReplayExecutor executor(fs, opts);
   return executor.Run(MakeWorkloadFactory(p, kProbeInner));
@@ -94,12 +94,12 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   RecordOnto(&fs, profile);
 
   // Engine 1: simulated cluster (the paper-scale model), G=4.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   ASSERT_TRUE(sim_result->deferred.ok);
   const std::string baseline = sim_result->merged_logs.Serialize();
@@ -122,7 +122,6 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
                                              : proc->deferred.anomalies[0]);
     EXPECT_EQ(proc->merged_logs.Serialize(), baseline)
         << "process engine diverges at G=" << partitions;
-    EXPECT_EQ(proc->processes_used, proc->workers_used);
     EXPECT_EQ(proc->workers_used, threaded->workers_used);
     EXPECT_GT(proc->wall_seconds, 0);
     EXPECT_EQ(proc->total_forks, proc->workers_used);
@@ -197,12 +196,12 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   }
 
   // Pre-GC baseline, no bucket involvement.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   auto before = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   const std::string baseline = before->merged_logs.Serialize();
@@ -216,10 +215,10 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
 
   // Rehydration off everywhere so the store stays demoted between engines
   // and each one observes the same fault set.
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
+  copts.tier.bucket_prefix = "s3";
+  copts.tier.bucket_rehydrate = false;
   auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
+      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
@@ -230,8 +229,8 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   xopts.num_threads = 4;
   xopts.num_partitions = 4;
   xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
-  xopts.bucket_rehydrate = false;
+  xopts.tier.bucket_prefix = "s3";
+  xopts.tier.bucket_rehydrate = false;
   auto threaded = exec::ReplayExecutor(&fs, xopts)
                       .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
@@ -240,8 +239,8 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   EXPECT_EQ(threaded->merged_logs.Serialize(), baseline);
 
   exec::ProcessReplayExecutorOptions popts;
-  popts.bucket_prefix = "s3";
-  popts.bucket_rehydrate = false;
+  popts.tier.bucket_prefix = "s3";
+  popts.tier.bucket_rehydrate = false;
   auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_TRUE(proc->deferred.ok)
@@ -286,7 +285,7 @@ TEST_F(ProcessReplayTest, SamplingReplayRunsSingleProcess) {
   popts.sample_epochs = {3, 7};
   auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
-  EXPECT_EQ(proc->processes_used, 1);
+  EXPECT_EQ(proc->workers_used, 1);
   EXPECT_EQ(proc->worker_seconds.size(), 1u);
   EXPECT_TRUE(proc->deferred.ok);
   // Probe output for exactly the sampled epochs' batches.
@@ -736,37 +735,10 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
   const std::string& full = *bytes;
   ASSERT_TRUE(DecodeWorkerResult(full).ok());
 
-  Rng rng = testutil::SeededRng(53);
-  // Every strict-prefix truncation in a window around each end plus a
-  // random sample of interior cuts (O(n^2) over the whole file is slow).
-  std::vector<size_t> cuts;
-  for (size_t n = 0; n < std::min<size_t>(64, full.size()); ++n) {
-    cuts.push_back(n);
-    cuts.push_back(full.size() - 1 - n);
-  }
-  for (int i = 0; i < 200; ++i) cuts.push_back(rng.Uniform(full.size()));
-  for (size_t cut : cuts) {
-    auto got = DecodeWorkerResult(full.substr(0, cut));
-    ASSERT_FALSE(got.ok()) << "cut at " << cut << " parsed";
-    EXPECT_TRUE(got.status().IsCorruption())
-        << "cut at " << cut << ": " << got.status().ToString();
-  }
-  // Random single- and few-byte mutations.
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = full;
-    const int flips = 1 + static_cast<int>(rng.Uniform(3));
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos = rng.Uniform(mutated.size());
-      const char old = mutated[pos];
-      char next = static_cast<char>(rng.Uniform(256));
-      while (next == old) next = static_cast<char>(rng.Uniform(256));
-      mutated[pos] = next;
-    }
-    auto got = DecodeWorkerResult(mutated);
-    ASSERT_FALSE(got.ok()) << "trial " << trial << " parsed";
-    EXPECT_TRUE(got.status().IsCorruption())
-        << "trial " << trial << ": " << got.status().ToString();
-  }
+  testutil::ExpectCorruptionsRejected(
+      full, /*salt=*/53, /*splices=*/200, [](const std::string& bytes) {
+        return DecodeWorkerResult(bytes).status();
+      });
   // A missing result file is NotFound, not Corruption.
   auto missing = ReadResultFile(&scratch_fs, "worker-9.res");
   ASSERT_FALSE(missing.ok());

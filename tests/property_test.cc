@@ -125,12 +125,11 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   }
 
   // Partitioned run.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = {"test", gpus, 1.0};
+  copts.num_workers = gpus;
   copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs, copts);
+  auto result = sim::ClusterReplay(factory, &fs, copts, {"test", gpus, 1.0});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
       << (result->deferred.anomalies.empty()

@@ -103,13 +103,13 @@ TEST(ReplayExecutor, AgreesWithSimulatedEngineByteForByte) {
   RecordOnto(&fs, profile);
 
   // Simulated engine on the paper's 4-GPU machine.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   auto sim_result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+                         copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
 
   // Real engine, same G=4 partitioning.
@@ -151,13 +151,13 @@ TEST(ReplayExecutor, ShardedStoreKeepsByteIdentityAcrossEnginesAndThreads) {
   // The record run really sharded the object layout.
   EXPECT_FALSE(fs.ListPrefix("run/ckpt/shard-").empty());
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   auto sim_result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts);
+                         copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 

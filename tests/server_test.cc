@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -175,11 +178,10 @@ TEST(WireTest, EveryTruncationIsCorruption) {
   const std::string encoded = wire::EncodeRequest(req);
   // Every strict prefix fails — the empty message, cuts inside a frame
   // (CRC), and cuts at exact frame boundaries (header section count).
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    auto got = wire::DecodeRequest(encoded.substr(0, cut));
-    ASSERT_FALSE(got.ok()) << "prefix of " << cut << " bytes parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "cut " << cut;
-  }
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/71, /*splices=*/200, [](const std::string& bytes) {
+        return wire::DecodeRequest(bytes).status();
+      });
 }
 
 TEST(WireTest, SingleByteMutationsNeverParse) {
@@ -189,14 +191,21 @@ TEST(WireTest, SingleByteMutationsNeverParse) {
   req.run = "run-1";
   req.workload = "svc";
   req.ctx = "e=2/i=0";
-  const std::string encoded = wire::EncodeRequest(req);
-  for (size_t pos = 0; pos < encoded.size(); ++pos) {
-    std::string mutated = encoded;
-    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x20);
-    auto got = wire::DecodeRequest(mutated);
-    ASSERT_FALSE(got.ok()) << "mutation at " << pos << " parsed";
-    EXPECT_TRUE(got.status().IsCorruption()) << "mutation at " << pos;
-  }
+  testutil::ExpectCorruptionsRejected(
+      wire::EncodeRequest(req), /*salt=*/72, /*splices=*/200,
+      [](const std::string& bytes) {
+        return wire::DecodeRequest(bytes).status();
+      });
+  // Responses travel the same framing back to the client.
+  wire::ReplayReply reply;
+  reply.workers_used = 2;
+  reply.deferred_ok = true;
+  reply.merged_logs = "11\te=2/i=0\t0\tloss\t0.125\n";
+  testutil::ExpectCorruptionsRejected(
+      wire::EncodeResponse(wire::MakeReplayReply(reply)), /*salt=*/73,
+      /*splices=*/200, [](const std::string& bytes) {
+        return wire::DecodeResponse(bytes).status();
+      });
 }
 
 TEST(WireTest, RepliesRoundTripBitExactDoubles) {
@@ -640,6 +649,64 @@ TEST_F(ServerTest, TruncatedStreamDoesNotWedgeTheServer) {
   auto res = fresh->Call(query);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(wire::ParseQueryReply(*res).ok());
+}
+
+/// Numeric value of a /proc/self/status field such as "VmSize:" (KiB) or
+/// "Threads:"; 0 when /proc is unavailable.
+int64_t ProcStatusField(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (StartsWith(line, key)) return std::stoll(line.substr(key.size()));
+  }
+  return 0;
+}
+
+TEST_F(ServerTest, FinishedHandlersDoNotAccumulate) {
+  // An always-on server sees clients come and go; each finished handler
+  // thread must be joined, not parked with its stack mapping until Stop().
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  auto conn = Connection::Open(&env, ConnectionOptions());
+  ASSERT_TRUE(conn.ok());
+  ServerOptions sopts;
+  sopts.unix_path = SocketPath();
+  auto server = Server::Start(conn->get(), sopts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  wire::Request query;
+  query.op = "query";
+  query.tenant = "alice";
+  const int64_t idle_threads = ProcStatusField("Threads:");
+  auto cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      {
+        auto client = WireClient::ConnectUnix((*server)->unix_path());
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        auto res = client->Call(query);
+        ASSERT_TRUE(res.ok()) << res.status().ToString();
+      }
+      // Wait for the handler to exit before the next client, so handlers
+      // never overlap: glibc hands each overlapping thread a fresh malloc
+      // arena (64 MiB of address space), which would swamp the thread
+      // stacks this test measures.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (ProcStatusField("Threads:") > idle_threads) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "handler " << i << " never exited";
+        std::this_thread::yield();
+      }
+    }
+  };
+  cycles(8);  // warm-up: the first handlers create the arena they share
+  const int64_t before_kib = ProcStatusField("VmSize:");
+  cycles(64);
+  const int64_t growth_kib = ProcStatusField("VmSize:") - before_kib;
+  EXPECT_LT(growth_kib, 256 * 1024)
+      << "64 connect/disconnect cycles grew VmSize by " << growth_kib
+      << " KiB";
+  EXPECT_EQ((*server)->stats().connections_accepted, 72);
 }
 
 TEST_F(ServerTest, DrainedConnectionRefusesWithUnavailable) {

@@ -41,21 +41,22 @@ using workloads::kProbeNone;
 using workloads::MakeWorkloadFactory;
 using workloads::WorkloadProfile;
 
-// --- Options-dedup guards: every replay entry point and the service share
-// --- the one TierOptions aggregate (satellite of the connection/session
-// --- redesign). A new tier knob added to TierOptions flows to all of them
-// --- or none.
-static_assert(std::is_base_of_v<TierOptions, ReplayOptions>,
-              "ReplayOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, ClusterPlanOptions>,
-              "ClusterPlanOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, sim::ClusterReplayOptions>,
-              "ClusterReplayOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, exec::ReplayExecutorOptions>,
-              "ReplayExecutorOptions must inherit the shared TierOptions");
+// --- Options-dedup guards: the per-worker and process-engine options are
+// --- the one replay request plus their own knobs, and every tier carrier
+// --- holds the one TierOptions aggregate, so a new tier knob flows to all
+// --- of them or none.
+static_assert(std::is_base_of_v<ClusterPlanOptions, ReplayOptions>,
+              "ReplayOptions must extend the replay request");
 static_assert(
-    std::is_base_of_v<TierOptions, exec::ProcessReplayExecutorOptions>,
-    "ProcessReplayExecutorOptions must inherit the shared TierOptions");
+    std::is_base_of_v<ClusterPlanOptions, exec::ProcessReplayExecutorOptions>,
+    "ProcessReplayExecutorOptions must extend the replay request");
+static_assert(std::is_same_v<decltype(ClusterPlanOptions::tier), TierOptions>,
+              "the replay request must carry the shared TierOptions");
+static_assert(
+    std::is_same_v<decltype(exec::ReplayExecutorOptions::tier), TierOptions>,
+    "ReplayExecutorOptions must carry the shared TierOptions");
+static_assert(std::is_same_v<decltype(ConnectionOptions::tier), TierOptions>,
+              "ConnectionOptions must carry the shared TierOptions");
 
 /// Densely checkpointed sim workload (the tiered-test shape) so GC and
 /// partitioned replay have a long epoch timeline.
@@ -153,12 +154,12 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   // Replay through the session on all three engines; all merged logs must
   // be byte-identical to a direct sim::ClusterReplay of the one-shot run.
   const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions sim_opts;
+  ClusterPlanOptions sim_opts;
   sim_opts.run_prefix = prefix;
-  sim_opts.cluster.instance = sim::kP3_2xLarge;
-  sim_opts.cluster.num_machines = 2;
-  sim_opts.bucket_prefix = "s3";
-  auto direct_replay = sim::ClusterReplay(probed, &fs_direct, sim_opts);
+  sim_opts.num_workers = 2;
+  sim_opts.tier.bucket_prefix = "s3";
+  auto direct_replay =
+      sim::ClusterReplay(probed, &fs_direct, sim_opts, sim::kP3_2xLarge);
   ASSERT_TRUE(direct_replay.ok()) << direct_replay.status().ToString();
   ASSERT_TRUE(direct_replay->deferred.ok);
   const std::string golden_logs = direct_replay->merged_logs.Serialize();

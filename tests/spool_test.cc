@@ -109,12 +109,11 @@ TEST(SpoolQueue, ShardedStoreLayoutPreservedInBucket) {
   EXPECT_EQ(fs.TotalBytesUnder("s3/run/ckpt/"), store.TotalBytes());
 }
 
-TEST(SpoolQueue, SpoolToS3MirrorsSpoolStoreLayoutRegardlessOfSlashes) {
-  // The two spool entry points must land byte-identical mirror layouts —
-  // the bucket tier reads objects at JoinObjectPath(bucket_prefix,
+TEST(SpoolQueue, SpoolStoreMirrorLayoutIgnoresDestinationSlashes) {
+  // The bucket tier reads objects at JoinObjectPath(bucket_prefix,
   // PathFor(key)), so a spool that shifts keys by a slash strands every
-  // demoted checkpoint. Stray trailing slashes on either prefix used to do
-  // exactly that to SpoolToS3.
+  // demoted checkpoint: stray trailing slashes on the destination must
+  // land a byte-identical mirror layout.
   MemFileSystem fs;
   CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/4);
   FillStore(&store, 12, 50);
@@ -136,19 +135,17 @@ TEST(SpoolQueue, SpoolToS3MirrorsSpoolStoreLayoutRegardlessOfSlashes) {
   ASSERT_EQ(want.size(), 12u);
 
   const struct {
-    const char* src;
     const char* dst;
     const char* out;
   } kVariants[] = {
-      {"run/ckpt", "mirror/b/run/ckpt", "mirror/b/"},
-      {"run/ckpt/", "mirror/c/run/ckpt/", "mirror/c/"},
-      {"run/ckpt//", "mirror/d/run/ckpt//", "mirror/d/"},
+      {"mirror/b/run/ckpt/", "mirror/b/"},
+      {"mirror/c/run/ckpt//", "mirror/c/"},
   };
   for (const auto& v : kVariants) {
-    auto report = SpoolToS3(&fs, v.src, v.dst);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->objects, 12) << v.src;
-    EXPECT_EQ(image(v.out), want) << v.src << " -> " << v.dst;
+    SpoolReport report = SpoolStore(store, v.dst);
+    ASSERT_TRUE(report.ok()) << report.first_error;
+    EXPECT_EQ(report.objects, 12) << v.dst;
+    EXPECT_EQ(image(v.out), want) << v.dst;
   }
 }
 
@@ -207,16 +204,6 @@ TEST(SpoolQueue, MissingSourceCountsAsFailedObject) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.failed_objects, 1);
   EXPECT_EQ(report.objects, 0);
-}
-
-TEST(SpoolQueue, LegacySpoolToS3ErrorsOnPersistentFailure) {
-  MemFileSystem base;
-  FaultInjectionFileSystem fs(&base);
-  ASSERT_TRUE(fs.WriteFile("run/ckpt/a", std::string(64, 'x')).ok());
-  fs.InjectWriteFailures(1000, "s3/");
-  auto report = SpoolToS3(&fs, "run/ckpt/", "s3/ckpt/");
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kIOError);
 }
 
 TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {

@@ -11,8 +11,10 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "env/env.h"
 
 namespace flor {
@@ -32,6 +34,66 @@ inline uint64_t TestSeed(uint64_t salt = 0) {
 /// Rng seeded from TestSeed(). Use distinct salts for independent streams
 /// within one test so draws stay reproducible under reordering.
 inline Rng SeededRng(uint64_t salt = 0) { return Rng(TestSeed(salt)); }
+
+/// One corrupted variant of an encoding (see ForEachCorruption).
+struct Corrupted {
+  std::string bytes;
+  /// A strict prefix of the original (a torn write or a cut stream).
+  bool truncated = false;
+  /// Names the variant in failure messages, e.g. "flip at byte 12".
+  std::string what;
+};
+
+/// Deterministic corruption fuzzing shared by every decoder suite. Calls
+/// `visit(const Corrupted&)` for every strict prefix of `encoded`, every
+/// single-byte flip (each byte XORed with a seeded nonzero mask), and
+/// `splices` random splices (a random range replaced by another random
+/// range of the same input). Variants equal to `encoded` are skipped. The
+/// draws come from SeededRng(salt), so FLOR_TEST_SEED=<n> replays a
+/// failure.
+template <typename Visit>
+void ForEachCorruption(const std::string& encoded, uint64_t salt,
+                       int splices, Visit&& visit) {
+  Rng rng = SeededRng(salt);
+  const size_t n = encoded.size();
+  for (size_t cut = 0; cut < n; ++cut) {
+    visit(Corrupted{encoded.substr(0, cut), true,
+                    "prefix of " + std::to_string(cut) + " bytes"});
+  }
+  for (size_t pos = 0; pos < n; ++pos) {
+    std::string flipped = encoded;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ (1 + rng.Uniform(255)));
+    visit(Corrupted{std::move(flipped), false,
+                    "flip at byte " + std::to_string(pos)});
+  }
+  for (int i = 0; i < splices && n > 0; ++i) {
+    const size_t at = rng.Uniform(n);
+    const size_t cut_len = rng.Uniform(n - at + 1);
+    const size_t from = rng.Uniform(n);
+    const size_t from_len = rng.Uniform(n - from + 1);
+    std::string spliced = encoded.substr(0, at) +
+                          encoded.substr(from, from_len) +
+                          encoded.substr(at + cut_len);
+    if (spliced == encoded) continue;
+    visit(Corrupted{std::move(spliced), false,
+                    "splice " + std::to_string(i) + ": [" +
+                        std::to_string(at) + ", +" + std::to_string(cut_len) +
+                        ") <- [" + std::to_string(from) + ", +" +
+                        std::to_string(from_len) + ")"});
+  }
+}
+
+/// The contract of a decoder whose framing catches any change (CRC,
+/// section counts): `decode(bytes)` returns a Status, and every variant
+/// from ForEachCorruption must fail with Corruption.
+template <typename Decode>
+void ExpectCorruptionsRejected(const std::string& encoded, uint64_t salt,
+                               int splices, Decode&& decode) {
+  ForEachCorruption(encoded, salt, splices, [&](const Corrupted& c) {
+    const Status status = decode(c.bytes);
+    EXPECT_TRUE(status.IsCorruption()) << c.what << ": " << status.ToString();
+  });
+}
 
 /// The standard record/replay harness: simulated clock over a borrowed
 /// (usually in-memory) filesystem.

@@ -199,14 +199,14 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
 
   // A full replay that needs the torn object fails with a status (never a
   // crash) — and an intact sibling still faults in fine.
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
+  copts.tier.bucket_prefix = "s3";
   auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
                                                          kProbeInner),
-                                     &fs, copts);
+                                     &fs, copts, sim::kP3_8xLarge);
   ASSERT_FALSE(replayed.ok());
   EXPECT_TRUE(replayed.status().IsCorruption())
       << replayed.status().ToString();
@@ -265,11 +265,11 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto before = sim::ClusterReplay(factory, &fs, copts);
+  auto before = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   EXPECT_EQ(before->bucket_faults, 0);
@@ -281,9 +281,9 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);
 
-  copts.bucket_prefix = "s3";
-  copts.bucket_rehydrate = false;
-  auto sim_after = sim::ClusterReplay(factory, &fs, copts);
+  copts.tier.bucket_prefix = "s3";
+  copts.tier.bucket_rehydrate = false;
+  auto sim_after = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(sim_after.ok()) << sim_after.status().ToString();
   EXPECT_TRUE(sim_after->deferred.ok);
   EXPECT_GT(sim_after->bucket_faults, 0);
@@ -295,7 +295,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   xopts.num_threads = 4;
   xopts.num_partitions = 4;
   xopts.init_mode = InitMode::kWeak;
-  xopts.bucket_prefix = "s3";
+  xopts.tier.bucket_prefix = "s3";
   auto real_after = exec::ReplayExecutor(&fs, xopts).Run(factory);
   ASSERT_TRUE(real_after.ok()) << real_after.status().ToString();
   EXPECT_TRUE(real_after->deferred.ok);
@@ -305,8 +305,8 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 
   // The threaded engine ran with rehydration on: faulted objects are back
   // on the local shard, so a bucket-less replay works again.
-  copts.bucket_prefix.clear();
-  auto rehydrated = sim::ClusterReplay(factory, &fs, copts);
+  copts.tier.bucket_prefix.clear();
+  auto rehydrated = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(rehydrated.ok()) << rehydrated.status().ToString();
   EXPECT_TRUE(rehydrated->deferred.ok);
   EXPECT_EQ(rehydrated->merged_logs.Serialize(),
@@ -318,12 +318,12 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs2, profile);
   auto gc2 = RetireRun(&fs2, "run/manifest.tsv", "run/ckpt", policy, "s3");
   ASSERT_TRUE(gc2.ok());
-  sim::ClusterReplayOptions no_bucket;
+  ClusterPlanOptions no_bucket;
   no_bucket.run_prefix = "run";
-  no_bucket.cluster.num_machines = 1;
+  no_bucket.num_workers = 4;
   no_bucket.init_mode = InitMode::kWeak;
-  no_bucket.bucket_prefix = "nosuch-bucket";
-  auto missing = sim::ClusterReplay(factory, &fs2, no_bucket);
+  no_bucket.tier.bucket_prefix = "nosuch-bucket";
+  auto missing = sim::ClusterReplay(factory, &fs2, no_bucket, sim::kP3_8xLarge);
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound())
       << missing.status().ToString();
@@ -522,14 +522,14 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   EXPECT_EQ(idempotent.local_orphans(), 0);
   EXPECT_EQ(idempotent.bucket_orphans(), 0);
 
-  sim::ClusterReplayOptions copts;
+  ClusterPlanOptions copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  copts.bucket_prefix = "s3";
+  copts.tier.bucket_prefix = "s3";
   auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
                                                          kProbeInner),
-                                     &fs, copts);
+                                     &fs, copts, sim::kP3_8xLarge);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_TRUE(replayed->deferred.ok);
 }
