@@ -7,8 +7,12 @@
 #
 #   ./scripts/check.sh                 # full gate
 #   BUILD_DIR=out ./scripts/check.sh   # custom build dir
-#   FLOR_TSAN=1 ./scripts/check.sh     # also run the concurrency suites
-#                                      # under ThreadSanitizer
+#   FLOR_SANITIZE=thread ./scripts/check.sh
+#                                      # also run the concurrency + fork
+#                                      # suites under ThreadSanitizer
+#   FLOR_SANITIZE=address ./scripts/check.sh
+#                                      # also run the full suite under
+#                                      # AddressSanitizer + UBSan
 #   FLOR_BUILD_TYPE=Debug ./scripts/check.sh
 #                                      # override CMAKE_BUILD_TYPE (CI runs
 #                                      # the Debug + Release matrix this way)
@@ -23,24 +27,28 @@
 #                                      # bench/baselines/
 set -euo pipefail
 
+case "${FLOR_SANITIZE:-}" in
+  ""|thread|address) ;;
+  *) echo "error: FLOR_SANITIZE must be 'thread' or 'address'" >&2; exit 2 ;;
+esac
+
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-# Main configure args; the tsan tree gets its own array (no -Werror there,
-# matching the pre-existing behavior) so neither depends on the other's
-# element order — and both stay non-empty, which keeps `set -u` happy on
-# bash < 4.4 (macOS ships 3.2).
+# Main configure args; the sanitizer tree gets its own array (no -Werror
+# there) so neither depends on the other's element order — and both stay
+# non-empty, which keeps `set -u` happy on bash < 4.4 (macOS ships 3.2).
 CMAKE_ARGS=(-DFLOR_WERROR=ON)
-TSAN_ARGS=(-DFLOR_TSAN=ON)
+SAN_ARGS=(-DFLOR_SANITIZE="${FLOR_SANITIZE:-}")
 HINDSIGHT_ARGS=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE:-Release}")
 if [[ -n "${FLOR_BUILD_TYPE:-}" ]]; then
   CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
-  TSAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
+  SAN_ARGS+=(-DCMAKE_BUILD_TYPE="${FLOR_BUILD_TYPE}")
 fi
 if [[ "${FLOR_CCACHE:-0}" != "0" ]] && command -v ccache >/dev/null 2>&1; then
   CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
-  TSAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  SAN_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
   HINDSIGHT_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
@@ -120,9 +128,9 @@ if [[ -n "${BENCH_BASELINE:-}" ]]; then
   done
 fi
 
-if [[ "${FLOR_TSAN:-0}" != "0" ]]; then
+if [[ "${FLOR_SANITIZE:-}" == "thread" ]]; then
   echo "== ThreadSanitizer: concurrency + fork suites (${BUILD_DIR}-tsan) =="
-  cmake -B "${BUILD_DIR}-tsan" -S . "${TSAN_ARGS[@]}"
+  cmake -B "${BUILD_DIR}-tsan" -S . "${SAN_ARGS[@]}"
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" \
         --target replay_executor_test spool_test bloom_test \
                  process_executor_test crash_consistency_test \
@@ -139,6 +147,15 @@ if [[ "${FLOR_TSAN:-0}" != "0" ]]; then
   # and the children stay single-threaded, which ThreadSanitizer supports.
   ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure \
         --no-tests=error -j "${JOBS}" -L 'tsan|proc|tiered|service|server'
+elif [[ "${FLOR_SANITIZE:-}" == "address" ]]; then
+  # Memory errors and undefined behaviour anywhere, the decoders of torn
+  # or hostile bytes above all: every ctest entry, bench smoke runs
+  # included, with any UBSan finding fatal.
+  echo "== AddressSanitizer + UBSan: full suite (${BUILD_DIR}-asan) =="
+  cmake -B "${BUILD_DIR}-asan" -S . "${SAN_ARGS[@]}"
+  cmake --build "${BUILD_DIR}-asan" -j "${JOBS}"
+  ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure \
+        --no-tests=error -j "${JOBS}"
 fi
 
 echo "== OK =="

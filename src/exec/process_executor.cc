@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -12,8 +11,8 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
+#include "serialize/sections.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -25,40 +24,6 @@
 
 namespace flor {
 namespace exec {
-
-namespace {
-
-/// Child exit codes past the session: the parent maps them back to
-/// partition-level diagnoses. 0 = result file committed.
-constexpr int kChildReplayFailed = 12;  // error file has the Status
-constexpr int kChildWriteFailed = 13;   // could not commit result/error
-
-double WallNowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Error-file payload: the failed Status as (code, message) sections, CRC
-/// framed like everything else in the scratch directory.
-std::string EncodeWorkerError(const Status& status) {
-  return EncodeResultSections(
-      {StrCat(static_cast<int>(status.code())), status.message()});
-}
-
-Status DecodeWorkerError(const std::string& data) {
-  auto sections = DecodeResultSections(data);
-  if (!sections.ok() || sections->size() != 2)
-    return Status::Corruption("worker error file is torn");
-  int64_t code = 0;
-  if (!ParseI64((*sections)[0], &code) || code <= 0 ||
-      !IsValidStatusCode(code)) {
-    return Status::Corruption("worker error file: bad status code");
-  }
-  return Status(static_cast<StatusCode>(code), (*sections)[1]);
-}
-
-}  // namespace
 
 ProcessReplayExecutor::ProcessReplayExecutor(
     FileSystem* shared_fs, ProcessReplayExecutorOptions options)
@@ -80,6 +45,11 @@ std::string ProcessReplayExecutor::ErrorFileName(int worker_id,
 
 namespace {
 
+/// Child exit codes past the session: the parent maps them back to
+/// partition-level diagnoses. 0 = result file committed.
+constexpr int kChildReplayFailed = 12;  // error file has the Status
+constexpr int kChildWriteFailed = 13;   // could not commit result/error
+
 /// EINTR-safe waitpid: a signal delivered to the coordinator must never
 /// diagnose a healthy partition as dead.
 pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
@@ -87,6 +57,22 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
     const pid_t got = waitpid(pid, wstatus, flags);
     if (got >= 0 || errno != EINTR) return got;
   }
+}
+
+/// The failed Status a child left in its error file (a sectioned message
+/// holding EncodeStatus's two sections).
+Status ReadErrorFile(const PosixFileSystem& scratch_fs,
+                     const std::string& name) {
+  auto bytes = scratch_fs.ReadFile(name);
+  if (!bytes.ok())
+    return Status::Internal("replay failed (error file missing)");
+  auto sections = DecodeSections(kResultTag, *bytes);
+  Status cause;
+  if (!sections.ok() || sections->size() != 2 ||
+      !DecodeStatus(*sections, &cause).ok() || cause.ok()) {
+    return Status::Corruption("worker error file is torn");
+  }
+  return cause;
 }
 
 /// Child-side worker body. Never returns into the parent's code: commits
@@ -120,7 +106,7 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
   }
   const Status wrote = scratch_fs.WriteFile(
       ProcessReplayExecutor::ErrorFileName(worker_id, attempt),
-      EncodeWorkerError(result.status()));
+      EncodeSections(kResultTag, EncodeStatus(result.status())));
   _exit(wrote.ok() ? kChildReplayFailed : kChildWriteFailed);
 }
 
@@ -128,7 +114,8 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
 
 Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     const ProgramFactory& factory) {
-  const double wall_start = WallNowSeconds();
+  const WallClock clock;
+  const double wall_start = clock.NowSeconds();
   FLOR_ASSIGN_OR_RETURN(const int active,
                         PlanActiveWorkers(factory, fs_, options_));
 
@@ -160,57 +147,31 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   struct LiveAttempt {
     int worker = 0;
     int attempt = 0;
-    bool speculative = false;
   };
   std::map<pid_t, LiveAttempt> running;
   std::deque<int> ready;  // partitions awaiting a pool slot
   for (int w = 0; w < active; ++w) ready.push_back(w);
 
   std::vector<int> forks_per_partition(static_cast<size_t>(active), 0);
-  std::vector<int> committed_attempt(static_cast<size_t>(active), 0);
   std::vector<Status> partition_error(static_cast<size_t>(active),
                                       Status::OK());
   std::vector<bool> partition_failed(static_cast<size_t>(active), false);
   std::vector<bool> death_retried(static_cast<size_t>(active), false);
-  std::vector<bool> speculated(static_cast<size_t>(active), false);
   int completed = 0;  // partitions committed or failed for good
   int total_forks = 0;
-  int speculative_forks = 0;
-  int speculative_wins = 0;
   int max_children = 0;
   ReplayMerger merger;
 
-  const auto terminal = [&](int w) {
-    return committed_attempt[static_cast<size_t>(w)] > 0 ||
-           partition_failed[static_cast<size_t>(w)];
-  };
-  const auto live_attempts_of = [&](int w) {
-    int n = 0;
-    for (const auto& [pid, la] : running) {
-      (void)pid;
-      if (la.worker == w) ++n;
-    }
-    return n;
-  };
-  const auto kill_other_attempts = [&](int w, pid_t except) {
-    for (const auto& [pid, la] : running)
-      if (la.worker == w && pid != except) (void)kill(pid, SIGKILL);
-  };
-  // Tear down every live child (fork/waitpid failure paths and the final
-  // sweep that reaps speculation losers), EINTR-safe.
+  // Tear down every live child (fork/waitpid failure paths), EINTR-safe.
   const auto kill_and_reap_all = [&] {
-    for (const auto& [pid, la] : running) {
-      (void)la;
-      (void)kill(pid, SIGKILL);
-    }
-    for (const auto& [pid, la] : running) {
-      (void)la;
+    for (const auto& entry : running) (void)kill(entry.first, SIGKILL);
+    for (const auto& entry : running) {
       int ignored = 0;
-      (void)WaitPidRetry(pid, &ignored, 0);
+      (void)WaitPidRetry(entry.first, &ignored, 0);
     }
     running.clear();
   };
-  const auto fork_attempt = [&](int w, bool speculative) -> Status {
+  const auto fork_attempt = [&](int w) -> Status {
     const int attempt = ++forks_per_partition[static_cast<size_t>(w)];
     // Flush stdio so children do not replay the parent's buffered output
     // on their own streams.
@@ -221,9 +182,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
           StrCat("fork failed for replay partition ", w));
     if (pid == 0)
       RunChild(w, attempt, fs_, factory, options_, scratch_path);
-    running.emplace(pid, LiveAttempt{w, attempt, speculative});
+    running.emplace(pid, LiveAttempt{w, attempt});
     ++total_forks;
-    if (speculative) ++speculative_forks;
     max_children = std::max(max_children, static_cast<int>(running.size()));
     return Status::OK();
   };
@@ -231,38 +191,24 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     partition_failed[static_cast<size_t>(w)] = true;
     partition_error[static_cast<size_t>(w)] = std::move(status);
     ++completed;
-    kill_other_attempts(w, /*except=*/-1);
   };
 
   // ---- scheduling loop ----------------------------------------------
-  // Fill free pool slots, maybe speculate on the last straggler, reap one
-  // child (in whatever order children finish), map its exit to
-  // commit/retry/fail — until every partition is terminal. Surviving
-  // result files are read but never rewritten, so a partial failure
-  // leaves the healthy fragments on disk for inspection or re-merge.
+  // Fill free pool slots, reap one child (in whatever order children
+  // finish), map its exit to commit/retry/fail — until every partition is
+  // terminal. At most one attempt per partition is alive at a time.
+  // Surviving result files are read but never rewritten, so a partial
+  // failure leaves the healthy fragments on disk for inspection or
+  // re-merge.
   Status scheduler_error = Status::OK();
   while (completed < active) {
     while (!ready.empty() && static_cast<int>(running.size()) < pool) {
       const int w = ready.front();
       ready.pop_front();
-      scheduler_error = fork_attempt(w, /*speculative=*/false);
+      scheduler_error = fork_attempt(w);
       if (!scheduler_error.ok()) break;
     }
     if (!scheduler_error.ok()) break;
-
-    // Straggler speculation: every other partition has finished, exactly
-    // one attempt is still running, and a pool slot is free — race a twin
-    // against it; first committed result wins.
-    if (options_.speculate_stragglers && ready.empty() &&
-        completed == active - 1 && running.size() == 1 &&
-        static_cast<int>(running.size()) < pool) {
-      const int last = running.begin()->second.worker;
-      if (!terminal(last) && !speculated[static_cast<size_t>(last)]) {
-        speculated[static_cast<size_t>(last)] = true;
-        scheduler_error = fork_attempt(last, /*speculative=*/true);
-        if (!scheduler_error.ok()) break;
-      }
-    }
 
     if (running.empty()) {
       scheduler_error =
@@ -283,9 +229,7 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     const int w = la.worker;
 
     if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) {
-      // The attempt committed a result file. A losing speculative twin
-      // that commits after the winner is ignored — first commit wins.
-      if (terminal(w)) continue;
+      // The attempt committed a result file.
       auto result_bytes = scratch_fs.ReadFile(ResultFileName(w, la.attempt));
       if (!result_bytes.ok()) {
         record_failure(w, Status(result_bytes.status().code(),
@@ -300,11 +244,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
                                      decoded.status().message()));
         continue;
       }
-      committed_attempt[static_cast<size_t>(w)] = la.attempt;
       ++completed;
-      if (la.speculative) ++speculative_wins;
       merger.Add(w, std::move(*decoded));
-      kill_other_attempts(w, pid);  // reaped (and ignored) by this loop
       continue;
     }
 
@@ -326,10 +267,7 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     } else {
       const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
       if (code == kChildReplayFailed) {
-        auto err_bytes = scratch_fs.ReadFile(ErrorFileName(w, la.attempt));
-        cause = err_bytes.ok()
-                    ? DecodeWorkerError(*err_bytes)
-                    : Status::Internal("replay failed (error file missing)");
+        cause = ReadErrorFile(scratch_fs, ErrorFileName(w, la.attempt));
       } else {
         cause = Status::Aborted(StrCat(
             "worker process exited with status ", code,
@@ -337,8 +275,6 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
         retryable = (code == kChildWriteFailed);
       }
     }
-    if (terminal(w)) continue;  // twin of a partition already settled
-    if (live_attempts_of(w) > 0) continue;  // a racing twin carries it on
     if (retryable &&
         forks_per_partition[static_cast<size_t>(w)] < max_attempts) {
       death_retried[static_cast<size_t>(w)] = true;
@@ -354,15 +290,12 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     record_failure(w, std::move(cause));
   }
 
-  // Reap whatever is still alive: speculation losers we killed above, or
-  // every child when the scheduler itself failed.
+  // Reap every child still alive when the scheduler itself failed.
   kill_and_reap_all();
   if (!scheduler_error.ok()) return scheduler_error;
 
-  bool any_failed = false;
-  for (int w = 0; w < active; ++w)
-    any_failed = any_failed || partition_failed[static_cast<size_t>(w)];
-  if (any_failed) {
+  if (std::find(partition_failed.begin(), partition_failed.end(), true) !=
+      partition_failed.end()) {
     // Keep the fragments inspectable: an auto-created scratch dir is
     // preserved (and named) instead of being removed on this return.
     if (owned_scratch) owned_scratch->set_keep(true);
@@ -388,10 +321,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   result.max_observed_children = max_children;
   for (const bool retried : death_retried)
     result.retried_partitions += retried ? 1 : 0;
-  result.speculative_forks = speculative_forks;
-  result.speculative_wins = speculative_wins;
   result.partition_attempts = std::move(forks_per_partition);
-  result.wall_seconds = WallNowSeconds() - wall_start;
+  result.wall_seconds = clock.NowSeconds() - wall_start;
   return result;
 }
 

@@ -17,19 +17,16 @@
 // its result file) is automatically re-forked up to `max_attempts` times.
 // Every attempt writes to its own attempt-suffixed result/error file name,
 // so a torn attempt-1 file can never shadow a clean attempt-2 fragment.
-// Optionally, once every other partition has finished, the last running
-// straggler is speculatively re-forked and raced against itself: the first
-// attempt to commit wins, the loser is killed, reaped, and its file
-// ignored.
+// At most one attempt per partition is alive at a time.
 //
 // Protocol: the parent plans partitions (the same PlanActiveWorkers every
 // engine uses) and forks worker processes as described above. Each child
 // runs its ReplaySession against the shared record artifacts and writes
 // its merged-log fragment plus per-worker stats to a length-prefixed,
-// CRC-framed result file (env/result_file.h) in a posix scratch directory
-// — atomically, so a child killed mid-write leaves either nothing or a
-// torn file that fails to parse, never a silently mergeable garbage
-// fragment. The parent reaps children as they exit (EINTR-safe
+// CRC-framed result file (serialize/sections.h) in a posix scratch
+// directory — atomically, so a child killed mid-write leaves either
+// nothing or a torn file that fails to parse, never a silently mergeable
+// garbage fragment. The parent reaps children as they exit (EINTR-safe
 // waitpid(-1)), maps death (nonzero exit or signal) into retry-or-fail per
 // partition without touching surviving fragments, decodes committed
 // fragments (flor::DecodeWorkerResult) in completion order, and merges
@@ -78,13 +75,6 @@ struct ProcessReplayExecutorOptions : ClusterPlanOptions {
   /// back through the framed error file) is deterministic and is never
   /// retried.
   int max_attempts = 2;
-  /// Once every other partition has finished, re-fork the last running
-  /// straggler (within its remaining pool slot) and race the two
-  /// attempts: the first committed result wins, the loser is killed and
-  /// its file ignored. Models the paper deployment's straggler
-  /// mitigation; off by default because it burns a fork on a healthy
-  /// worker.
-  bool speculate_stragglers = false;
 
   /// Test-only fault-injection hooks, invoked inside the forked child
   /// with the worker id and the 1-based attempt number.
@@ -101,17 +91,14 @@ struct ProcessReplayExecutorOptions : ClusterPlanOptions {
 struct ProcessReplayExecutorResult : MergedClusterReplay {
   /// Effective scheduler pool size (after defaulting).
   int pool_size = 0;
-  /// Worker processes forked in total, including retries and speculative
-  /// twins (== workers_used when nothing died).
+  /// Worker processes forked in total, including retries (==
+  /// workers_used when nothing died).
   int total_forks = 0;
   /// Most worker processes alive at any instant (never exceeds
   /// pool_size).
   int max_observed_children = 0;
   /// Partitions that needed a re-fork after a worker death.
   int retried_partitions = 0;
-  /// Speculative straggler twins forked / partitions won by the twin.
-  int speculative_forks = 0;
-  int speculative_wins = 0;
   /// Forks per partition, indexed by worker id.
   std::vector<int> partition_attempts;
 };
@@ -139,9 +126,9 @@ class ProcessReplayExecutor {
   Result<ProcessReplayExecutorResult> Run(const ProgramFactory& factory);
 
   /// Scratch-relative result file a worker commits. Attempt 1 keeps the
-  /// legacy name ("worker-<id>.res"); retries and speculative twins get
-  /// attempt-suffixed names ("worker-<id>.attempt-<n>.res") so no torn
-  /// earlier attempt can shadow a clean later one.
+  /// legacy name ("worker-<id>.res"); retries get attempt-suffixed names
+  /// ("worker-<id>.attempt-<n>.res") so no torn earlier attempt can
+  /// shadow a clean later one.
   static std::string ResultFileName(int worker_id, int attempt = 1);
   /// Scratch-relative error file a worker leaves when its replay fails
   /// cleanly ("worker-<id>.err", attempt-suffixed like ResultFileName).

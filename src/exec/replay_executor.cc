@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -34,12 +33,6 @@ struct TaskDeque {
     return true;
   }
 };
-
-double WallNowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -109,7 +102,8 @@ ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
 
 Result<ReplayExecutorResult> ReplayExecutor::Run(
     const ProgramFactory& factory) {
-  const double wall_start = WallNowSeconds();
+  const WallClock clock;
+  const double wall_start = clock.NowSeconds();
   FLOR_ASSIGN_OR_RETURN(const int active,
                         PlanActiveWorkers(factory, fs_, request_));
 
@@ -150,7 +144,7 @@ Result<ReplayExecutorResult> ReplayExecutor::Run(
                         merger.Finish(fs_, request_.run_prefix));
   result.threads_used = std::min(num_threads_, active);
   result.steals = pool_stats.steals;
-  result.wall_seconds = WallNowSeconds() - wall_start;
+  result.wall_seconds = clock.NowSeconds() - wall_start;
   return result;
 }
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 #include <set>
 
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "flor/instrument.h"
 #include "flor/partition.h"
+#include "serialize/sections.h"
 
 namespace flor {
 
@@ -116,32 +115,10 @@ ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
 
 namespace {
 
-// Worker-result wire format: section 0 is a tab-separated key/value block
-// (doubles as hexfloat so the round trip is bit-exact), sections 1-2 are
-// LogStream line encodings, sections 3-4 newline-joined statement uids.
-constexpr size_t kWorkerResultSections = 5;
-
-void AppendMetaDouble(std::string* out, const char* key, double v) {
-  out->append(StrCat(key, "\t", StrFormat("%a", v), "\n"));
-}
-
-void AppendMetaInt(std::string* out, const char* key, int64_t v) {
-  out->append(StrCat(key, "\t", v, "\n"));
-}
-
-Result<double> ParseMetaDouble(const std::string& s) {
-  double v = 0;
-  if (!ParseF64(s, &v))
-    return Status::Corruption("worker result: bad double: " + s);
-  return v;
-}
-
-Result<int64_t> ParseMetaInt(const std::string& s) {
-  int64_t v = 0;
-  if (!ParseI64(s, &v))
-    return Status::Corruption("worker result: bad integer: " + s);
-  return v;
-}
+// Worker-result format: a sectioned message (serialize/sections.h) tagged
+// kResultTag. Section 0 is the meta block, sections 1-2 are LogStream
+// line encodings, sections 3-4 newline-joined statement uids.
+constexpr size_t kWorkerSections = 5;
 
 std::string JoinUids(const std::set<int32_t>& uids) {
   std::string out;
@@ -153,8 +130,10 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
   std::set<int32_t> out;
   for (const std::string& line : StrSplit(data, '\n')) {
     if (line.empty()) continue;
-    FLOR_ASSIGN_OR_RETURN(const int64_t uid, ParseMetaInt(line));
-    out.insert(static_cast<int32_t>(uid));
+    int32_t uid = 0;
+    if (!ParseI32(line, &uid))
+      return Status::Corruption("worker result: bad uid: " + line);
+    out.insert(uid);
   }
   return out;
 }
@@ -162,100 +141,64 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
 }  // namespace
 
 std::string EncodeWorkerResult(const ReplayResult& result) {
-  std::string meta;
-  AppendMetaDouble(&meta, "runtime_seconds", result.runtime_seconds);
-  AppendMetaDouble(&meta, "restore_seconds", result.restore_seconds);
-  AppendMetaDouble(&meta, "observed_c", result.observed_c);
-  AppendMetaInt(&meta, "effective_init",
-                static_cast<int64_t>(result.effective_init));
-  AppendMetaInt(&meta, "partition_segments", result.partition_segments);
-  AppendMetaInt(&meta, "active_workers", result.active_workers);
-  AppendMetaInt(&meta, "work_begin", result.work_begin);
-  AppendMetaInt(&meta, "work_end", result.work_end);
-  AppendMetaInt(&meta, "sb_executed", result.skipblocks.executed);
-  AppendMetaInt(&meta, "sb_skipped", result.skipblocks.skipped);
-  AppendMetaInt(&meta, "sb_restores", result.skipblocks.restores);
-  AppendMetaInt(&meta, "sb_materialized", result.skipblocks.materialized);
-  AppendMetaInt(&meta, "bucket_faults", result.bucket_faults);
-  AppendMetaInt(&meta, "bloom_skipped_probes", result.bloom_skipped_probes);
-  AppendMetaInt(&meta, "preamble_probed",
-                result.probes.preamble_probed ? 1 : 0);
+  std::string meta =
+      MetaWriter()
+          .Double("runtime_seconds", result.runtime_seconds)
+          .Double("restore_seconds", result.restore_seconds)
+          .Double("observed_c", result.observed_c)
+          .Int("effective_init", static_cast<int64_t>(result.effective_init))
+          .Int("partition_segments", result.partition_segments)
+          .Int("active_workers", result.active_workers)
+          .Int("work_begin", result.work_begin)
+          .Int("work_end", result.work_end)
+          .Int("sb_executed", result.skipblocks.executed)
+          .Int("sb_skipped", result.skipblocks.skipped)
+          .Int("sb_restores", result.skipblocks.restores)
+          .Int("sb_materialized", result.skipblocks.materialized)
+          .Int("bucket_faults", result.bucket_faults)
+          .Int("bloom_skipped_probes", result.bloom_skipped_probes)
+          .Bool("preamble_probed", result.probes.preamble_probed)
+          .Finish();
 
   exec::LogStream probe_stream;
   for (const exec::LogEntry& e : result.probe_entries)
     probe_stream.Append(e);
 
-  return EncodeResultSections({meta, result.logs.Serialize(),
-                               probe_stream.Serialize(),
-                               JoinUids(result.probes.probe_stmt_uids),
-                               JoinUids(result.probes.probed_loops)});
+  return EncodeSections(kResultTag, {meta, result.logs.Serialize(),
+                                     probe_stream.Serialize(),
+                                     JoinUids(result.probes.probe_stmt_uids),
+                                     JoinUids(result.probes.probed_loops)});
 }
 
 Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   FLOR_ASSIGN_OR_RETURN(std::vector<std::string> sections,
-                        DecodeResultSections(data));
-  if (sections.size() != kWorkerResultSections) {
-    return Status::Corruption(
-        StrCat("worker result: expected ", kWorkerResultSections,
-               " sections, got ", sections.size()));
-  }
-
-  std::map<std::string, std::string> meta;
-  for (const std::string& line : StrSplit(sections[0], '\n')) {
-    if (line.empty()) continue;
-    const std::vector<std::string> kv = StrSplit(line, '\t');
-    if (kv.size() != 2 || !meta.emplace(kv[0], kv[1]).second)
-      return Status::Corruption("worker result: malformed meta line: " +
-                                line);
-  }
-  auto take = [&meta](const char* key) -> Result<std::string> {
-    auto it = meta.find(key);
-    if (it == meta.end())
-      return Status::Corruption(StrCat("worker result: missing ", key));
-    std::string v = std::move(it->second);
-    meta.erase(it);
-    return v;
-  };
-  auto take_double = [&take](const char* key) -> Result<double> {
-    FLOR_ASSIGN_OR_RETURN(const std::string v, take(key));
-    return ParseMetaDouble(v);
-  };
-  auto take_int = [&take](const char* key) -> Result<int64_t> {
-    FLOR_ASSIGN_OR_RETURN(const std::string v, take(key));
-    return ParseMetaInt(v);
-  };
+                        DecodeSections(kResultTag, data));
+  FLOR_RETURN_IF_ERROR(
+      ExpectSections(sections, kWorkerSections, "worker result"));
 
   ReplayResult out;
-  FLOR_ASSIGN_OR_RETURN(out.runtime_seconds,
-                        take_double("runtime_seconds"));
-  FLOR_ASSIGN_OR_RETURN(out.restore_seconds,
-                        take_double("restore_seconds"));
-  FLOR_ASSIGN_OR_RETURN(out.observed_c, take_double("observed_c"));
-  FLOR_ASSIGN_OR_RETURN(const int64_t init, take_int("effective_init"));
+  int64_t init = 0;
+  FLOR_RETURN_IF_ERROR(
+      MetaReader(sections[0])
+          .Double("runtime_seconds", &out.runtime_seconds)
+          .Double("restore_seconds", &out.restore_seconds)
+          .Double("observed_c", &out.observed_c)
+          .Int("effective_init", &init)
+          .Int("partition_segments", &out.partition_segments)
+          .Int("active_workers", &out.active_workers)
+          .Int("work_begin", &out.work_begin)
+          .Int("work_end", &out.work_end)
+          .Int("sb_executed", &out.skipblocks.executed)
+          .Int("sb_skipped", &out.skipblocks.skipped)
+          .Int("sb_restores", &out.skipblocks.restores)
+          .Int("sb_materialized", &out.skipblocks.materialized)
+          .Int("bucket_faults", &out.bucket_faults)
+          .Int("bloom_skipped_probes", &out.bloom_skipped_probes)
+          .Bool("preamble_probed", &out.probes.preamble_probed)
+          .Finish());
   if (init != 0 && init != 1)
     return Status::Corruption("worker result: bad effective_init");
   out.effective_init = static_cast<InitMode>(init);
-  FLOR_ASSIGN_OR_RETURN(out.partition_segments,
-                        take_int("partition_segments"));
-  FLOR_ASSIGN_OR_RETURN(const int64_t active, take_int("active_workers"));
-  out.active_workers = static_cast<int>(active);
-  FLOR_ASSIGN_OR_RETURN(out.work_begin, take_int("work_begin"));
-  FLOR_ASSIGN_OR_RETURN(out.work_end, take_int("work_end"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.executed, take_int("sb_executed"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.skipped, take_int("sb_skipped"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.restores, take_int("sb_restores"));
-  FLOR_ASSIGN_OR_RETURN(out.skipblocks.materialized,
-                        take_int("sb_materialized"));
-  FLOR_ASSIGN_OR_RETURN(out.bucket_faults, take_int("bucket_faults"));
-  FLOR_ASSIGN_OR_RETURN(out.bloom_skipped_probes,
-                        take_int("bloom_skipped_probes"));
-  FLOR_ASSIGN_OR_RETURN(const int64_t preamble,
-                        take_int("preamble_probed"));
-  out.probes.preamble_probed = preamble != 0;
-  if (!meta.empty()) {
-    return Status::Corruption("worker result: unknown meta key: " +
-                              meta.begin()->first);
-  }
 
   FLOR_ASSIGN_OR_RETURN(out.logs, exec::LogStream::Deserialize(sections[1]));
   FLOR_ASSIGN_OR_RETURN(exec::LogStream probe_stream,

@@ -90,7 +90,7 @@ struct MergedClusterReplay {
 
 /// Encodes one worker's ReplayResult for out-of-process transport — the
 /// fork-per-partition engine (exec/process_executor.h) has each child
-/// write this to a CRC-framed result file (env/result_file.h) and the
+/// write this to a CRC-framed result file (serialize/sections.h) and the
 /// parent decode it back into the exact ReplayResult an in-process worker
 /// would have handed the merger. The round trip is lossless: doubles
 /// travel as hexfloat, log fragments via LogStream's line encoding.

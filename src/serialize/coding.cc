@@ -134,7 +134,7 @@ Status Decoder::GetLengthPrefixed(std::string* s) {
 
 Status Decoder::GetRaw(void* out, size_t n) {
   if (remaining() < n) return Status::Corruption("raw read underflow");
-  std::memcpy(out, p_, n);
+  if (n > 0) std::memcpy(out, p_, n);  // an empty vector's data() is null
   p_ += n;
   return Status::OK();
 }

@@ -45,7 +45,14 @@ std::string RleCompress(const std::string& in) {
   return out;
 }
 
+// A 2-byte run token emits at most kMaxRun bytes; literals expand nothing.
+constexpr size_t kMaxRun = 129;
+
 Status RleDecompress(const std::string& in, size_t expected, std::string* out) {
+  // The size varint is untrusted: reject what the body cannot decode to
+  // before reserving for it.
+  if (expected > in.size() * kMaxRun / 2)
+    return Status::Corruption("RLE declared size exceeds its body");
   out->clear();
   out->reserve(expected);
   size_t i = 0;
@@ -158,6 +165,10 @@ std::string LzCompress(const std::string& in) {
 }
 
 Status LzDecompress(const std::string& in, size_t expected, std::string* out) {
+  // Untrusted size varint, as in RleDecompress: a 3-byte match token
+  // emits at most kMaxMatch bytes, a literal byte one.
+  if (expected > in.size() * kMaxMatch / 3)
+    return Status::Corruption("LZ declared size exceeds its body");
   out->clear();
   out->reserve(expected);
   size_t i = 0;

@@ -98,7 +98,8 @@ Result<std::string> ReadMessage(int fd, uint32_t max_bytes,
   return message;
 }
 
-Status ListenUnixSocket(const std::string& path, int* fd_out) {
+/// The unix-domain address of `path` (listen and connect share it).
+Result<sockaddr_un> UnixAddress(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof addr.sun_path) {
@@ -107,12 +108,27 @@ Status ListenUnixSocket(const std::string& path, int* fd_out) {
                " bytes; the limit is ", sizeof addr.sun_path - 1));
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+/// 127.0.0.1:`port` (listen and connect share it).
+sockaddr_in LoopbackAddress(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  return addr;
+}
+
+Status ListenUnixSocket(const std::string& path, int* fd_out) {
+  FLOR_ASSIGN_OR_RETURN(const sockaddr_un addr, UnixAddress(path));
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IOError(
         StrCat("socket(AF_UNIX) failed: ", std::strerror(errno)));
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
     const Status st = Status::IOError(
         StrCat("bind ", path, " failed: ", std::strerror(errno)));
     ::close(fd);
@@ -136,11 +152,9 @@ Status ListenTcpSocket(int port, int* fd_out, int* port_out) {
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  const sockaddr_in addr = LoopbackAddress(port);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
     const Status st = Status::IOError(
         StrCat("bind 127.0.0.1:", port, " failed: ", std::strerror(errno)));
     ::close(fd);
@@ -404,20 +418,14 @@ void WireClient::Disconnect() {
 }
 
 Result<WireClient> WireClient::ConnectUnix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    return Status::InvalidArgument(
-        StrCat("unix socket path is ", path.size(),
-               " bytes; the limit is ", sizeof addr.sun_path - 1));
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  FLOR_ASSIGN_OR_RETURN(const sockaddr_un addr, UnixAddress(path));
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IOError(
         StrCat("socket(AF_UNIX) failed: ", std::strerror(errno)));
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
     const Status st = Status::IOError(
         StrCat("connect ", path, " failed: ", std::strerror(errno)));
     ::close(fd);
@@ -432,11 +440,9 @@ Result<WireClient> WireClient::ConnectTcp(int port) {
     return Status::IOError(
         StrCat("socket(AF_INET) failed: ", std::strerror(errno)));
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  const sockaddr_in addr = LoopbackAddress(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
     const Status st = Status::IOError(StrCat(
         "connect 127.0.0.1:", port, " failed: ", std::strerror(errno)));
     ::close(fd);

@@ -1,20 +1,14 @@
 // Wire protocol for the service front-end (service/server.h).
 //
-// Messages reuse the sectioned CRC-framing idiom of env/result_file.h —
-// the same tamper-evidence contract, applied to a socket instead of a
-// scratch file:
-//
-//   frame 0  header  "florwir1\t<req|res>\t<n>"  (n = payload sections)
-//   frame 1..n       one payload section each
-//
-// with each frame [fixed32 crc][varint len][payload] (serialize/frame.h).
-// The header count catches truncation at an exact frame boundary; every
-// other cut or flipped byte is caught by a frame CRC. Decoding a torn or
-// mutated message therefore always fails with Corruption — never a
-// crash, never a garbage request. On the socket, each message travels as
+// Messages are sectioned messages (serialize/sections.h) tagged
+// "florwir1\treq" or "florwir1\tres" — the same framing, meta sections
+// and Status encoding the process replay engine's worker files use,
+// applied to a socket instead of a scratch file. A response decoded as a
+// request (or vice versa) is Corruption, so a desynced stream is never
+// half-interpreted. On the socket, each message travels as
 // [u32 LE total length][message bytes] (server.h).
 //
-// Error taxonomy: structural problems (bad magic, wrong kind, bad CRC,
+// Error taxonomy: structural problems (wrong header tag, bad CRC,
 // section-count mismatch, malformed meta) are Corruption; semantically
 // invalid but well-formed requests (unknown op, bad tenant name) decode
 // fine and earn a typed error *response* from the server instead.
@@ -33,27 +27,10 @@
 namespace flor {
 namespace wire {
 
-/// Magic of frame 0; bumping it is a wire-format break.
-inline constexpr char kWireMagic[] = "florwir1";
-
 /// Default cap on one message's total encoded size (requests carry no
 /// bulk data; responses carry manifests and merged logs, which stay far
 /// below this for any realistic run).
 inline constexpr uint32_t kMaxWireMessageBytes = 64u << 20;
-
-/// Which side of the exchange a message claims to be. A response decoded
-/// as a request (or vice versa) is Corruption — a desynced stream must
-/// not be half-interpreted.
-enum class WireKind { kRequest, kResponse };
-
-/// Encodes `sections` as one wire message of `kind`.
-std::string EncodeWireSections(WireKind kind,
-                               const std::vector<std::string>& sections);
-
-/// Decodes a wire message back into its sections, requiring `expected`
-/// kind. Corruption on any structural problem.
-Result<std::vector<std::string>> DecodeWireSections(
-    WireKind expected, const std::string& data);
 
 /// One client request. `op` selects the Session call; the remaining
 /// fields are that call's arguments. Unknown ops/engines survive

@@ -1,5 +1,6 @@
 #include "tensor/serialize.h"
 
+#include <cstdint>
 #include <cstring>
 
 namespace flor {
@@ -32,17 +33,28 @@ Result<Tensor> DecodeTensor(Decoder* dec) {
   uint64_t rank;
   FLOR_RETURN_IF_ERROR(dec->GetVarint64(&rank));
   if (rank > 8) return Status::Corruption("tensor rank too large");
+  // Dims are untrusted: the product of the nonzero dims must fit int64_t
+  // (so no numel or stride product can overflow), and the data must be
+  // present before anything is allocated.
   std::vector<int64_t> dims(rank);
-  uint64_t numel = 1;
+  uint64_t span = 1;
+  bool empty = false;
   for (auto& d : dims) {
     uint64_t v;
     FLOR_RETURN_IF_ERROR(dec->GetVarint64(&v));
+    if (v == 0) {
+      empty = true;
+    } else if (span > static_cast<uint64_t>(INT64_MAX) / v) {
+      return Status::Corruption("tensor dims overflow int64");
+    } else {
+      span *= v;
+    }
     d = static_cast<int64_t>(v);
-    numel *= v;
   }
-  const size_t bytes = numel * DTypeSize(dtype);
-  if (dec->remaining() < bytes)
+  const uint64_t numel = empty ? 0 : span;
+  if (numel > dec->remaining() / DTypeSize(dtype))
     return Status::Corruption("tensor data truncated");
+  const size_t bytes = numel * DTypeSize(dtype);
   Shape shape(std::move(dims));
   if (dtype == DType::kF32) {
     std::vector<float> data(numel);

@@ -4,7 +4,7 @@
 // its filterless twin across randomized Put/Delete/rebuild histories, the
 // manifest-seeded recovery path, counter accounting, and replay-level
 // equivalence with the filter on. The concurrent writer/reader case runs
-// under the `tsan` ctest label (FLOR_TSAN=1 ./scripts/check.sh).
+// under the `tsan` ctest label (FLOR_SANITIZE=thread ./scripts/check.sh).
 
 #include <gtest/gtest.h>
 

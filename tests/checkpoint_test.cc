@@ -9,6 +9,8 @@
 #include "checkpoint/store.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
+#include "serialize/compress.h"
+#include "serialize/frame.h"
 #include "sim/cost_model.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -75,6 +77,30 @@ TEST(Checkpoint, AnyByteCorruptionDetected) {
       [](const std::string& bytes) {
         return DecodeCheckpoint(bytes).status();
       });
+}
+
+TEST(Checkpoint, HostilePayloadWithValidCrcIsCorruption) {
+  // A valid CRC is not authentication: a hostile bucket object re-framed
+  // with a correct checksum must still fail typed, and must not allocate
+  // from its untrusted length fields on the way.
+  std::string tensor_snapshot;
+  PutVarint64(&tensor_snapshot, 1);  // one snapshot
+  PutLengthPrefixed(&tensor_snapshot, "weights");
+  tensor_snapshot.push_back(static_cast<char>(ir::ValueKind::kTensor));
+  tensor_snapshot.push_back(static_cast<char>(DType::kF32));
+  PutVarint64(&tensor_snapshot, 1);                     // rank
+  PutVarint64(&tensor_snapshot, uint64_t{1} << 62);     // dim, no data
+  std::string huge_blob(1, static_cast<char>(Codec::kLz));
+  PutVarint64(&huge_blob, uint64_t{1} << 62);  // declared size
+  huge_blob.append("\x01\x00\x00\x00", 4);    // one match token
+  for (const std::string& compressed :
+       {Compress(tensor_snapshot, Codec::kLz), huge_blob}) {
+    std::string object;
+    AppendFrame(&object, compressed);
+    auto got = DecodeCheckpoint(object);
+    ASSERT_FALSE(got.ok());
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
 }
 
 TEST(Checkpoint, RawBytesAccounting) {

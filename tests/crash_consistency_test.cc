@@ -27,10 +27,10 @@
 #include "checkpoint/store.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "env/result_file.h"
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
+#include "serialize/sections.h"
 #include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
@@ -713,7 +713,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
     // half of a framed result, then die.
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections(kResultTag, {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ProcessReplayExecutor::ResultFileName(1),
         bytes.substr(0, bytes.size() / 2));
@@ -733,8 +733,10 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   PosixFileSystem scratch_fs(scratch);
   ASSERT_TRUE(scratch_fs.Exists(
       exec::ProcessReplayExecutor::ResultFileName(1)));
-  auto torn = ReadResultFile(&scratch_fs,
-                             exec::ProcessReplayExecutor::ResultFileName(1));
+  auto torn_bytes =
+      scratch_fs.ReadFile(exec::ProcessReplayExecutor::ResultFileName(1));
+  ASSERT_TRUE(torn_bytes.ok());
+  auto torn = DecodeSections(kResultTag, *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   // Surviving fragments are intact and decodable.
@@ -812,7 +814,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
     if (worker_id != 1 || attempt != 1) return;
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections(kResultTag, {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ProcessReplayExecutor::ResultFileName(1, 1),
         bytes.substr(0, bytes.size() / 2));
@@ -828,8 +830,10 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   // The torn attempt-1 file is still on disk and still refuses to parse;
   // the committed fragment lives at the attempt-2 name.
   PosixFileSystem scratch_fs(scratch);
-  auto torn = ReadResultFile(
-      &scratch_fs, exec::ProcessReplayExecutor::ResultFileName(1, 1));
+  auto torn_bytes = scratch_fs.ReadFile(
+      exec::ProcessReplayExecutor::ResultFileName(1, 1));
+  ASSERT_TRUE(torn_bytes.ok());
+  auto torn = DecodeSections(kResultTag, *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   auto committed = scratch_fs.ReadFile(

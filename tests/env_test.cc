@@ -11,9 +11,7 @@
 
 #include "env/background_queue.h"
 #include "env/env.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
-#include "serialize/frame.h"
 #include "test_util.h"
 
 namespace flor {
@@ -158,71 +156,6 @@ TEST(Env, NonOwningSharedFilesystem) {
   EXPECT_EQ(*b.fs()->ReadFile("k"), "v");
   a.clock()->AdvanceMicros(100);
   EXPECT_EQ(b.clock()->NowMicros(), 0u);  // clocks independent
-}
-
-// ------------------------------------------------------- result files ---
-
-TEST(ResultFile, RoundTripsArbitrarySections) {
-  // Sections carry raw bytes: embedded NULs, tabs, newlines, emptiness.
-  const std::vector<std::string> sections = {
-      "plain", std::string("\0binary\0", 8), "tab\there\nand newline", ""};
-  const std::string encoded = EncodeResultSections(sections);
-  auto decoded = DecodeResultSections(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, sections);
-
-  // Zero sections is a valid (if empty) result.
-  auto none = DecodeResultSections(EncodeResultSections({}));
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-}
-
-TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
-  const std::string encoded =
-      EncodeResultSections({"alpha", "beta", "gamma"});
-  // Every strict prefix fails — including the empty file and cuts at
-  // exact frame boundaries (the header's section count catches those) —
-  // and so does every flip and splice.
-  testutil::ExpectCorruptionsRejected(
-      encoded, /*salt=*/61, /*splices=*/200, [](const std::string& bytes) {
-        return DecodeResultSections(bytes).status();
-      });
-  // Appending a stray well-formed frame is also a count mismatch.
-  std::string extra = encoded;
-  AppendFrame(&extra, "stray");
-  EXPECT_TRUE(DecodeResultSections(extra).status().IsCorruption());
-  // A frame stream without the florres header is rejected.
-  std::string headerless;
-  AppendFrame(&headerless, "not a header");
-  EXPECT_TRUE(DecodeResultSections(headerless).status().IsCorruption());
-}
-
-TEST(ResultFile, SingleByteMutationsNeverParse) {
-  // Empty and binary sections: frames whose payload is zero bytes or
-  // holds NULs must be just as tamper-evident.
-  const std::string encoded =
-      EncodeResultSections({"", std::string("\0bin\0", 5), "beta"});
-  testutil::ExpectCorruptionsRejected(
-      encoded, /*salt=*/62, /*splices=*/200, [](const std::string& bytes) {
-        return DecodeResultSections(bytes).status();
-      });
-}
-
-TEST(ResultFile, WriteReadThroughFilesystem) {
-  MemFileSystem fs;
-  ASSERT_TRUE(WriteResultFile(&fs, "res/worker-0.res", {"a", "b"}).ok());
-  auto got = ReadResultFile(&fs, "res/worker-0.res");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, (std::vector<std::string>{"a", "b"}));
-  // Absent file: NotFound (the "worker never committed" signal), not
-  // Corruption.
-  auto missing = ReadResultFile(&fs, "res/worker-1.res");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_TRUE(missing.status().IsNotFound());
-  // A flipped byte on disk: Corruption.
-  ASSERT_TRUE(fs.CorruptByte("res/worker-0.res", 6).ok());
-  EXPECT_TRUE(
-      ReadResultFile(&fs, "res/worker-0.res").status().IsCorruption());
 }
 
 // -------------------------------------------------------- scratch dirs ---

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "checkpoint/gc.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
@@ -607,47 +606,6 @@ TEST_F(ProcessReplayTest, ConcurrentChildrenNeverExceedPoolCap) {
   EXPECT_LE(high_water, kPool) << "pool cap breached";
 }
 
-TEST_F(ProcessReplayTest, SpeculativeReforkOutpacesStraggler) {
-  PosixFileSystem fs(root());
-  const WorkloadProfile profile = ProcProfile();
-  RecordOnto(&fs, profile);
-
-  const std::string scratch = root() + "/scratch";
-  exec::ProcessReplayExecutorOptions popts;
-  popts.scratch_dir = scratch;
-  popts.max_concurrent_children = 4;
-  popts.speculate_stragglers = true;
-  popts.child_before_result_write = [](int worker_id, int attempt) {
-    // Partition 3's first attempt stalls just before committing — the
-    // lost-in-the-cluster straggler. Its speculative twin (attempt 2)
-    // commits immediately; the sleeper is killed and reaped. If
-    // speculation were broken this would still pass the merge but fail
-    // the stats assertions 60 seconds later.
-    if (worker_id == 3 && attempt == 1) sleep(60);
-  };
-  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
-  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
-  EXPECT_TRUE(proc->deferred.ok);
-  EXPECT_EQ(proc->speculative_forks, 1);
-  EXPECT_EQ(proc->speculative_wins, 1);
-  EXPECT_EQ(proc->retried_partitions, 0);  // speculation, not death retry
-  ASSERT_EQ(proc->partition_attempts.size(), 4u);
-  EXPECT_EQ(proc->partition_attempts[3], 2);
-
-  // The winner committed at the attempt-2 name; the killed straggler
-  // never committed at its own.
-  PosixFileSystem scratch_fs(scratch);
-  EXPECT_FALSE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 1)));
-  EXPECT_TRUE(scratch_fs.Exists(
-      exec::ProcessReplayExecutor::ResultFileName(3, 2)));
-
-  auto threaded = RunThreads(&fs, profile, /*threads=*/4, /*partitions=*/4);
-  ASSERT_TRUE(threaded.ok());
-  EXPECT_EQ(proc->merged_logs.Serialize(),
-            threaded->merged_logs.Serialize());
-}
-
 TEST_F(ProcessReplayTest, ShrinkingPartitionCountClearsAllStaleScratch) {
   PosixFileSystem fs(root());
   const WorkloadProfile profile = ProcProfile();
@@ -740,7 +698,7 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
         return DecodeWorkerResult(bytes).status();
       });
   // A missing result file is NotFound, not Corruption.
-  auto missing = ReadResultFile(&scratch_fs, "worker-9.res");
+  auto missing = scratch_fs.ReadFile("worker-9.res");
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound());
 }

@@ -1,4 +1,5 @@
-// Unit + property tests: coding primitives, compression codecs, frames.
+// Unit + property tests: coding primitives, compression codecs, frames,
+// and the sectioned-message codec (framing, meta sections, Status).
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include "serialize/coding.h"
 #include "serialize/compress.h"
 #include "serialize/frame.h"
+#include "serialize/sections.h"
 #include "test_util.h"
 
 namespace flor {
@@ -297,6 +299,178 @@ TEST(Frame, ReaderReportsEofAsNotFound) {
   std::string payload;
   ASSERT_TRUE(reader.Next(&payload).ok());
   EXPECT_TRUE(reader.Next(&payload).IsNotFound());
+}
+
+// ------------------------------------------------------------ sections ---
+// The worker result file (tag kResultTag) is the historical client of the
+// sectioned framing; the ResultFile cases pin it, the Sections / Meta /
+// StatusSections cases pin the rules every client shares.
+
+TEST(ResultFile, RoundTripsArbitrarySections) {
+  // Sections carry raw bytes: embedded NULs, tabs, newlines, emptiness.
+  const std::vector<std::string> sections = {
+      "plain", std::string("\0binary\0", 8), "tab\there\nand newline", ""};
+  const std::string encoded = EncodeSections(kResultTag, sections);
+  auto decoded = DecodeSections(kResultTag, encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, sections);
+
+  // Zero sections is a valid (if empty) result.
+  auto none = DecodeSections(kResultTag, EncodeSections(kResultTag, {}));
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(ResultFile, EveryTruncationAndHeaderLieIsCorruption) {
+  const std::string encoded =
+      EncodeSections(kResultTag, {"alpha", "beta", "gamma"});
+  // Every strict prefix fails — including the empty file and cuts at
+  // exact frame boundaries (the header's section count catches those) —
+  // and so does every flip, inflation and splice.
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/61, /*splices=*/200, [](const std::string& bytes) {
+        return DecodeSections(kResultTag, bytes).status();
+      });
+  // Appending a stray well-formed frame is also a count mismatch.
+  std::string extra = encoded;
+  AppendFrame(&extra, "stray");
+  EXPECT_TRUE(DecodeSections(kResultTag, extra).status().IsCorruption());
+  // A frame stream without the florres header is rejected.
+  std::string headerless;
+  AppendFrame(&headerless, "not a header");
+  EXPECT_TRUE(
+      DecodeSections(kResultTag, headerless).status().IsCorruption());
+}
+
+TEST(ResultFile, SingleByteMutationsNeverParse) {
+  // Empty and binary sections: frames whose payload is zero bytes or
+  // holds NULs must be just as tamper-evident.
+  const std::string encoded = EncodeSections(
+      kResultTag, {"", std::string("\0bin\0", 5), "beta"});
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/62, /*splices=*/200, [](const std::string& bytes) {
+        return DecodeSections(kResultTag, bytes).status();
+      });
+}
+
+TEST(Sections, HeaderBytesArePinnedPerTag) {
+  // Frame 0 is "<tag>\t<n>"; the wire tags keep their historical
+  // "florwir1\t<req|res>" spelling.
+  for (const char* tag : {kResultTag, kWireRequestTag, kWireResponseTag}) {
+    std::string expected;
+    AppendFrame(&expected, std::string(tag) + "\t1");
+    AppendFrame(&expected, "x");
+    EXPECT_EQ(EncodeSections(tag, {"x"}), expected) << tag;
+  }
+}
+
+TEST(Sections, AnotherTagIsCorruption) {
+  const std::string request = EncodeSections(kWireRequestTag, {"a"});
+  EXPECT_TRUE(DecodeSections(kWireRequestTag, request).ok());
+  for (const char* other : {kResultTag, kWireResponseTag, "florwir1"}) {
+    EXPECT_TRUE(DecodeSections(other, request).status().IsCorruption())
+        << other;
+  }
+  // A header whose count is not a plain decimal is Corruption too.
+  for (const char* bad : {"florres1", "florres1\t", "florres1\t-1",
+                          "florres1\t1x", "florres10\t0"}) {
+    std::string message;
+    AppendFrame(&message, bad);
+    EXPECT_TRUE(DecodeSections(kResultTag, message).status().IsCorruption())
+        << bad;
+  }
+}
+
+TEST(Meta, RoundTripsEveryFieldKindBitExactly) {
+  const std::string block = MetaWriter()
+                                .Str("name", "tab\tinside")
+                                .Str("empty", "")
+                                .Int("neg", -42)
+                                .Bool("flag", true)
+                                .Double("tenth", 0.1)
+                                .Finish();
+  EXPECT_EQ(block,
+            "name\ttab\tinside\nempty\t\nneg\t-42\nflag\t1\n"
+            "tenth\t0x1.999999999999ap-4\n");
+  std::string name, empty;
+  int64_t neg = 0;
+  bool flag = false;
+  double tenth = 0;
+  ASSERT_TRUE(MetaReader(block)
+                  .Str("name", &name)
+                  .Str("empty", &empty)
+                  .Int("neg", &neg)
+                  .Bool("flag", &flag)
+                  .Double("tenth", &tenth)
+                  .Finish()
+                  .ok());
+  EXPECT_EQ(name, "tab\tinside");
+  EXPECT_EQ(empty, "");
+  EXPECT_EQ(neg, -42);
+  EXPECT_TRUE(flag);
+  EXPECT_EQ(tenth, 0.1);
+}
+
+Status ReadAB(const std::string& block) {
+  int64_t a = 0, b = 0;
+  return MetaReader(block).Int("a", &a).Int("b", &b).Finish();
+}
+
+TEST(Meta, ExactlyTheWrittenKeysInTheWrittenOrder) {
+  EXPECT_TRUE(ReadAB("a\t1\nb\t2\n").ok());
+  for (const char* bad : {
+           "",                          // missing everything
+           "a\t1\n",                   // missing key
+           "a\t1\nb\t2\nc\t3\n",   // extra key
+           "b\t2\na\t1\n",           // reordered
+           "a\t1\na\t1\nb\t2\n",   // duplicated
+           "a\t1\nb\t2",              // no trailing newline
+           "a\t1\nb\t2\n\n",        // trailing blank line
+           "a\t1\nbb\t2\n",          // key prefix is not the key
+           "a\t1\nb 2\n",             // no tab
+           "a\t1\nb\tx\n",           // unparsable integer
+           "a\t1\nb\t\n",            // empty integer
+       }) {
+    EXPECT_TRUE(ReadAB(bad).IsCorruption()) << "'" << bad << "'";
+  }
+}
+
+TEST(Meta, OutOfRangeAndUnparsableValuesAreCorruption) {
+  int32_t narrow = 0;
+  EXPECT_TRUE(
+      MetaReader("n\t2147483648\n").Int("n", &narrow).Finish().IsCorruption());
+  EXPECT_TRUE(MetaReader("n\t-7\n").Int("n", &narrow).Finish().ok());
+  EXPECT_EQ(narrow, -7);
+  bool flag = false;
+  EXPECT_TRUE(MetaReader("f\t2\n").Bool("f", &flag).Finish().IsCorruption());
+  double d = 0;
+  EXPECT_TRUE(
+      MetaReader("d\tnope\n").Double("d", &d).Finish().IsCorruption());
+  // The first failure sticks: later reads do not mask it.
+  int64_t a = 0;
+  const Status status =
+      MetaReader("d\tnope\na\t1\n").Double("d", &d).Int("a", &a).Finish();
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_NE(status.message().find("'d'"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(StatusSections, RoundTripEveryCodeAndRejectUnknownOnes) {
+  for (int c = 0; c <= 255; ++c) {
+    if (!IsValidStatusCode(c)) continue;
+    const Status original(static_cast<StatusCode>(c),
+                          std::string("why\0\n\tnot", 10));
+    const std::vector<std::string> sections = EncodeStatus(original);
+    ASSERT_EQ(sections.size(), 2u);
+    Status back;
+    ASSERT_TRUE(DecodeStatus(sections, &back).ok());
+    EXPECT_EQ(back, original) << "code " << c;
+  }
+  EXPECT_EQ(EncodeStatus(Status::NotFound("x"))[0], "code\t2\n");
+  Status back;
+  for (const char* bad : {"code\t99\n", "code\t-1\n", "code\t1"})
+    EXPECT_TRUE(DecodeStatus({bad, ""}, &back).IsCorruption()) << bad;
+  EXPECT_TRUE(DecodeStatus({"code\t1\n"}, &back).IsCorruption());
 }
 
 }  // namespace

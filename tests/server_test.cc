@@ -6,7 +6,7 @@
 // merged replay logs on all three engines), typed semantic errors that
 // keep the connection usable, corrupt-message hangups, the graceful
 // drain refusal, and TCP loopback. Runs under the `server` ctest label
-// (including the FLOR_TSAN pass in check.sh).
+// (including the thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 
@@ -140,13 +140,16 @@ TEST(WireTest, ResponseRoundTripsBinaryPayload) {
   EXPECT_EQ(back.message(), original.message());
 
   // A code outside the Status enum is structural Corruption — a decoder
-  // must never cast garbage into a StatusCode.
-  wire::Response bogus;
-  bogus.code = 99;
-  auto rejected = wire::DecodeResponse(wire::EncodeResponse(bogus));
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsCorruption())
-      << rejected.status().ToString();
+  // must never cast garbage into a StatusCode, and the encoder must not
+  // wrap a wide code (256 would be OK as a byte) into a valid one.
+  for (int64_t code : {int64_t{99}, int64_t{256}, int64_t{300}, int64_t{-1}}) {
+    wire::Response bogus;
+    bogus.code = code;
+    auto rejected = wire::DecodeResponse(wire::EncodeResponse(bogus));
+    ASSERT_FALSE(rejected.ok()) << code;
+    EXPECT_TRUE(rejected.status().IsCorruption())
+        << code << ": " << rejected.status().ToString();
+  }
 }
 
 TEST(WireTest, KindMismatchIsCorruption) {
@@ -267,6 +270,62 @@ TEST(WireTest, RepliesRoundTripBitExactDoubles) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back->exists, flag);
   }
+}
+
+std::string FromHex(const char* hex) {
+  auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::string out;
+  for (const char* p = hex; p[0] != '\0' && p[1] != '\0'; p += 2)
+    out.push_back(static_cast<char>((nibble(p[0]) << 4) | nibble(p[1])));
+  return out;
+}
+
+TEST(WireTest, WireFormatIsPinned) {
+  // Golden bytes of one request and one replay reply. Every meta line,
+  // the last included, ends in '\n' (serialize/sections.h); a change here
+  // is a wire break between clients and servers of different builds.
+  wire::Request req;
+  req.op = "replay";
+  req.tenant = "alice";
+  req.run = "r1";
+  req.workload = "svc";
+  req.engine = "procs";
+  req.workers = 4;
+  req.loop_id = -3;
+  req.ctx = "e=2";
+  const std::string request_golden = FromHex(
+      "19024a980e666c6f72776972310972657109322018b33a4d6f70097265706c61790a"
+      "74656e616e7409616c6963650a72756e0972310a776f726b6c6f6164097376630a65"
+      "6e67696e650970726f63730a776f726b65727309340a6c6f6f705f6964092d330a05"
+      "ff702c03653d32");
+  EXPECT_EQ(wire::EncodeRequest(req), request_golden);
+  auto req_back = wire::DecodeRequest(request_golden);
+  ASSERT_TRUE(req_back.ok()) << req_back.status().ToString();
+  EXPECT_EQ(req_back->engine, "procs");
+  EXPECT_EQ(req_back->loop_id, -3);
+
+  wire::ReplayReply rep;
+  rep.workers_used = 4;
+  rep.latency_seconds = 1.5;
+  rep.wall_seconds = 0.25;
+  rep.bucket_faults = 7;
+  rep.bloom_skipped_probes = 9;
+  rep.deferred_ok = true;
+  rep.merged_logs = "11\te=2/i=0\t0\tloss\t0.125\n";
+  const std::string reply_golden = FromHex(
+      "fcb784f10e666c6f727769723109726573093448158c8907636f646509300a000000"
+      "0000d522b2e771776f726b6572735f7573656409340a6c6174656e63795f7365636f"
+      "6e6473093078312e38702b300a77616c6c5f7365636f6e647309307831702d320a62"
+      "75636b65745f6661756c747309370a626c6f6f6d5f736b69707065645f70726f6265"
+      "7309390a64656665727265645f6f6b09310a5774485818313109653d322f693d3009"
+      "30096c6f737309302e3132350a");
+  EXPECT_EQ(wire::EncodeResponse(wire::MakeReplayReply(rep)), reply_golden);
+  auto res = wire::DecodeResponse(reply_golden);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  auto rep_back = wire::ParseReplayReply(*res);
+  ASSERT_TRUE(rep_back.ok()) << rep_back.status().ToString();
+  EXPECT_EQ(rep_back->latency_seconds, 1.5);
+  EXPECT_EQ(rep_back->merged_logs, rep.merged_logs);
 }
 
 TEST(WireTest, EngineNamesRoundTrip) {

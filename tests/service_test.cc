@@ -8,7 +8,7 @@
 // (per-tenant quotas, starved-wait histogram), per-tenant stats slices,
 // the tenant-attributed GC failure ring, and graceful drain via
 // Connection::Close. Runs under the `service` ctest label (including the
-// FLOR_TSAN pass in check.sh).
+// thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 // SpoolQueue: batched async spooling, retry/failure paths, per-shard
 // reporting, and the concurrent materialize-while-spool interaction with
 // the sharded CheckpointStore. This suite carries the `tsan` ctest label —
-// FLOR_TSAN=1 ./scripts/check.sh runs it under ThreadSanitizer.
+// FLOR_SANITIZE=thread ./scripts/check.sh runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 

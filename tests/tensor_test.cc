@@ -243,5 +243,33 @@ TEST(TensorSerialize, CorruptionRejected) {
   EXPECT_FALSE(TensorFromBytes(bad_dtype).ok());
 }
 
+/// A tensor header — dtype, rank, dims — with no data behind it.
+std::string TensorHeader(std::initializer_list<uint64_t> dims) {
+  std::string bytes(1, static_cast<char>(DType::kF32));
+  PutVarint64(&bytes, dims.size());
+  for (uint64_t d : dims) PutVarint64(&bytes, d);
+  return bytes;
+}
+
+TEST(TensorSerialize, OverflowingAndHugeDimsRejectedBeforeAllocating) {
+  const uint64_t k32 = uint64_t{1} << 32;
+  const uint64_t k62 = uint64_t{1} << 62;
+  for (const std::string& bytes : {
+           TensorHeader({k32, k32}),   // numel wraps to 0: a bogus empty
+           TensorHeader({k62}),        // byte count wraps to 0
+           TensorHeader({0, k62, k62}),  // empty, but strides overflow
+           TensorHeader({UINT64_MAX}),   // above INT64_MAX
+           TensorHeader({uint64_t{1} << 40}),  // fits, but no data
+       }) {
+    auto got = TensorFromBytes(bytes);
+    ASSERT_FALSE(got.ok());
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
+  // A zero dim with sane neighbours is still a valid empty tensor.
+  auto empty = TensorFromBytes(TensorHeader({0, 7}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->numel(), 0);
+}
+
 }  // namespace
 }  // namespace flor

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "env/env.h"
+#include "serialize/coding.h"
 
 namespace flor {
 namespace testutil {
@@ -46,11 +48,13 @@ struct Corrupted {
 
 /// Deterministic corruption fuzzing shared by every decoder suite. Calls
 /// `visit(const Corrupted&)` for every strict prefix of `encoded`, every
-/// single-byte flip (each byte XORed with a seeded nonzero mask), and
-/// `splices` random splices (a random range replaced by another random
-/// range of the same input). Variants equal to `encoded` are skipped. The
-/// draws come from SeededRng(salt), so FLOR_TEST_SEED=<n> replays a
-/// failure.
+/// single-byte flip (each byte XORed with a seeded nonzero mask), every
+/// length inflation (wherever a varint decodes, it is replaced by the
+/// encodings of 2^32, 2^62 and 2^64-1, so a decoder that allocates from a
+/// length or count field before checking it is caught), and `splices`
+/// random splices (a random range replaced by another random range of the
+/// same input). Variants equal to `encoded` are skipped. The draws come
+/// from SeededRng(salt), so FLOR_TEST_SEED=<n> replays a failure.
 template <typename Visit>
 void ForEachCorruption(const std::string& encoded, uint64_t salt,
                        int splices, Visit&& visit) {
@@ -65,6 +69,22 @@ void ForEachCorruption(const std::string& encoded, uint64_t salt,
     flipped[pos] = static_cast<char>(flipped[pos] ^ (1 + rng.Uniform(255)));
     visit(Corrupted{std::move(flipped), false,
                     "flip at byte " + std::to_string(pos)});
+  }
+  for (size_t pos = 0; pos < n; ++pos) {
+    Decoder dec(encoded.data() + pos, n - pos);
+    uint64_t original = 0;
+    if (!dec.GetVarint64(&original).ok()) continue;
+    const size_t varint_end = n - dec.remaining();
+    for (const uint64_t huge :
+         {uint64_t{1} << 32, uint64_t{1} << 62, UINT64_MAX}) {
+      if (huge == original) continue;
+      std::string inflated = encoded.substr(0, pos);
+      PutVarint64(&inflated, huge);
+      inflated.append(encoded, varint_end, std::string::npos);
+      visit(Corrupted{std::move(inflated), false,
+                      "varint at byte " + std::to_string(pos) +
+                          " inflated to " + std::to_string(huge)});
+    }
   }
   for (int i = 0; i < splices && n > 0; ++i) {
     const size_t at = rng.Uniform(n);

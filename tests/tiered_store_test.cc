@@ -2,7 +2,7 @@
 // and rehydration, demotion under local GC, bucket-tier retirement with
 // the manifest-first ordering contract, orphan reconciliation, and replay
 // byte-parity across engines on an aggressively demoted store. Runs under
-// the `tiered` ctest label (including the FLOR_TSAN pass in check.sh).
+// the `tiered` ctest label (including the thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 
