@@ -132,11 +132,12 @@ if [[ "${FLOR_SANITIZE:-}" == "thread" ]]; then
   echo "== ThreadSanitizer: concurrency + fork suites (${BUILD_DIR}-tsan) =="
   cmake -B "${BUILD_DIR}-tsan" -S . "${SAN_ARGS[@]}"
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" \
-        --target replay_executor_test spool_test bloom_test \
+        --target replay_executor_test spool_test bloom_test env_test \
                  process_executor_test crash_consistency_test \
                  tiered_store_test service_test server_test
   # `tsan` labels the suites exercising real threads (thread-pool replay
-  # engine, spool/shard batching); `proc` labels the fork-heavy suites
+  # engine, spool/shard batching, the background queue and a POSIX listing
+  # racing writes and deletes); `proc` labels the fork-heavy suites
   # (process replay engine, SIGKILL crash harness); `tiered` labels the
   # tiered-store suite racing bucket fault-in against local GC demotion;
   # `service` labels the Connection/Session suite racing concurrent tenant

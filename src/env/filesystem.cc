@@ -259,14 +259,19 @@ Status PosixFileSystem::DeleteFile(const std::string& path) {
 
 std::vector<std::string> PosixFileSystem::ListPrefix(
     const std::string& prefix) const {
+  // Only the directory the prefix names up to its last '/' can hold a
+  // match, so the walk starts there. `start` ends in '/', and the iterator
+  // extends it one component at a time, so every entry's path is `start`
+  // followed by its object path relative to `dir`.
+  const std::string dir = prefix.substr(0, prefix.rfind('/') + 1);
+  const std::string start = Resolve(dir);
   std::vector<std::string> out;
-  std::error_code ec;
-  for (auto it = stdfs::recursive_directory_iterator(root_, ec);
-       it != stdfs::recursive_directory_iterator(); ++it) {
-    if (!it->is_regular_file()) continue;
-    std::string rel =
-        stdfs::relative(it->path(), root_, ec).generic_string();
-    if (StartsWith(rel, prefix)) out.push_back(rel);
+  std::error_code ec, type_ec;
+  for (stdfs::recursive_directory_iterator it(start, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (!it->is_regular_file(type_ec)) continue;
+    std::string name = dir + it->path().native().substr(start.size());
+    if (StartsWith(name, prefix)) out.push_back(std::move(name));
   }
   std::sort(out.begin(), out.end());
   return out;

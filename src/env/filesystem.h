@@ -45,7 +45,10 @@ class FileSystem {
   virtual Result<uint64_t> FileSize(const std::string& path) const = 0;
   virtual Status DeleteFile(const std::string& path) = 0;
 
-  /// All object paths with the given prefix, sorted lexicographically.
+  /// All object paths with the given prefix, sorted lexicographically. A
+  /// listing costs the objects under the prefix's directory (the prefix up
+  /// to its last '/'), not the whole store, so callers scope prefixes to
+  /// the narrowest directory they need.
   virtual std::vector<std::string> ListPrefix(
       const std::string& prefix) const = 0;
 
@@ -131,7 +134,9 @@ class FaultInjectionFileSystem : public FileSystem {
 };
 
 /// Real filesystem rooted at a directory. Creates parent directories on
-/// demand; ListPrefix walks the tree under the root.
+/// demand. ListPrefix walks only the directory its prefix names, so a
+/// missing directory lists nothing; objects written or deleted during the
+/// walk may or may not be listed, and one present throughout always is.
 class PosixFileSystem : public FileSystem {
  public:
   /// `root` must name a directory; it is created if missing.

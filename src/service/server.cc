@@ -334,17 +334,14 @@ wire::Response Server::Dispatch(const wire::Request& req) {
       auto rec = session->Record(req.run, resolved->factory,
                                  resolved->record);
       if (!rec.ok()) return wire::ErrorResponse(rec.status());
-      auto prefix = session->RunPrefix(req.run);
-      if (!prefix.ok()) return wire::ErrorResponse(prefix.status());
-      const RunPaths paths(*prefix);
-      auto manifest = conn_->env()->fs()->ReadFile(paths.Manifest());
-      if (!manifest.ok()) return wire::ErrorResponse(manifest.status());
+      // The bytes the record persisted (sessions run no inline GC), not a
+      // re-read of the file the background GC may already be pruning.
       wire::RecordReply reply;
       reply.checkpoints =
           static_cast<int64_t>(rec->manifest.records.size());
       reply.runtime_seconds = rec->runtime_seconds;
       reply.admission_wait_seconds = rec->admission_wait_seconds;
-      reply.manifest = std::move(*manifest);
+      reply.manifest = rec->manifest.Serialize();
       return wire::MakeRecordReply(reply);
     }
 

@@ -1,14 +1,20 @@
-// Unit tests: clocks, filesystems, background queue, Env bundles.
+// Unit tests: clocks, filesystems (including one listing contract for the
+// in-memory and POSIX stores, and a POSIX listing racing writes and
+// deletes), background queue, Env bundles. Runs under the `tsan` ctest
+// label (including the thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "env/background_queue.h"
 #include "env/env.h"
 #include "env/scratch.h"
@@ -122,6 +128,116 @@ TEST_F(PosixFileSystemTest, RoundTripUnderTempRoot) {
   EXPECT_EQ(*fs.ReadFile("sub/dir/file.bin"), "payload!");
   ASSERT_TRUE(fs.DeleteFile("sub/dir/file.bin").ok());
   EXPECT_FALSE(fs.Exists("sub/dir/file.bin"));
+}
+
+// The objects both filesystems hold for the listing contract: two tenants
+// whose names share a prefix, a bucket mirror of one of them, checkpoint
+// shards, and names that extend a directory's name without entering it.
+const char* const kListingObjects[] = {
+    "svc/t1/r1/manifest.tsv",     "svc/t1/r1/ckpt/shard-0/e0",
+    "svc/t1/r1/ckpt/shard-1/e1",  "svc/t1/r2/manifest.tsv",
+    "svc/t10/r1/manifest.tsv",    "s3/svc/t1/r1/ckpt/shard-0/e0",
+    "run/ckpt/a",                 "run/ckpt/b",
+    "run/ckpt.txt",               "run/ckpt2/x",
+    "worker-0.result",            "worker-1.result",
+    "top",
+};
+
+struct ListingCase {
+  const char* prefix;
+  size_t listed;  // so two filesystems agreeing on a wrong answer still fail
+};
+
+const ListingCase kListingCases[] = {
+    {"", 13},
+    {"svc/t1/", 4},                 // the tenant, not t10 or the mirror
+    {"svc/t1", 5},                  // t10 extends the name
+    {"svc/t", 5},
+    {"svc/t1/r1/ckpt/shard-", 2},   // ends mid-name
+    {"run/ckpt", 4},                // the directory and its name-siblings
+    {"run/ckpt/", 2},
+    {"svc/t2/", 0},                 // a missing directory
+    {"missing/deeper/", 0},
+    {"svc/t1/r1/manifest.tsv", 1},  // an object's full path
+    {"run/ckpt.txt/", 0},           // an object named as a directory
+    {"worker-", 2},                 // no slash: the root directory
+};
+
+TEST_F(PosixFileSystemTest, ListPrefixMatchesMemFileSystem) {
+  MemFileSystem mem;
+  for (const char* path : kListingObjects)
+    ASSERT_TRUE(mem.WriteFile(path, path).ok());
+  const std::string absolute = std::filesystem::absolute(root()).string();
+  const std::string roots[] = {
+      absolute, absolute + "/",
+      std::filesystem::relative(absolute).string()};
+  for (const std::string& posix_root : roots) {
+    SCOPED_TRACE("root '" + posix_root + "'");
+    ASSERT_FALSE(posix_root.empty());
+    PosixFileSystem posix(posix_root);
+    for (const char* path : kListingObjects)
+      ASSERT_TRUE(posix.WriteFile(path, path).ok());
+    for (const ListingCase& c : kListingCases) {
+      SCOPED_TRACE(std::string("prefix '") + c.prefix + "'");
+      const std::vector<std::string> want = mem.ListPrefix(c.prefix);
+      EXPECT_EQ(want.size(), c.listed);
+      EXPECT_EQ(posix.ListPrefix(c.prefix), want);
+    }
+  }
+}
+
+TEST_F(PosixFileSystemTest, ListingRacesWritesAndDeletes) {
+  // The service lists a tenant while the GC worker deletes and the spooler
+  // writes. Objects that churn during a walk may or may not show up; the
+  // stable ones present throughout always do, and nothing outside the
+  // prefix ever does.
+  PosixFileSystem fs(root());
+  const std::string prefix = "svc/t0/";
+  std::vector<std::string> stable;
+  for (int i = 0; i < 8; ++i) {
+    stable.push_back(StrCat(prefix, "r", i, "/manifest.tsv"));
+    ASSERT_TRUE(fs.WriteFile(stable.back(), "m").ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};
+  std::thread churn([&] {
+    for (int round = 0; !stop.load(); ++round) {
+      for (const char* tenant : {"svc/t0/", "svc/t00/"}) {
+        // Inside the stable runs' directories and beside them.
+        const std::string path =
+            StrCat(tenant, "r", round % 12, "/ckpt/e", round % 3);
+        EXPECT_TRUE(fs.WriteFile(path, "a").ok()) << path;
+        EXPECT_TRUE(fs.WriteFile(path, "bb").ok()) << path;
+        if (round % 2 == 1) {
+          EXPECT_TRUE(fs.DeleteFile(path).ok()) << path;
+        }
+      }
+      rounds.store(round + 1);
+    }
+  });
+  // The first broken promise of one listing, or "".
+  auto violation = [&](const std::vector<std::string>& listed) {
+    if (!std::is_sorted(listed.begin(), listed.end()))
+      return std::string("unsorted");
+    for (const std::string& path : listed) {
+      if (!StartsWith(path, prefix)) return StrCat("outside prefix: ", path);
+    }
+    for (const std::string& path : stable) {
+      if (!std::binary_search(listed.begin(), listed.end(), path))
+        return StrCat("missing: ", path);
+    }
+    return std::string();
+  };
+  while (rounds.load() == 0) std::this_thread::yield();
+  std::string failure;
+  int listings = 0;
+  for (; failure.empty() && (listings < 100 || rounds.load() < 100);
+       ++listings) {
+    failure = violation(fs.ListPrefix(prefix));
+  }
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(failure, "") << "listing " << listings;
 }
 
 TEST(BackgroundQueue, RunsJobsAndDrains) {

@@ -3,10 +3,11 @@
 // tampered requests always decode as Corruption, never crash), reply
 // structs with bit-exact doubles, byte-identity of the socket path
 // against in-process Session calls (record manifests, query listings,
-// merged replay logs on all three engines), typed semantic errors that
-// keep the connection usable, corrupt-message hangups, the graceful
-// drain refusal, and TCP loopback. Runs under the `server` ctest label
-// (including the thread-sanitizer pass in check.sh).
+// merged replay logs on all three engines), record replies that carry the
+// recorded manifest while background GC prunes the file, typed semantic
+// errors that keep the connection usable, corrupt-message hangups, the
+// graceful drain refusal, and TCP loopback. Runs under the `server` ctest
+// label (including the thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
 
@@ -500,6 +501,74 @@ TEST_F(ServerTest, SocketRoundTripMatchesInProcessSession) {
   EXPECT_EQ(stats.requests_served, 7);  // record + query + 2 exists + 3 replays
   EXPECT_EQ(stats.corrupt_messages, 0);
   EXPECT_EQ(stats.unavailable_refusals, 0);
+}
+
+TEST_F(ServerTest, RecordReplyCarriesTheRecordedManifestUnderGc) {
+  // Keep-last-1 with no bucket: right after each record returns, the
+  // connection's GC worker prunes the run's manifest file. The reply must
+  // still carry the manifest as recorded, the same bytes an in-process
+  // record of the same program returns.
+  const WorkloadProfile profile = ServerProfile();
+  ConnectionOptions copts = ServerConnectionOptions(profile);
+  copts.tier.bucket_prefix.clear();
+  copts.gc.keep_last_k = 1;
+
+  MemFileSystem fs_direct;
+  Env env_direct = testutil::MakeSimEnv(&fs_direct);
+  auto direct_conn = Connection::Open(&env_direct, copts);
+  ASSERT_TRUE(direct_conn.ok()) << direct_conn.status().ToString();
+  auto direct_session = (*direct_conn)->OpenSession("alice");
+  ASSERT_TRUE(direct_session.ok());
+
+  MemFileSystem fs_srv;
+  Env env_srv = testutil::MakeSimEnv(&fs_srv);
+  auto conn = Connection::Open(&env_srv, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ServerOptions sopts;
+  sopts.unix_path = SocketPath();
+  sopts.resolve_workload = ServerResolver(profile);
+  auto server = Server::Start(conn->get(), sopts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = WireClient::ConnectUnix((*server)->unix_path());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  std::map<std::string, int64_t> recorded;  // run -> reply checkpoints
+  for (int i = 0; i < 6; ++i) {
+    const std::string run = StrCat("r", i);
+    SCOPED_TRACE(run);
+    auto direct_rec =
+        (*direct_session)
+            ->Record(run, MakeWorkloadFactory(profile, kProbeNone),
+                     ServerRecordOptions(profile));
+    ASSERT_TRUE(direct_rec.ok()) << direct_rec.status().ToString();
+
+    wire::Request req;
+    req.op = "record";
+    req.tenant = "alice";
+    req.run = run;
+    req.workload = "svc";
+    auto res = client->Call(req);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    auto reply = wire::ParseRecordReply(*res);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto manifest = Manifest::Deserialize(reply->manifest);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(manifest->records.size()),
+              reply->checkpoints);
+    EXPECT_EQ(reply->manifest, direct_rec->manifest.Serialize());
+    recorded[run] = reply->checkpoints;
+  }
+
+  // The GC did prune every stored manifest below what its reply carried.
+  (*conn)->DrainBackground();
+  for (const auto& [run, checkpoints] : recorded) {
+    auto stored = fs_srv.ReadFile(RunPaths("svc/alice/" + run).Manifest());
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    auto pruned = Manifest::Deserialize(*stored);
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    EXPECT_LT(static_cast<int64_t>(pruned->records.size()), checkpoints)
+        << run;
+  }
 }
 
 TEST_F(ServerTest, TypedErrorsKeepTheConnectionUsable) {

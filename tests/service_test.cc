@@ -6,9 +6,10 @@
 // accounting, namespace validation, the options-dedup static guards, and
 // the pinned process-worker wire format — plus the fair-admission gate
 // (per-tenant quotas, starved-wait histogram), per-tenant stats slices,
-// the tenant-attributed GC failure ring, and graceful drain via
-// Connection::Close. Runs under the `service` ctest label (including the
-// thread-sanitizer pass in check.sh).
+// the tenant-attributed GC failure ring, graceful drain via
+// Connection::Close, and a two-tenant query on a real POSIX store. Runs
+// under the `service` ctest label (including the thread-sanitizer pass in
+// check.sh).
 
 #include <gtest/gtest.h>
 
@@ -247,6 +248,72 @@ TEST(ServiceTest, TenantsAreInvisibleToEachOtherThroughEveryTier) {
   EXPECT_FALSE(escape.ok());
   EXPECT_TRUE(escape.status().code() == StatusCode::kInvalidArgument)
       << escape.status().ToString();
+}
+
+/// Records runs "a" and "b" for tenants t1 and t10 on a connection over
+/// `fs` with the hindsight benchmark's service shape (bucket mirror, bloom
+/// filters, keep-last-1 demotion), drains background work, and stores each
+/// tenant's query listing in `runs`.
+void RecordAndQueryTwoTenants(
+    FileSystem* fs, std::map<std::string, std::vector<RunInfo>>* runs) {
+  const WorkloadProfile profile = ServiceProfile(/*epochs=*/4);
+  Env env = testutil::MakeSimEnv(fs);
+  ConnectionOptions copts = TieredConnectionOptions(profile);
+  copts.tier.bloom_filter = true;
+  copts.gc.keep_last_k = 1;
+  auto conn = Connection::Open(&env, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const SessionRecordOptions sropts =
+      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+  std::map<std::string, std::unique_ptr<Session>> sessions;
+  for (const char* tenant : {"t1", "t10"}) {
+    auto session = (*conn)->OpenSession(tenant);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (const char* run : {"a", "b"}) {
+      auto rec = (*session)->Record(
+          run, MakeWorkloadFactory(profile, kProbeNone), sropts);
+      ASSERT_TRUE(rec.ok()) << tenant << "/" << run << ": "
+                            << rec.status().ToString();
+    }
+    sessions[tenant] = std::move(*session);
+  }
+  (*conn)->DrainBackground();
+  for (const auto& [tenant, session] : sessions) {
+    auto listed = session->Query();
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    (*runs)[tenant] = std::move(*listed);
+  }
+}
+
+using ServicePosixTest = testutil::ScratchDirTest;
+
+TEST_F(ServicePosixTest, TenantQueryOnPosixStoreMatchesMemFileSystem) {
+  // The benchmark's query path on a real store, where a listing walks
+  // directories: t10's name extends t1's and the bucket mirror holds
+  // copies of both, yet each tenant's query lists exactly its own runs.
+  std::map<std::string, std::vector<RunInfo>> mem_runs, posix_runs;
+  MemFileSystem mem;
+  ASSERT_NO_FATAL_FAILURE(RecordAndQueryTwoTenants(&mem, &mem_runs));
+  PosixFileSystem posix(root());
+  ASSERT_NO_FATAL_FAILURE(RecordAndQueryTwoTenants(&posix, &posix_runs));
+  ASSERT_FALSE(posix.ListPrefix("s3/svc/t10/").empty());
+
+  for (const char* tenant : {"t1", "t10"}) {
+    SCOPED_TRACE(tenant);
+    const std::vector<RunInfo>& want = mem_runs[tenant];
+    const std::vector<RunInfo>& got = posix_runs[tenant];
+    ASSERT_EQ(want.size(), 2u);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].prefix,
+                StrCat("svc/", tenant, "/", i == 0 ? "a" : "b"));
+      EXPECT_EQ(got[i].prefix, want[i].prefix);
+      EXPECT_EQ(got[i].workload, want[i].workload);
+      EXPECT_EQ(got[i].checkpoints, want[i].checkpoints);
+      EXPECT_GT(got[i].checkpoints, 0);
+    }
+  }
 }
 
 TEST(ServiceTest, AdmissionControlBoundsConcurrentRecorders) {
