@@ -133,8 +133,7 @@ int main() {
       if (bucket_k > 0) {
         BucketGcPolicy bpolicy;
         bpolicy.keep_last_k = bucket_k;
-        auto pruned = RetireBucketRun(&fs, "run/manifest.tsv", "run/ckpt",
-                                      "s3", bpolicy);
+        auto pruned = RetireBucketRun(&fs, "run", "s3", bpolicy);
         FLOR_CHECK(pruned.ok()) << pruned.status().ToString();
         FLOR_CHECK(pruned->ok());
       }

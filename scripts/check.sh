@@ -63,19 +63,24 @@ if grep -nE 'mt19937[^;]*[({][0-9]|(^|[^A-Za-z_])Rng *[({] *[0-9]|Rng +[A-Za-z_0
   exit 1
 fi
 
-echo "== service-layer construction lint =="
-# The Connection/Session front-end owns store and spooler construction:
-# CheckpointStore::Open is the one sanctioned way to build a store, and the
-# only SpoolQueue constructions live in the service layer, the record
-# session (private per-run spooler), and the spool subsystem itself.
-# Direct construction anywhere else bypasses the connection's tier
-# configuration (bucket + bloom) and its shared-spooler accounting.
-LINT_ALLOW='src/checkpoint/store\.(h|cc)|src/checkpoint/spool\.(h|cc)|src/service/connection\.cc|src/flor/record\.cc'
-if grep -rnE 'make_unique<CheckpointStore>|new CheckpointStore|CheckpointStore [a-z_]+\(|make_unique<SpoolQueue>|new SpoolQueue|SpoolQueue [a-z_]+\(' \
-        src/ | grep -vE "^(${LINT_ALLOW}):"; then
-  echo "error: direct CheckpointStore/SpoolQueue construction outside the" >&2
-  echo "service layer — open stores via CheckpointStore::Open (tier-aware)" >&2
-  echo "or go through flor::Connection (src/service/service.h)" >&2
+echo "== construction lint =="
+# A store's tier (bucket + bloom) is fixed when it is built, so
+# CheckpointStore::Open is the one sanctioned way to build a store: direct
+# construction anywhere else in src/ would bypass the tier configuration.
+# SpoolQueue constructions live only in the service layer (the connection's
+# shared spooler), the record session (the private per-run spooler of a
+# session without a shared one) and the spool subsystem itself; any other
+# would bypass the shared-spooler accounting.
+if grep -rnE 'make_unique<CheckpointStore>|new CheckpointStore|CheckpointStore [a-z_]+\(' \
+        src/ | grep -vE '^src/checkpoint/store\.(h|cc):'; then
+  echo "error: direct CheckpointStore construction in src/ — build stores" >&2
+  echo "via CheckpointStore::Open, or open a finished run via OpenRun" >&2
+  exit 1
+fi
+if grep -rnE 'make_unique<SpoolQueue>|new SpoolQueue|SpoolQueue [a-z_]+\(' \
+        src/ | grep -vE '^(src/checkpoint/spool\.(h|cc)|src/service/connection\.cc|src/flor/record\.cc):'; then
+  echo "error: direct SpoolQueue construction outside the service layer —" >&2
+  echo "go through flor::Connection (src/service/service.h)" >&2
   exit 1
 fi
 

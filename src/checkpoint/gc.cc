@@ -75,24 +75,13 @@ void CountDelete(const Status& s, const CheckpointRecord& rec,
   }
 }
 
-/// A finished run's manifest and its store, opened the way every
-/// between-sessions maintenance entry point needs them.
-struct OpenedRun {
-  Manifest manifest;
-  std::unique_ptr<CheckpointStore> store;
-};
-
-Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& manifest_path,
-                          const std::string& ckpt_prefix,
-                          const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(manifest_path));
-  OpenedRun run;
-  FLOR_ASSIGN_OR_RETURN(run.manifest, Manifest::Deserialize(manifest_bytes));
+/// Opens a finished run for a between-sessions maintenance pass: the
+/// bucket tier (when named) is what makes the pass tiered.
+Result<OpenedRun> OpenRunForGc(FileSystem* fs, const std::string& run_prefix,
+                               const std::string& bucket_prefix) {
   TierOptions tier;
   tier.bucket_prefix = bucket_prefix;
-  run.store = CheckpointStore::Open(fs, ckpt_prefix, tier, &run.manifest);
-  return run;
+  return OpenRun(fs, run_prefix, tier);
 }
 
 }  // namespace
@@ -272,33 +261,29 @@ ReconcileReport ReconcileOrphans(CheckpointStore* store,
   return report;
 }
 
-Result<GcReport> RetireRun(FileSystem* fs, const std::string& manifest_path,
-                           const std::string& ckpt_prefix,
+Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
                            const GcPolicy& policy,
                            const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
-                                               ckpt_prefix, bucket_prefix));
-  return RetireCheckpoints(run.store.get(), &run.manifest, manifest_path,
-                           policy);
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
+                        OpenRunForGc(fs, run_prefix, bucket_prefix));
+  return RetireCheckpoints(run.store.get(), &run.manifest,
+                           RunPaths(run_prefix).Manifest(), policy);
 }
 
-Result<GcReport> RetireBucketRun(FileSystem* fs,
-                                 const std::string& manifest_path,
-                                 const std::string& ckpt_prefix,
+Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
                                  const std::string& bucket_prefix,
                                  const BucketGcPolicy& policy) {
-  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
-                                               ckpt_prefix, bucket_prefix));
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
+                        OpenRunForGc(fs, run_prefix, bucket_prefix));
   return RetireBucketCheckpoints(run.store.get(), &run.manifest,
-                                 manifest_path, policy);
+                                 RunPaths(run_prefix).Manifest(), policy);
 }
 
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
-                                     const std::string& manifest_path,
-                                     const std::string& ckpt_prefix,
+                                     const std::string& run_prefix,
                                      const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(OpenedRun run, OpenRun(fs, manifest_path,
-                                               ckpt_prefix, bucket_prefix));
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
+                        OpenRunForGc(fs, run_prefix, bucket_prefix));
   return ReconcileOrphans(run.store.get(), run.manifest);
 }
 

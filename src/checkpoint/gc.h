@@ -219,28 +219,23 @@ Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
 ReconcileReport ReconcileOrphans(CheckpointStore* store,
                                  const Manifest& manifest);
 
-/// Convenience: loads the manifest at `manifest_path` from `fs`, opens the
-/// store at `ckpt_prefix` with the manifest's recorded shard count
-/// (attaching `bucket_prefix` when non-empty, which makes the pass a
-/// demotion), and retires. (The run-prefix → path layout lives with the
-/// record session; this layer takes the paths explicitly.)
-Result<GcReport> RetireRun(FileSystem* fs, const std::string& manifest_path,
-                           const std::string& ckpt_prefix,
+/// Convenience: opens the run at `run_prefix` (OpenRun: its manifest, and
+/// its store with the manifest's shard count and, when `bucket_prefix` is
+/// non-empty, that bucket tier, which makes the pass a demotion) and
+/// retires.
+Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
                            const GcPolicy& policy,
                            const std::string& bucket_prefix = "");
 
 /// Convenience wrapper for RetireBucketCheckpoints, mirroring RetireRun.
-Result<GcReport> RetireBucketRun(FileSystem* fs,
-                                 const std::string& manifest_path,
-                                 const std::string& ckpt_prefix,
+Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
                                  const std::string& bucket_prefix,
                                  const BucketGcPolicy& policy);
 
 /// Convenience wrapper for ReconcileOrphans, mirroring RetireRun. Empty
 /// `bucket_prefix` sweeps the local tier only.
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
-                                     const std::string& manifest_path,
-                                     const std::string& ckpt_prefix,
+                                     const std::string& run_prefix,
                                      const std::string& bucket_prefix = "");
 
 }  // namespace flor

@@ -141,23 +141,27 @@ std::unique_ptr<CheckpointStore> CheckpointStore::Open(
     const Manifest* manifest, int num_shards) {
   const int shards = manifest != nullptr ? manifest->shard_count : num_shards;
   auto store = std::make_unique<CheckpointStore>(fs, prefix, shards);
-  if (!tier.bucket_prefix.empty())
-    store->AttachBucket(tier.bucket_prefix, tier.bucket_rehydrate);
-  if (tier.bloom_filter) {
-    // Size each shard's filter for the run's manifest and seed it from the
-    // same records replay plans against — the rebuild-on-open story. With
-    // no manifest yet (a run still being written) the default sizing
-    // applies and PutBytes populates the filter as objects land.
-    BloomOptions bloom;
-    bloom.target_fpr = tier.bloom_target_fpr;
-    if (manifest != nullptr) {
-      bloom.expected_keys_per_shard = std::max<int64_t>(
-          64, static_cast<int64_t>(manifest->records.size()) /
-                      std::max(manifest->shard_count, 1) +
-              1);
-    }
-    store->EnableBloom(bloom);
-    if (manifest != nullptr) store->SeedBloomFromManifest(*manifest);
+  store->bucket_prefix_ = tier.bucket_prefix;
+  store->rehydrate_on_fault_ = tier.bucket_rehydrate;
+  if (!tier.bloom_filter) return store;
+  // Seed from the same records replay plans against — the rebuild-on-open
+  // story. A run still being written has no manifest yet: PutBytes
+  // populates its filters as objects land.
+  const int64_t keys_per_shard =
+      manifest == nullptr
+          ? 4096
+          : std::max<int64_t>(
+                64, static_cast<int64_t>(manifest->records.size()) /
+                            store->num_shards() +
+                        1);
+  for (int s = 0; s < store->num_shards(); ++s) {
+    store->filters_.push_back(std::make_unique<BloomFilter>(
+        keys_per_shard, tier.bloom_target_fpr));
+  }
+  if (manifest != nullptr) {
+    for (const auto& rec : manifest->records)
+      store->filters_[static_cast<size_t>(store->ShardOf(rec.key))]->Add(
+          rec.key.ToString());
   }
   return store;
 }
@@ -178,23 +182,6 @@ Status CheckpointStore::PutBytes(const CheckpointKey& key,
   return Status::OK();
 }
 
-void CheckpointStore::EnableBloom(const BloomOptions& options) {
-  filters_.clear();
-  filters_.reserve(static_cast<size_t>(router_.num_shards()));
-  for (int s = 0; s < router_.num_shards(); ++s) {
-    filters_.push_back(std::make_unique<BloomFilter>(
-        options.expected_keys_per_shard, options.target_fpr));
-  }
-}
-
-void CheckpointStore::SeedBloomFromManifest(const Manifest& manifest) {
-  if (!bloom_enabled()) return;
-  for (const auto& rec : manifest.records) {
-    filters_[static_cast<size_t>(router_.ShardOf(rec.key))]->Add(
-        rec.key.ToString());
-  }
-}
-
 bool CheckpointStore::BloomRulesAbsent(const CheckpointKey& key) const {
   if (!bloom_enabled()) return false;
   if (filters_[static_cast<size_t>(router_.ShardOf(key))]->MayContain(
@@ -203,12 +190,6 @@ bool CheckpointStore::BloomRulesAbsent(const CheckpointKey& key) const {
   }
   bloom_skipped_probes_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void CheckpointStore::AttachBucket(std::string bucket_prefix,
-                                   bool rehydrate_on_fault) {
-  bucket_prefix_ = std::move(bucket_prefix);
-  rehydrate_on_fault_ = rehydrate_on_fault;
 }
 
 Result<std::string> CheckpointStore::GetBytes(const CheckpointKey& key,
@@ -326,6 +307,22 @@ TierStats CheckpointStore::tier_stats() const {
   stats.bloom_false_positives =
       bloom_false_positives_.load(std::memory_order_relaxed);
   return stats;
+}
+
+Result<Manifest> ReadManifest(const FileSystem* fs,
+                              const std::string& run_prefix) {
+  FLOR_ASSIGN_OR_RETURN(std::string bytes,
+                        fs->ReadFile(RunPaths(run_prefix).Manifest()));
+  return Manifest::Deserialize(bytes);
+}
+
+Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& run_prefix,
+                          const TierOptions& tier) {
+  OpenedRun run;
+  FLOR_ASSIGN_OR_RETURN(run.manifest, ReadManifest(fs, run_prefix));
+  run.store = CheckpointStore::Open(fs, RunPaths(run_prefix).CkptPrefix(),
+                                    tier, &run.manifest);
+  return run;
 }
 
 }  // namespace flor

@@ -1,4 +1,4 @@
-// Checkpoint store and record manifest.
+// Checkpoint store, record manifest, and the layout of a recorded run.
 //
 // The store is a facade over per-shard object stores: a ShardRouter places
 // each checkpoint key deterministically on one of N shard prefixes, and
@@ -6,10 +6,20 @@
 // background materializer and multi-worker replay engines stop contending
 // on one namespace. A single-shard store (the default) lays objects out
 // exactly like the pre-sharding flat namespace, so old record runs keep
-// replaying. The manifest is the record-session index replay needs: which
-// loop executions have checkpoints, their sizes and shard placement, and
-// the adaptive controller's bookkeeping (execution counts, refined c
-// estimate).
+// replaying. A store's read tier (bucket fall-through, bloom filters) is
+// fixed when it is built (CheckpointStore::Open). The manifest is the
+// record-session index replay needs: which loop executions have
+// checkpoints, their sizes and shard placement, and the adaptive
+// controller's bookkeeping (execution counts, refined c estimate).
+//
+// A record run lives under a filesystem prefix (RunPaths):
+//   <prefix>/source.py     rendered program source (probe-diff baseline)
+//   <prefix>/logs.tsv      record log stream
+//   <prefix>/manifest.tsv  checkpoint index + adaptive stats
+//   <prefix>/ckpt/...      Loop End Checkpoints
+// Every reader of a finished run goes through ReadManifest or OpenRun, so
+// replay workers, the planner, retention and the service all see the
+// manifest and the tiered store that record wrote.
 
 #ifndef FLOR_CHECKPOINT_STORE_H_
 #define FLOR_CHECKPOINT_STORE_H_
@@ -77,6 +87,18 @@ struct Manifest {
   static Result<Manifest> Deserialize(const std::string& data);
 };
 
+/// Path helpers for a record run rooted at `prefix`.
+struct RunPaths {
+  std::string prefix;
+
+  explicit RunPaths(std::string p) : prefix(std::move(p)) {}
+
+  std::string Source() const { return prefix + "/source.py"; }
+  std::string Logs() const { return prefix + "/logs.tsv"; }
+  std::string Manifest() const { return prefix + "/manifest.tsv"; }
+  std::string CkptPrefix() const { return prefix + "/ckpt"; }
+};
+
 /// Per-shard write accounting (objects/bytes that went through PutBytes).
 struct ShardWriteStats {
   int64_t objects = 0;
@@ -118,15 +140,6 @@ struct TierOptions {
   double bloom_target_fpr = 0.01;
 };
 
-/// Sizing knobs for the store's per-shard bloom filters (EnableBloom).
-struct BloomOptions {
-  /// Expected live keys per shard; the filter degrades (higher FPR, never
-  /// false negatives) past this load.
-  int64_t expected_keys_per_shard = 4096;
-  /// Target false-positive rate at the expected load.
-  double target_fpr = 0.01;
-};
-
 /// Filesystem-backed checkpoint storage: a facade routing each key onto one
 /// of `num_shards` per-shard stores under a common prefix, with an optional
 /// read-through bucket tier mirroring the same shard layout (the mirror
@@ -140,53 +153,40 @@ struct BloomOptions {
 /// writer lock, like any other write.
 class CheckpointStore {
  public:
-  /// Does not own `fs`. Typical prefix: "run1/ckpt". `num_shards` == 1
-  /// reproduces the legacy flat layout.
+  /// A local-tier store: no bucket, no bloom filters. Does not own `fs`.
+  /// Typical prefix: "run1/ckpt". `num_shards` == 1 reproduces the legacy
+  /// flat layout.
   CheckpointStore(FileSystem* fs, std::string prefix, int num_shards = 1);
 
-  /// The sanctioned way to open a store: one call that applies the whole
-  /// tier configuration — shard count from `manifest` when provided (so the
-  /// layout always matches what record wrote), bucket attached, bloom
-  /// filters sized for the manifest's record count and seeded from it.
-  /// Replay sessions, GC passes, and the service Connection all open
-  /// stores through here; scripts/check.sh lints src/ against direct
-  /// construction so new code cannot drift from the tier configuration.
-  /// `num_shards` is only consulted when `manifest` is null (a store for a
-  /// run still being written).
+  /// The sanctioned way to build a store: its whole read tier is fixed
+  /// here and never changes afterwards.
+  ///   * Shard count from `manifest` when provided, so the layout always
+  ///     matches what record wrote; `num_shards` is only consulted when
+  ///     `manifest` is null (a store for a run still being written).
+  ///   * With tier.bucket_prefix set, reads that miss locally fall through
+  ///     to the mirror of this store's layout under that prefix (objects
+  ///     live at JoinObjectPath(bucket_prefix, PathFor(key))). With
+  ///     tier.bucket_rehydrate, a bucket read is written back to the local
+  ///     shard under its writer lock; a write-back racing local GC merely
+  ///     resurrects an orphan, which the reconciliation sweep reclaims.
+  ///   * With tier.bloom_filter, one filter per shard lets Exists and
+  ///     Get/GetBytes answer definite-miss without probing any tier. Each
+  ///     filter is sized for the manifest's records per shard (at least
+  ///     64 keys; 4096 without a manifest) and seeded from them, because
+  ///     the filter is in-memory only; PutBytes adds the keys it writes.
+  ///     Deletes leave bits set, so a deleted key degrades to a (counted)
+  ///     false positive, never a false negative.
+  /// scripts/check.sh lints src/ against direct construction so new code
+  /// cannot drift from the tier configuration.
   static std::unique_ptr<CheckpointStore> Open(FileSystem* fs,
                                                const std::string& prefix,
                                                const TierOptions& tier,
                                                const Manifest* manifest,
                                                int num_shards = 1);
 
-  /// Attaches the bucket tier: reads that miss locally fall through to the
-  /// mirror of this store's layout under `bucket_prefix` (objects live at
-  /// JoinObjectPath(bucket_prefix, PathFor(key))). With
-  /// `rehydrate_on_fault`, a successful bucket read is written back to the
-  /// local shard under its writer lock so repeated restores stay fast; a
-  /// write-back racing local GC merely resurrects an orphan, which the
-  /// reconciliation sweep reclaims. Empty `bucket_prefix` detaches.
-  void AttachBucket(std::string bucket_prefix, bool rehydrate_on_fault =
-                                                   true);
   bool has_bucket() const { return !bucket_prefix_.empty(); }
   const std::string& bucket_prefix() const { return bucket_prefix_; }
-
-  /// Attaches one bloom filter per shard (sized by `options`) so Exists and
-  /// Get/GetBytes answer definite-miss without probing any tier. Keys
-  /// written through PutBytes are added automatically; keys that already
-  /// exist (a store opened over a finished record run) must be seeded with
-  /// SeedBloomFromManifest or the filter would wrongly rule them absent.
-  /// Deletes leave filter bits set — the filter tracks a superset of live
-  /// keys, so a deleted key degrades to a (counted) false positive, never a
-  /// false negative. Call before concurrent use, like AttachBucket.
-  void EnableBloom(const BloomOptions& options = BloomOptions());
   bool bloom_enabled() const { return !filters_.empty(); }
-
-  /// Adds every manifest record's key to its shard's filter (requires
-  /// EnableBloom). Rebuilding from the manifest is the recovery story: the
-  /// filter is in-memory only, so a store opened on an existing run seeds
-  /// from the same index replay plans from.
-  void SeedBloomFromManifest(const Manifest& manifest);
 
   /// Writes encoded checkpoint bytes for `key` on its shard.
   Status PutBytes(const CheckpointKey& key, const std::string& bytes);
@@ -282,13 +282,31 @@ class CheckpointStore {
   mutable std::atomic<int64_t> rehydrated_objects_{0};
   mutable std::atomic<int64_t> rehydrate_failures_{0};
 
-  /// Per-shard bloom filters; empty when EnableBloom was never called.
+  /// Per-shard bloom filters; empty unless the tier enabled them.
   /// Filter bits are internally atomic, so the lock-free read path stays
   /// lock-free.
   std::vector<std::unique_ptr<BloomFilter>> filters_;
   mutable std::atomic<int64_t> bloom_skipped_probes_{0};
   mutable std::atomic<int64_t> bloom_false_positives_{0};
 };
+
+/// Reads and parses the manifest of the run at `run_prefix`: NotFound when
+/// the run has none, Corruption when it does not parse.
+Result<Manifest> ReadManifest(const FileSystem* fs,
+                              const std::string& run_prefix);
+
+/// A finished run opened for reading: its manifest and the store over its
+/// checkpoints, built with the manifest's shard layout.
+struct OpenedRun {
+  Manifest manifest;
+  std::unique_ptr<CheckpointStore> store;
+};
+
+/// Reads the manifest of the run at `run_prefix` (ReadManifest's errors),
+/// then opens its checkpoint store through CheckpointStore::Open with
+/// `tier`. Every store over a finished run comes from here.
+Result<OpenedRun> OpenRun(FileSystem* fs, const std::string& run_prefix,
+                          const TierOptions& tier);
 
 }  // namespace flor
 

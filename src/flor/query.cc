@@ -4,7 +4,6 @@
 
 #include "checkpoint/store.h"
 #include "common/strings.h"
-#include "flor/skipblock.h"
 
 namespace flor {
 
@@ -16,8 +15,7 @@ Result<std::vector<RunInfo>> ListRuns(const FileSystem* fs,
     if (!EndsWith(path, "/manifest.tsv")) continue;
     RunInfo info;
     info.prefix = path.substr(0, path.size() - strlen("/manifest.tsv"));
-    FLOR_ASSIGN_OR_RETURN(std::string bytes, fs->ReadFile(path));
-    FLOR_ASSIGN_OR_RETURN(Manifest manifest, Manifest::Deserialize(bytes));
+    FLOR_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(fs, info.prefix));
     info.workload = manifest.workload;
     info.record_runtime_seconds = manifest.record_runtime_seconds;
     info.checkpoints = static_cast<int64_t>(manifest.records.size());

@@ -11,14 +11,12 @@ RecordSession::RecordSession(Env* env, RecordOptions options)
   // The spool mirror doubles as the store's bucket tier: end-of-run GC
   // then demotes (deletes local copies, keeps the manifest) instead of
   // retiring outright, and replay configured with the same bucket prefix
-  // faults demoted checkpoints back in. Constructed directly (not via
-  // CheckpointStore::Open) on purpose: this ctor is on the measured record
-  // hot path (bench_table4_storage) and the direct form keeps the
-  // construction inline; it is allowlisted in check.sh's construction lint.
-  store_ = std::make_unique<CheckpointStore>(env_->fs(), paths_.CkptPrefix(),
-                                             options_.ckpt_shards);
+  // faults demoted checkpoints back in.
+  TierOptions tier;
+  tier.bucket_prefix = options_.spool_prefix;
+  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), tier,
+                                 nullptr, options_.ckpt_shards);
   if (!options_.spool_prefix.empty()) {
-    store_->AttachBucket(options_.spool_prefix);
     // Spool-as-you-materialize: the materializer hands each durably stored
     // checkpoint to the spooler's shard-local batch. In wall mode this
     // runs on the materializer's worker thread, and a full spool queue

@@ -31,15 +31,13 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   probed_transitive_ =
       TransitivelyProbedLoops(*current_program, result.probes);
 
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        env_->fs()->ReadFile(paths_.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(manifest_, Manifest::Deserialize(manifest_bytes));
-  // The manifest decides the shard layout; Open applies the whole tier
-  // configuration (bucket attach, bloom sizing + manifest seeding) in one
-  // place shared with GC and the service Connection.
-  store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(),
-                                 options_.tier, &manifest_);
-  for (const auto& rec : manifest_.records)
+  // The manifest decides the shard layout; OpenRun builds the store with
+  // the whole tier (bucket, bloom sized and seeded from the manifest), the
+  // same way GC and the service Connection open a finished run.
+  FLOR_ASSIGN_OR_RETURN(run_,
+                        OpenRun(env_->fs(), options_.run_prefix,
+                                options_.tier));
+  for (const auto& rec : run_.manifest.records)
     records_by_key_[rec.key.ToString()] = &rec;
 
   FLOR_ASSIGN_OR_RETURN(std::string log_bytes,
@@ -52,7 +50,7 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   FLOR_RETURN_IF_ERROR(interp.Run(current_program, frame));
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
 
-  result.bloom_skipped_probes = store_->tier_stats().bloom_skipped_probes;
+  result.bloom_skipped_probes = run_.store->tier_stats().bloom_skipped_probes;
   result.restore_seconds = result_->restore_seconds;
   result.observed_c =
       restore_ratio_count_ > 0
@@ -85,7 +83,7 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
       << "RestoreSkipBlock outside a live ReplaySession::Run";
   bool from_bucket = false;
   FLOR_ASSIGN_OR_RETURN(NamedSnapshots snaps,
-                        store_->Get(key, &from_bucket));
+                        run_.store->Get(key, &from_bucket));
   if (from_bucket) ++result_->bucket_faults;
   for (const auto& [name, snap] : snaps) {
     if (!frame->Has(name)) {
@@ -161,7 +159,7 @@ Status ReplaySession::OnSkipBlockExit(ir::Loop*, const std::string&,
 Result<std::optional<exec::MainLoopPlan>> ReplaySession::PlanMainLoop(
     ir::Loop*, int64_t trip_count, exec::Frame*) {
   const std::vector<int64_t> boundaries =
-      CheckpointBoundaryEpochs(program_, manifest_);
+      CheckpointBoundaryEpochs(program_, run_.manifest);
 
   if (!options_.sample_epochs.empty()) {
     FLOR_ASSIGN_OR_RETURN(

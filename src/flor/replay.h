@@ -115,14 +115,13 @@ class ReplaySession : public exec::ExecHooks {
   Env* env_;
   ReplayOptions options_;
   RunPaths paths_;
-  /// Created in Run(), after the manifest is read: the manifest's shard
-  /// count decides the store layout, so replay reads are shard-aware
-  /// without probing (and pre-sharding runs keep replaying as 1 shard).
-  std::unique_ptr<CheckpointStore> store_;
+  /// Opened in Run(): the manifest's shard count decides the store layout,
+  /// so replay reads are shard-aware without probing (and pre-sharding
+  /// runs keep replaying as 1 shard).
+  OpenedRun run_;
 
   ir::Program* program_ = nullptr;
   exec::LogStream record_logs_;
-  Manifest manifest_;
   std::map<std::string, const CheckpointRecord*> records_by_key_;
   std::set<int32_t> probed_transitive_;
   ReplayResult* result_ = nullptr;  // live during Run

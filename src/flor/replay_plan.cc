@@ -47,11 +47,8 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
   const int64_t epochs = main_loop->iter().fixed_count;
   if (epochs < 0) return options.num_workers;  // dynamic trip count
 
-  RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(paths.Manifest()));
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+                        ReadManifest(fs, options.run_prefix));
   const std::vector<int64_t> boundaries =
       CheckpointBoundaryEpochs(instance.program.get(), manifest);
   FLOR_ASSIGN_OR_RETURN(PartitionPlan plan,
@@ -74,11 +71,8 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
         "is made at run time and cannot be pinned ahead of a GC");
   }
 
-  RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        fs->ReadFile(paths.Manifest()));
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+                        ReadManifest(fs, options.run_prefix));
   const std::vector<int64_t> boundaries =
       CheckpointBoundaryEpochs(instance.program.get(), manifest);
 

@@ -43,11 +43,8 @@ Result<SearchResult> SearchReplay(Env* env, const ProgramFactory& factory,
                                   const EpochPredicate& predicate,
                                   const SearchOptions& options) {
   // Discover the epoch count from the recorded manifest's loop executions.
-  RunPaths paths(options.run_prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        env->fs()->ReadFile(paths.Manifest()));
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
+                        ReadManifest(env->fs(), options.run_prefix));
   int64_t epochs = 0;
   for (const auto& [loop_id, ni] : manifest.loop_executions)
     epochs = std::max(epochs, ni);

@@ -1,10 +1,5 @@
-// Shared record/replay run layout and SkipBlock bookkeeping types.
-//
-// A record run lives under a filesystem prefix:
-//   <prefix>/source.py     rendered program source (probe-diff baseline)
-//   <prefix>/logs.tsv      record log stream
-//   <prefix>/manifest.tsv  checkpoint index + adaptive stats
-//   <prefix>/ckpt/...      Loop End Checkpoints
+// Shared record/replay SkipBlock bookkeeping types. The layout of a record
+// run (RunPaths) lives with its manifest in checkpoint/store.h.
 
 #ifndef FLOR_FLOR_SKIPBLOCK_H_
 #define FLOR_FLOR_SKIPBLOCK_H_
@@ -17,18 +12,6 @@
 #include "ir/program.h"
 
 namespace flor {
-
-/// Path helpers for a record run rooted at `prefix`.
-struct RunPaths {
-  std::string prefix;
-
-  explicit RunPaths(std::string p) : prefix(std::move(p)) {}
-
-  std::string Source() const { return prefix + "/source.py"; }
-  std::string Logs() const { return prefix + "/logs.tsv"; }
-  std::string Manifest() const { return prefix + "/manifest.tsv"; }
-  std::string CkptPrefix() const { return prefix + "/ckpt"; }
-};
 
 /// Per-run SkipBlock activity counters (diagnostics surfaced in results).
 struct SkipBlockStats {

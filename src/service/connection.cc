@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "flor/skipblock.h"
 
 namespace flor {
 
@@ -299,13 +298,12 @@ bool Connection::AnyRecordActive() const {
 }
 
 void Connection::ScheduleRetirement(const std::string& tenant,
-                                    const std::string& run,
-                                    const std::string& manifest_path,
-                                    const std::string& ckpt_prefix) {
+                                    const std::string& run) {
   if (options_.gc.keep_last_k <= 0) return;
-  gc_queue_.Submit([this, tenant, run, manifest_path, ckpt_prefix] {
-    auto report = RetireRun(env_->fs(), manifest_path, ckpt_prefix,
-                            options_.gc, options_.tier.bucket_prefix);
+  gc_queue_.Submit([this, tenant, run] {
+    const RunPaths paths(JoinObjectPath(TenantRoot(tenant), run));
+    auto report = RetireRun(env_->fs(), paths.prefix, options_.gc,
+                            options_.tier.bucket_prefix);
     // A pass that decodes but leaves failed deletes behind is a failure
     // too: the local orphans it leaks are invisible otherwise.
     std::string error;
@@ -315,7 +313,7 @@ void Connection::ScheduleRetirement(const std::string& tenant,
       error = StrCat(report->failed_deletes(),
                      " checkpoint delete(s) failed; local orphans remain "
                      "under ",
-                     ckpt_prefix);
+                     paths.CkptPrefix());
     }
     std::lock_guard<std::mutex> lock(mu_);
     TenantGate* gate = GateLocked(tenant);
@@ -383,8 +381,7 @@ Result<GcReport> Connection::RetireBucket(const std::string& tenant,
         "bucket retirement is between-sessions maintenance; a record "
         "session is executing");
   }
-  const RunPaths paths(JoinObjectPath(TenantRoot(tenant), run));
-  return RetireBucketRun(env_->fs(), paths.Manifest(), paths.CkptPrefix(),
+  return RetireBucketRun(env_->fs(), JoinObjectPath(TenantRoot(tenant), run),
                          options_.tier.bucket_prefix, policy);
 }
 
@@ -399,8 +396,7 @@ Result<ReconcileReport> Connection::Reconcile(const std::string& tenant,
         "orphan reconciliation is between-sessions maintenance; a record "
         "session is executing");
   }
-  const RunPaths paths(JoinObjectPath(TenantRoot(tenant), run));
-  return ReconcileRun(env_->fs(), paths.Manifest(), paths.CkptPrefix(),
+  return ReconcileRun(env_->fs(), JoinObjectPath(TenantRoot(tenant), run),
                       options_.tier.bucket_prefix);
 }
 

@@ -27,8 +27,9 @@
 // open one per thread. The pre-existing one-shot entry points
 // (RecordSession, sim::ClusterReplay, exec::ReplayExecutor,
 // exec::ProcessReplayExecutor) remain as the compat surface and share
-// this layer's internals (CheckpointStore::Open, TierOptions,
-// RecordOptions::shared_spool), so both paths stay byte-identical.
+// this layer's internals (OpenRun and CheckpointStore::Open over one
+// TierOptions, GC by run prefix, RecordOptions::shared_spool), so both
+// paths stay byte-identical.
 
 #ifndef FLOR_SERVICE_SERVICE_H_
 #define FLOR_SERVICE_SERVICE_H_
@@ -298,11 +299,9 @@ class Connection {
   void AdmitLocked(TenantGate* gate);
   TenantGate* GateLocked(const std::string& tenant);
 
-  /// Queues a background retirement pass for a finished run (no-op when
-  /// gc.keep_last_k == 0). Tenant/run feed the GC failure ring.
-  void ScheduleRetirement(const std::string& tenant, const std::string& run,
-                          const std::string& manifest_path,
-                          const std::string& ckpt_prefix);
+  /// Queues a background retirement pass for a tenant's finished run
+  /// (no-op when gc.keep_last_k == 0). Tenant/run feed the GC failure ring.
+  void ScheduleRetirement(const std::string& tenant, const std::string& run);
 
   void BumpQuery(const std::string& tenant);
   void BumpReplay(const std::string& tenant, int64_t bucket_faults,
@@ -428,8 +427,8 @@ class Session {
   Result<std::vector<double>> MetricSeries(const std::string& run,
                                            const std::string& label) const;
 
-  /// Whether `key` is readable through any tier of `run`'s store — the
-  /// connection's tier configuration applies (bucket fall-through, bloom
+  /// Whether `key` is readable through any tier of `run`'s store, opened
+  /// with OpenRun and the connection's tier (bucket fall-through, bloom
   /// fast path). NotFound when the run itself does not exist.
   Result<bool> Exists(const std::string& run,
                       const CheckpointKey& key) const;
@@ -438,11 +437,6 @@ class Session {
   friend class Connection;
 
   Session(Connection* conn, std::string tenant);
-
-  /// Opens the run's store the same way replay does: manifest-first, then
-  /// CheckpointStore::Open with the connection tier.
-  Result<std::unique_ptr<CheckpointStore>> OpenRunStore(
-      const std::string& run, Manifest* manifest_out) const;
 
   Connection* conn_;
   std::string tenant_;

@@ -5,7 +5,6 @@
 #include "common/strings.h"
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
-#include "flor/skipblock.h"
 #include "sim/parallel_replay.h"
 
 namespace flor {
@@ -81,9 +80,7 @@ Result<SessionRecordResult> Session::Record(
   conn_->BumpRecord(tenant_,
                     static_cast<int64_t>(result->spool_report.objects),
                     static_cast<int64_t>(result->spool_report.bytes));
-  const RunPaths paths(prefix);
-  conn_->ScheduleRetirement(tenant_, run, paths.Manifest(),
-                            paths.CkptPrefix());
+  conn_->ScheduleRetirement(tenant_, run);
   SessionRecordResult out;
   static_cast<RecordResult&>(out) = std::move(*result);
   out.admission_wait_seconds = admission_wait_seconds;
@@ -161,31 +158,19 @@ Result<std::vector<double>> Session::MetricSeries(
   return flor::MetricSeries(conn_->env()->fs(), prefix, label);
 }
 
-Result<std::unique_ptr<CheckpointStore>> Session::OpenRunStore(
-    const std::string& run, Manifest* manifest_out) const {
-  FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
-  const RunPaths paths(prefix);
-  FLOR_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        conn_->env()->fs()->ReadFile(paths.Manifest()));
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Deserialize(manifest_bytes));
-  auto store = CheckpointStore::Open(conn_->env()->fs(), paths.CkptPrefix(),
-                                     conn_->options().tier, &manifest);
-  if (manifest_out != nullptr) *manifest_out = std::move(manifest);
-  return store;
-}
-
 Result<bool> Session::Exists(const std::string& run,
                              const CheckpointKey& key) const {
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
   conn_->BumpQuery(tenant_);
-  FLOR_ASSIGN_OR_RETURN(std::unique_ptr<CheckpointStore> store,
-                        OpenRunStore(run, nullptr));
-  Result<bool> exists = store->Exists(key);
+  FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
+  FLOR_ASSIGN_OR_RETURN(
+      OpenedRun opened,
+      OpenRun(conn_->env()->fs(), prefix, conn_->options().tier));
+  Result<bool> exists = opened.store->Exists(key);
   // The store is opened fresh per probe, so its tier stats are exactly
   // this call's read-tier traffic.
-  conn_->AccountTier(tenant_, store->tier_stats());
+  conn_->AccountTier(tenant_, opened.store->tier_stats());
   return exists;
 }
 

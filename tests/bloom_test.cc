@@ -37,6 +37,13 @@ CheckpointKey Key(int32_t loop_id, int64_t epoch) {
   return k;
 }
 
+/// A local-only tier with bloom filters.
+TierOptions BloomTier() {
+  TierOptions tier;
+  tier.bloom_filter = true;
+  return tier;
+}
+
 // --- Filter-level contract -------------------------------------------------
 
 TEST(BloomFilter, NoFalseNegatives) {
@@ -90,15 +97,18 @@ void RunTwinStoreHistory(bool with_bucket) {
   constexpr int kShards = 4;
   MemFileSystem fs_bloom;
   MemFileSystem fs_plain;
-  CheckpointStore bloom_store(&fs_bloom, "run/ckpt", kShards);
-  CheckpointStore plain_store(&fs_plain, "run/ckpt", kShards);
+  TierOptions tier;
   if (with_bucket) {
-    bloom_store.AttachBucket("s3/run/ckpt", /*rehydrate_on_fault=*/false);
-    plain_store.AttachBucket("s3/run/ckpt", /*rehydrate_on_fault=*/false);
+    tier.bucket_prefix = "s3/run/ckpt";
+    tier.bucket_rehydrate = false;
   }
-  BloomOptions bopts;
-  bopts.expected_keys_per_shard = 64;
-  bloom_store.EnableBloom(bopts);
+  // An empty manifest sizes each shard's filter at the 64-key floor, which
+  // the history below loads heavily enough to produce false positives.
+  Manifest empty;
+  empty.shard_count = kShards;
+  auto plain_store = CheckpointStore::Open(&fs_plain, "run/ckpt", tier, &empty);
+  tier.bloom_filter = true;
+  auto bloom_store = CheckpointStore::Open(&fs_bloom, "run/ckpt", tier, &empty);
 
   Rng rng = testutil::SeededRng(23);
   std::set<int64_t> live;
@@ -110,16 +120,16 @@ void RunTwinStoreHistory(bool with_bucket) {
       std::advance(it, static_cast<long>(rng.Uniform(
                            static_cast<uint32_t>(live.size()))));
       const CheckpointKey k = Key(2, *it);
-      ASSERT_TRUE(bloom_store.DeleteObject(k).ok());
-      ASSERT_TRUE(plain_store.DeleteObject(k).ok());
+      ASSERT_TRUE(bloom_store->DeleteObject(k).ok());
+      ASSERT_TRUE(plain_store->DeleteObject(k).ok());
       deleted.insert(*it);
       live.erase(it);
     } else {
       const int64_t epoch = rng.Uniform(512);
       const CheckpointKey k = Key(2, epoch);
       const std::string bytes = StrCat("payload-", epoch, "-", step);
-      ASSERT_TRUE(bloom_store.PutBytes(k, bytes).ok());
-      ASSERT_TRUE(plain_store.PutBytes(k, bytes).ok());
+      ASSERT_TRUE(bloom_store->PutBytes(k, bytes).ok());
+      ASSERT_TRUE(plain_store->PutBytes(k, bytes).ok());
       live.insert(epoch);
       deleted.erase(epoch);
     }
@@ -129,10 +139,10 @@ void RunTwinStoreHistory(bool with_bucket) {
   // never-written keys.
   for (int64_t epoch = 0; epoch < 560; ++epoch) {
     const CheckpointKey k = Key(2, epoch);
-    EXPECT_EQ(bloom_store.Exists(k), plain_store.Exists(k))
+    EXPECT_EQ(bloom_store->Exists(k), plain_store->Exists(k))
         << "epoch " << epoch;
-    auto with = bloom_store.GetBytes(k);
-    auto without = plain_store.GetBytes(k);
+    auto with = bloom_store->GetBytes(k);
+    auto without = plain_store->GetBytes(k);
     ASSERT_EQ(with.ok(), without.ok()) << "epoch " << epoch;
     if (with.ok()) {
       EXPECT_EQ(*with, *without) << "epoch " << epoch;
@@ -142,12 +152,12 @@ void RunTwinStoreHistory(bool with_bucket) {
     }
   }
   // No false negatives: every live key exists through the filter.
-  for (int64_t epoch : live) EXPECT_TRUE(bloom_store.Exists(Key(2, epoch)));
+  for (int64_t epoch : live) EXPECT_TRUE(bloom_store->Exists(Key(2, epoch)));
   // The filter actually worked: some never-written probes were answered
   // without touching the store (560-epoch sweep over <= ~300 distinct
   // keys guarantees plenty of definite misses at FPR 0.01).
-  EXPECT_GT(bloom_store.tier_stats().bloom_skipped_probes, 0);
-  EXPECT_EQ(plain_store.tier_stats().bloom_skipped_probes, 0);
+  EXPECT_GT(bloom_store->tier_stats().bloom_skipped_probes, 0);
+  EXPECT_EQ(plain_store->tier_stats().bloom_skipped_probes, 0);
 }
 
 TEST(BloomStore, AnswersIdenticalToFilterlessTwin) {
@@ -160,26 +170,25 @@ TEST(BloomStore, AnswersIdenticalToFilterlessTwinWithBucketTier) {
 
 TEST(BloomStore, DeletedKeysDegradeToFalsePositivesNeverFalseNegatives) {
   MemFileSystem fs;
-  CheckpointStore store(&fs, "run/ckpt", 2);
-  store.EnableBloom();
+  auto store = CheckpointStore::Open(&fs, "run/ckpt", BloomTier(), nullptr, 2);
   for (int64_t e = 0; e < 32; ++e)
-    ASSERT_TRUE(store.PutBytes(Key(2, e), "x").ok());
+    ASSERT_TRUE(store->PutBytes(Key(2, e), "x").ok());
   for (int64_t e = 0; e < 16; ++e)
-    ASSERT_TRUE(store.DeleteObject(Key(2, e)).ok());
+    ASSERT_TRUE(store->DeleteObject(Key(2, e)).ok());
 
   // Deleted keys: bits stay set, so the probe reaches the store, misses,
   // and is counted as a false positive — the answer itself stays correct.
-  for (int64_t e = 0; e < 16; ++e) EXPECT_FALSE(store.Exists(Key(2, e)));
-  EXPECT_EQ(store.tier_stats().bloom_false_positives, 16);
-  EXPECT_EQ(store.tier_stats().bloom_skipped_probes, 0);
+  for (int64_t e = 0; e < 16; ++e) EXPECT_FALSE(store->Exists(Key(2, e)));
+  EXPECT_EQ(store->tier_stats().bloom_false_positives, 16);
+  EXPECT_EQ(store->tier_stats().bloom_skipped_probes, 0);
   // Remaining keys: never a false negative.
-  for (int64_t e = 16; e < 32; ++e) EXPECT_TRUE(store.Exists(Key(2, e)));
+  for (int64_t e = 16; e < 32; ++e) EXPECT_TRUE(store->Exists(Key(2, e)));
 }
 
 TEST(BloomStore, SeedFromManifestServesExistingRun) {
-  // A store opened over a finished run has an empty in-memory filter; the
-  // manifest seeds it. Unseeded, the filter would wrongly rule every
-  // recorded key absent — this is the recovery-path contract.
+  // The filter is in-memory only, so a store opened over a finished run
+  // seeds it from the manifest. Unseeded, the filter would wrongly rule
+  // every recorded key absent — this is the recovery-path contract.
   MemFileSystem fs;
   Manifest manifest;
   manifest.shard_count = 4;
@@ -196,24 +205,20 @@ TEST(BloomStore, SeedFromManifestServesExistingRun) {
     }
   }
 
-  CheckpointStore reader(&fs, "run/ckpt", 4);
-  BloomOptions bopts;
-  bopts.expected_keys_per_shard = 16;
-  reader.EnableBloom(bopts);
-  reader.SeedBloomFromManifest(manifest);
+  auto reader = CheckpointStore::Open(&fs, "run/ckpt", BloomTier(), &manifest);
   for (const auto& rec : manifest.records) {
-    EXPECT_TRUE(reader.Exists(rec.key)) << rec.key.ToString();
-    auto bytes = reader.GetBytes(rec.key);
+    EXPECT_TRUE(reader->Exists(rec.key)) << rec.key.ToString();
+    auto bytes = reader->GetBytes(rec.key);
     ASSERT_TRUE(bytes.ok());
     EXPECT_EQ(*bytes, StrCat("ckpt-", rec.epoch));
   }
   // Absent keys are mostly short-circuited without a filesystem probe.
-  int64_t skipped_before = reader.tier_stats().bloom_skipped_probes;
-  for (int64_t e = 1000; e < 1100; ++e) EXPECT_FALSE(reader.Exists(Key(2, e)));
+  int64_t skipped_before = reader->tier_stats().bloom_skipped_probes;
+  for (int64_t e = 1000; e < 1100; ++e) EXPECT_FALSE(reader->Exists(Key(2, e)));
   const int64_t skipped =
-      reader.tier_stats().bloom_skipped_probes - skipped_before;
+      reader->tier_stats().bloom_skipped_probes - skipped_before;
   EXPECT_GE(skipped, 90) << "filter short-circuited too few absent probes";
-  EXPECT_EQ(skipped + reader.tier_stats().bloom_false_positives, 100);
+  EXPECT_EQ(skipped + reader->tier_stats().bloom_false_positives, 100);
 }
 
 // --- Replay-level equivalence ----------------------------------------------
@@ -286,15 +291,12 @@ TEST(BloomStore, ConcurrentWriterAndReadersAreRaceFree) {
   constexpr int kKeys = 512;
   constexpr int kReaders = 3;
   MemFileSystem fs;
-  CheckpointStore store(&fs, "run/ckpt", 4);
-  BloomOptions bopts;
-  bopts.expected_keys_per_shard = 256;
-  store.EnableBloom(bopts);
+  auto store = CheckpointStore::Open(&fs, "run/ckpt", BloomTier(), nullptr, 4);
 
   std::atomic<int64_t> written{0};
   std::thread writer([&] {
     for (int64_t e = 0; e < kKeys; ++e) {
-      ASSERT_TRUE(store.PutBytes(Key(2, e), StrCat("v", e)).ok());
+      ASSERT_TRUE(store->PutBytes(Key(2, e), StrCat("v", e)).ok());
       written.store(e + 1, std::memory_order_release);
     }
   });
@@ -305,13 +307,13 @@ TEST(BloomStore, ConcurrentWriterAndReadersAreRaceFree) {
       for (int i = 0; i < 2000; ++i) {
         const int64_t e = rng.Uniform(kKeys + 64);  // includes absent keys
         const int64_t floor = written.load(std::memory_order_acquire);
-        const bool exists = store.Exists(Key(2, e));
+        const bool exists = store->Exists(Key(2, e));
         // A key written before we sampled `floor` must be visible.
         if (e < floor) {
           EXPECT_TRUE(exists) << "false negative at e=" << e;
         }
         if (exists) {
-          auto bytes = store.GetBytes(Key(2, e));
+          auto bytes = store->GetBytes(Key(2, e));
           if (bytes.ok()) {
             EXPECT_EQ(*bytes, StrCat("v", e));
           }
@@ -322,7 +324,7 @@ TEST(BloomStore, ConcurrentWriterAndReadersAreRaceFree) {
   writer.join();
   for (auto& t : readers) t.join();
   for (int64_t e = 0; e < kKeys; ++e)
-    EXPECT_TRUE(store.Exists(Key(2, e))) << e;
+    EXPECT_TRUE(store->Exists(Key(2, e))) << e;
 }
 
 }  // namespace

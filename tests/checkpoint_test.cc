@@ -326,6 +326,41 @@ TEST(Manifest, GarbageBytesFuzz) {
       });
 }
 
+TEST(OpenRun, MissingRunIsNotFoundAndTornManifestIsCorruption) {
+  MemFileSystem fs;
+  EXPECT_TRUE(OpenRun(&fs, "run", TierOptions()).status().IsNotFound());
+  EXPECT_TRUE(ReadManifest(&fs, "run").status().IsNotFound());
+
+  Manifest m;
+  m.workload = "w";
+  m.shard_count = 4;
+  CheckpointRecord rec;
+  rec.key = CheckpointKey{2, "e=7"};
+  rec.epoch = 7;
+  rec.shard = 3;
+  m.records.push_back(rec);
+  const std::string bytes = m.Serialize();
+  const std::string manifest_path = RunPaths("run").Manifest();
+
+  // Torn mid-record: the line keeps its tag and loses the rest.
+  ASSERT_TRUE(
+      fs.WriteFile(manifest_path, bytes.substr(0, bytes.rfind("ckpt\t") + 6))
+          .ok());
+  auto torn = OpenRun(&fs, "run", TierOptions());
+  EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
+
+  // Intact: the parsed manifest and a store with its shard layout and the
+  // requested tier.
+  ASSERT_TRUE(fs.WriteFile(manifest_path, bytes).ok());
+  auto opened = OpenRun(&fs, "run", testutil::BucketTier("s3"));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->manifest.Serialize(), bytes);
+  EXPECT_EQ(opened->store->prefix(), RunPaths("run").CkptPrefix());
+  EXPECT_EQ(opened->store->num_shards(), 4);
+  EXPECT_EQ(opened->store->bucket_prefix(), "s3");
+  EXPECT_FALSE(opened->store->bloom_enabled());
+}
+
 TEST(ShardRouter, PlacementIsDeterministicAndInRange) {
   ShardRouter router(16);
   for (int i = 0; i < 200; ++i) {

@@ -333,8 +333,7 @@ TEST_F(CrashConsistencyTest, KilledMidGcLeavesReplayableStore) {
     ParkOnDeleteFileSystem parked(fs, /*park_at=*/3, wfd);
     GcPolicy policy;
     policy.keep_last_k = 1;
-    auto report =
-        RetireRun(&parked, "run/manifest.tsv", "run/ckpt", policy);
+    auto report = RetireRun(&parked, "run", policy);
     (void)report;
   });
 
@@ -434,8 +433,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
     ParkOnDeleteFileSystem parked(fs, /*park_at=*/3, wfd);
     BucketGcPolicy policy;
     policy.keep_last_k = 2;
-    auto report = RetireBucketRun(&parked, "run/manifest.tsv", "run/ckpt",
-                                  "s3", policy);
+    auto report = RetireBucketRun(&parked, "run", "s3", policy);
     (void)report;
   });
 
@@ -449,10 +447,10 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   // (b) Every referenced record reads through the tiers; the interrupted
   // deletes left orphans behind (more objects than two tiers' worth of
   // records), never a dangling record.
-  CheckpointStore store(&fs, "run/ckpt", manifest->shard_count);
-  store.AttachBucket("s3");
+  auto store = CheckpointStore::Open(&fs, "run/ckpt",
+                                     testutil::BucketTier("s3"), &*manifest);
   for (const auto& rec : manifest->records) {
-    auto got = store.Get(rec.key);
+    auto got = store->Get(rec.key);
     EXPECT_TRUE(got.ok()) << rec.key.ToString() << ": "
                           << got.status().ToString();
   }
@@ -478,7 +476,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   // The sweep reclaims exactly the leftovers: afterwards each tier holds
   // one object per referenced record, and a rerun of the same bucket GC
   // completes as a no-op.
-  auto sweep = ReconcileRun(&fs, "run/manifest.tsv", "run/ckpt", "s3");
+  auto sweep = ReconcileRun(&fs, "run", "s3");
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
   EXPECT_TRUE(sweep->ok());
   EXPECT_GT(sweep->local_orphans() + sweep->bucket_orphans(), 0);
@@ -486,8 +484,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
 
   BucketGcPolicy policy;
   policy.keep_last_k = 2;
-  auto rerun = RetireBucketRun(&fs, "run/manifest.tsv", "run/ckpt", "s3",
-                               policy);
+  auto rerun = RetireBucketRun(&fs, "run", "s3", policy);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun->retired_objects(), 0);
   EXPECT_EQ(count_objects(), manifest->records.size() * 2);

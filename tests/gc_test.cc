@@ -182,7 +182,7 @@ TEST(CheckpointGc, KeepLastKRetiresOldEpochsShardLocally) {
 
   GcPolicy policy;
   policy.keep_last_k = 2;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
   EXPECT_TRUE(report->ok());
@@ -216,7 +216,7 @@ TEST(CheckpointGc, KeepLastKRetiresOldEpochsShardLocally) {
 
   // Idempotence: the survivors are already the last K epochs, so a second
   // pass is a no-op.
-  auto again = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto again = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->manifest_rewritten);
   EXPECT_EQ(again->retired_objects(), 0);
@@ -228,7 +228,7 @@ TEST(CheckpointGc, DisabledRetentionIsByteIdenticalNoOp) {
   const auto before = SnapshotPrefix(fs, "run/");
 
   GcPolicy policy;  // keep_last_k = 0
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->manifest_rewritten);
   EXPECT_EQ(report->retired_objects(), 0);
@@ -244,7 +244,7 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
 
   GcPolicy policy;
   policy.keep_last_k = 4;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
   ASSERT_GT(report->retired_objects(), 0);
 
@@ -315,7 +315,7 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
   GcPolicy policy;
   policy.keep_last_k = 1;
   policy.pinned_epochs = *pinned;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->retired_objects(), 0);
 
@@ -354,7 +354,7 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
   fs.InjectDeleteFailures(2, "run/ckpt");
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
   EXPECT_EQ(report->failed_deletes(), 2);
@@ -448,10 +448,11 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   }
   for (const auto& [loop_id, epochs] : local_epochs)
     EXPECT_LE(epochs.size(), 2u) << "loop " << loop_id;
-  CheckpointStore tiered(&fs, "run/ckpt", rec.manifest.shard_count);
-  tiered.AttachBucket("s3", /*rehydrate_on_fault=*/false);
+  auto tiered = CheckpointStore::Open(
+      &fs, "run/ckpt", testutil::BucketTier("s3", /*rehydrate=*/false),
+      &rec.manifest);
   for (const auto& r : rec.manifest.records)
-    EXPECT_TRUE(tiered.Exists(r.key)) << r.key.ToString();
+    EXPECT_TRUE(tiered->Exists(r.key)) << r.key.ToString();
 
   // And the demoted run replays green, byte-identically on both engines,
   // faulting old epochs in from the bucket.
@@ -494,7 +495,7 @@ TEST(CheckpointGc, ManifestPersistFailureRetiresNothing) {
   fs.InjectWriteFailures(1, "manifest.tsv");
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy);
+  auto report = RetireRun(&fs, "run", policy);
   EXPECT_FALSE(report.ok());
   // Manifest-first ordering: if the pruned manifest cannot land, nothing
   // is deleted and the run is untouched.

@@ -207,7 +207,7 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
 
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto gc = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
+  auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);

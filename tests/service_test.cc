@@ -881,6 +881,76 @@ TEST(ServiceTest, CloseRefusesNewWorkAndUnblocksWaiters) {
   EXPECT_EQ(stats.active_records, 0);
 }
 
+// --- What opening a run costs the store: a 4-shard connection with a
+// --- bucket tier and bloom filters, counted at the filesystem.
+
+/// Records run "r1" for tenant "alice" on a 4-shard tiered, bloom-filtered
+/// connection over `fs`, then drains the background work.
+std::unique_ptr<Connection> OpenCountedConnection(Env* env,
+                                                  RecordResult* rec) {
+  const WorkloadProfile profile = ServiceProfile();
+  ConnectionOptions copts = TieredConnectionOptions(profile);
+  copts.tier.bloom_filter = true;
+  auto conn = Connection::Open(env, copts);
+  EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  auto session = (*conn)->OpenSession("alice");
+  EXPECT_TRUE(session.ok());
+  auto recorded = (*session)->Record(
+      "r1", MakeWorkloadFactory(profile, kProbeNone),
+      SessionRecordFrom(workloads::DefaultRecordOptions(profile, "")));
+  EXPECT_TRUE(recorded.ok()) << recorded.status().ToString();
+  *rec = *recorded;
+  (*conn)->DrainBackground();
+  return std::move(conn).value();
+}
+
+TEST(ServiceTest, ExistsReadsOnlyTheManifest) {
+  MemFileSystem base;
+  testutil::CountingFileSystem fs(&base);
+  Env env = testutil::MakeSimEnv(&fs);
+  RecordResult rec;
+  auto conn = OpenCountedConnection(&env, &rec);
+  ASSERT_EQ(rec.manifest.shard_count, 4);
+  ASSERT_FALSE(rec.manifest.records.empty());
+  auto session = conn->OpenSession("alice");
+  ASSERT_TRUE(session.ok());
+
+  fs.Reset();
+  auto exists = (*session)->Exists("r1", rec.manifest.records.front().key);
+  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+  EXPECT_TRUE(*exists);
+  EXPECT_EQ(fs.reads("svc/alice/r1/manifest.tsv"), 1);
+  EXPECT_EQ(fs.total_reads(), 1);
+  EXPECT_EQ(fs.lists(), 0);
+}
+
+TEST(ServiceTest, ThreadReplayReadsEachRunFileAPinnedNumberOfTimes) {
+  MemFileSystem base;
+  testutil::CountingFileSystem fs(&base);
+  Env env = testutil::MakeSimEnv(&fs);
+  RecordResult rec;
+  auto conn = OpenCountedConnection(&env, &rec);
+  auto session = conn->OpenSession("alice");
+  ASSERT_TRUE(session.ok());
+
+  // The plan reads the manifest once; each of the three workers reads the
+  // source, the manifest and the record logs; the merger reads the logs
+  // once more. Nothing lists the store.
+  fs.Reset();
+  SessionReplayOptions sopts;
+  sopts.engine = ReplayEngine::kThreads;
+  sopts.workers = 3;
+  auto replay = (*session)->Replay(
+      "r1", MakeWorkloadFactory(ServiceProfile(), kProbeInner), sopts);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_EQ(replay->workers_used, 3);
+  EXPECT_TRUE(replay->deferred.ok);
+  EXPECT_EQ(fs.reads("svc/alice/r1/manifest.tsv"), 4);
+  EXPECT_EQ(fs.reads("svc/alice/r1/logs.tsv"), 4);
+  EXPECT_EQ(fs.reads("svc/alice/r1/source.py"), 3);
+  EXPECT_EQ(fs.lists(), 0);
+}
+
 TEST(ServiceTest, CloseDeadlineExpiryAborts) {
   WorkloadProfile profile = ServiceProfile(/*epochs=*/8);
   profile.wall_batch_seconds = 0.02;

@@ -10,10 +10,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "checkpoint/store.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "env/env.h"
@@ -113,6 +117,89 @@ void ExpectCorruptionsRejected(const std::string& encoded, uint64_t salt,
     const Status status = decode(c.bytes);
     EXPECT_TRUE(status.IsCorruption()) << c.what << ": " << status.ToString();
   });
+}
+
+/// Pass-through FileSystem that counts the calls reaching it: reads per
+/// path, and every list call. Pins what an operation costs the store.
+/// Thread-safe (the counters have their own lock; all I/O forwards to the
+/// base filesystem).
+class CountingFileSystem : public FileSystem {
+ public:
+  /// Does not own `base`.
+  explicit CountingFileSystem(FileSystem* base) : base_(base) {}
+
+  Status WriteFile(const std::string& path,
+                   const std::string& data) override {
+    return base_->WriteFile(path, data);
+  }
+  Status AppendFile(const std::string& path,
+                    const std::string& data) override {
+    return base_->AppendFile(path, data);
+  }
+  Result<std::string> ReadFile(const std::string& path) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++reads_[path];
+    }
+    return base_->ReadFile(path);
+  }
+  bool Exists(const std::string& path) const override {
+    return base_->Exists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  std::vector<std::string> ListPrefix(
+      const std::string& prefix) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++lists_;
+    }
+    return base_->ListPrefix(prefix);
+  }
+
+  /// ReadFile calls on `path` since the last Reset.
+  int64_t reads(const std::string& path) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = reads_.find(path);
+    return it == reads_.end() ? 0 : it->second;
+  }
+  /// ReadFile calls on any path since the last Reset.
+  int64_t total_reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    int64_t n = 0;
+    for (const auto& entry : reads_) n += entry.second;
+    return n;
+  }
+  /// ListPrefix calls since the last Reset.
+  int64_t lists() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lists_;
+  }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu_);
+    reads_.clear();
+    lists_ = 0;
+  }
+
+ private:
+  FileSystem* base_;
+  mutable std::mutex mu_;
+  mutable std::map<std::string, int64_t> reads_;
+  mutable int64_t lists_ = 0;
+};
+
+/// Read tier backed by the bucket mirror under `bucket_prefix` (no bloom
+/// filters), for CheckpointStore::Open.
+inline TierOptions BucketTier(std::string bucket_prefix,
+                              bool rehydrate = true) {
+  TierOptions tier;
+  tier.bucket_prefix = std::move(bucket_prefix);
+  tier.bucket_rehydrate = rehydrate;
+  return tier;
 }
 
 /// The standard record/replay harness: simulated clock over a borrowed

@@ -110,61 +110,65 @@ TEST(TieredStore, ReadsFallThroughToBucketAndRehydrate) {
   EXPECT_TRUE(store.GetBytes(key).status().IsNotFound());
   EXPECT_FALSE(store.Exists(key));
 
-  // With the bucket attached, the read falls through, reports its tier,
-  // and rehydrates the local shard so the next read is local again.
-  store.AttachBucket("s3");
+  // With the bucket tier, the read falls through, reports its tier, and
+  // rehydrates the local shard so the next read is local again.
+  auto tiered = CheckpointStore::Open(&fs, "run/ckpt",
+                                      testutil::BucketTier("s3"), nullptr,
+                                      /*num_shards=*/4);
   bool from_bucket = false;
-  auto got = store.GetBytes(key, &from_bucket);
+  auto got = tiered->GetBytes(key, &from_bucket);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, bytes);
   EXPECT_TRUE(from_bucket);
-  EXPECT_TRUE(store.Exists(key));
-  EXPECT_EQ(store.tier_stats().bucket_faults, 1);
-  EXPECT_EQ(store.tier_stats().rehydrated_objects, 1);
-  EXPECT_TRUE(fs.Exists(store.PathFor(key)));
+  EXPECT_TRUE(tiered->Exists(key));
+  EXPECT_EQ(tiered->tier_stats().bucket_faults, 1);
+  EXPECT_EQ(tiered->tier_stats().rehydrated_objects, 1);
+  EXPECT_TRUE(fs.Exists(tiered->PathFor(key)));
 
-  auto again = store.GetBytes(key, &from_bucket);
+  auto again = tiered->GetBytes(key, &from_bucket);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(from_bucket);
-  EXPECT_EQ(store.tier_stats().bucket_faults, 1);
+  EXPECT_EQ(tiered->tier_stats().bucket_faults, 1);
 
   // Decoded reads go through the same tiers.
-  auto decoded = store.Get(key);
+  auto decoded = tiered->Get(key);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ((*decoded)[0].second.int_v, 7);
 }
 
 TEST(TieredStore, NoRehydrateModeLeavesLocalTierEmpty) {
   MemFileSystem fs;
-  CheckpointStore store(&fs, "run/ckpt");
+  auto store = CheckpointStore::Open(
+      &fs, "run/ckpt", testutil::BucketTier("b", /*rehydrate=*/false),
+      nullptr);
   NamedSnapshots snaps;
   snaps.emplace_back("w", ir::SnapshotValue(ir::Value::Int(1)));
   const std::string bytes = EncodeCheckpoint(snaps);
   CheckpointKey key{1, "e=0"};
   ASSERT_TRUE(
-      fs.WriteFile(JoinObjectPath("b", store.PathFor(key)), bytes).ok());
+      fs.WriteFile(JoinObjectPath("b", store->PathFor(key)), bytes).ok());
 
-  store.AttachBucket("b", /*rehydrate_on_fault=*/false);
   bool from_bucket = false;
-  ASSERT_TRUE(store.GetBytes(key, &from_bucket).ok());
+  ASSERT_TRUE(store->GetBytes(key, &from_bucket).ok());
   EXPECT_TRUE(from_bucket);
-  EXPECT_FALSE(fs.Exists(store.PathFor(key)));
-  EXPECT_EQ(store.tier_stats().bucket_faults, 1);
-  EXPECT_EQ(store.tier_stats().rehydrated_objects, 0);
+  EXPECT_FALSE(fs.Exists(store->PathFor(key)));
+  EXPECT_EQ(store->tier_stats().bucket_faults, 1);
+  EXPECT_EQ(store->tier_stats().rehydrated_objects, 0);
 }
 
 TEST(TieredStore, MissInBothTiersNamesKeyAndPaths) {
   MemFileSystem fs;
-  CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/2);
-  store.AttachBucket("s3");
+  auto store = CheckpointStore::Open(&fs, "run/ckpt",
+                                     testutil::BucketTier("s3"), nullptr,
+                                     /*num_shards=*/2);
   CheckpointKey key{4, "e=9"};
-  auto got = store.GetBytes(key);
+  auto got = store->GetBytes(key);
   ASSERT_TRUE(got.status().IsNotFound());
   EXPECT_NE(got.status().message().find(key.ToString()), std::string::npos)
       << got.status().ToString();
-  EXPECT_NE(got.status().message().find(store.PathFor(key)),
+  EXPECT_NE(got.status().message().find(store->PathFor(key)),
             std::string::npos);
-  EXPECT_NE(got.status().message().find(store.BucketPathFor(key)),
+  EXPECT_NE(got.status().message().find(store->BucketPathFor(key)),
             std::string::npos);
 }
 
@@ -176,24 +180,25 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
   // Demote everything but the newest epoch, then tear one bucket object.
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto gc = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
+  auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);
 
   // Tear every demoted object's bucket copy: whichever one the replay plan
   // faults in must surface Corruption.
-  CheckpointStore store(&fs, "run/ckpt", rec.manifest.shard_count);
-  store.AttachBucket("s3", /*rehydrate_on_fault=*/false);
+  auto store = CheckpointStore::Open(
+      &fs, "run/ckpt", testutil::BucketTier("s3", /*rehydrate=*/false),
+      &rec.manifest);
   const CheckpointRecord* demoted = nullptr;
   for (const auto& r : rec.manifest.records) {
-    if (fs.Exists(store.PathFor(r.key))) continue;
+    if (fs.Exists(store->PathFor(r.key))) continue;
     demoted = &r;
-    ASSERT_TRUE(fs.CorruptByte(store.BucketPathFor(r.key), 6).ok());
+    ASSERT_TRUE(fs.CorruptByte(store->BucketPathFor(r.key), 6).ok());
   }
   ASSERT_NE(demoted, nullptr);
 
-  auto got = store.Get(demoted->key);
+  auto got = store->Get(demoted->key);
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
 
@@ -220,8 +225,7 @@ TEST(TieredStore, KZeroWithBucketIsByteIdenticalNoOp) {
 
   GcPolicy policy;
   policy.keep_last_k = 0;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy,
-                          "s3");
+  auto report = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->retired_objects(), 0);
   EXPECT_FALSE(report->manifest_rewritten);
@@ -246,8 +250,7 @@ TEST(TieredStore, DemotionSkipsUnspooledObjects) {
   const auto before = SnapshotPrefix(fs, "run/ckpt/");
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto report = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy,
-                          "s3-empty");
+  auto report = RetireRun(&fs, "run", policy, "s3-empty");
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->demoted_to_bucket);
   EXPECT_EQ(report->retired_objects(), 0);
@@ -276,7 +279,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 
   GcPolicy policy;
   policy.keep_last_k = 1;
-  auto gc = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", policy, "s3");
+  auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok());
   ASSERT_TRUE(gc->demoted_to_bucket);
   ASSERT_GT(gc->retired_objects(), 0);
@@ -316,7 +319,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   // fails cleanly, naming both probed tiers.
   MemFileSystem fs2;
   RecordWithMirror(&fs2, profile);
-  auto gc2 = RetireRun(&fs2, "run/manifest.tsv", "run/ckpt", policy, "s3");
+  auto gc2 = RetireRun(&fs2, "run", policy, "s3");
   ASSERT_TRUE(gc2.ok());
   ClusterPlanOptions no_bucket;
   no_bucket.run_prefix = "run";
@@ -335,15 +338,16 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   // Readers fault demoted objects back in (rehydration writes under the
   // shard writer lock) while a GC thread demotes local copies of the same
-  // store. Every read must return intact bytes; the worst race outcome is
+  // store-> Every read must return intact bytes; the worst race outcome is
   // a resurrected local copy, i.e. an orphan for the sweep.
   MemFileSystem fs;
   const WorkloadProfile profile = TieredProfile(/*epochs=*/10, /*shards=*/4);
   const RecordResult rec = RecordWithMirror(&fs, profile);
   ASSERT_GT(rec.manifest.records.size(), 6u);
 
-  CheckpointStore store(&fs, "run/ckpt", rec.manifest.shard_count);
-  store.AttachBucket("s3");
+  auto store = CheckpointStore::Open(&fs, "run/ckpt",
+                                     testutil::BucketTier("s3"),
+                                     &rec.manifest);
   Manifest manifest = rec.manifest;
 
   std::atomic<bool> stop{false};
@@ -353,7 +357,7 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
     readers.emplace_back([&store, &rec, &stop, &read_failures] {
       while (!stop.load(std::memory_order_relaxed)) {
         for (const auto& r : rec.manifest.records) {
-          auto got = store.Get(r.key);
+          auto got = store->Get(r.key);
           if (!got.ok()) read_failures.fetch_add(1);
         }
       }
@@ -364,7 +368,8 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   policy.keep_last_k = 1;
   for (int round = 0; round < 8; ++round) {
     auto report =
-        RetireCheckpoints(&store, &manifest, "run/manifest.tsv", policy);
+        RetireCheckpoints(store.get(), &manifest, "run/manifest.tsv",
+                          policy);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->demoted_to_bucket);
     EXPECT_EQ(report->failed_deletes(), 0);
@@ -376,7 +381,7 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   // Reads may have rehydrated demoted objects mid-demotion; the sweep
   // reclaims those resurrected orphans... which here are still referenced
   // by the (intact) manifest, so reconciliation deletes nothing.
-  ReconcileReport sweep = ReconcileOrphans(&store, manifest);
+  ReconcileReport sweep = ReconcileOrphans(store.get(), manifest);
   EXPECT_TRUE(sweep.ok());
   EXPECT_EQ(sweep.local_orphans(), 0);
   EXPECT_EQ(sweep.bucket_orphans(), 0);
@@ -393,13 +398,14 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   // copies too, so leave K(local) > K'(bucket) to create some.
   GcPolicy local;
   local.keep_last_k = 3;
-  auto demo = RetireRun(&fs, "run/manifest.tsv", "run/ckpt", local, "s3");
+  auto demo = RetireRun(&fs, "run", local, "s3");
   ASSERT_TRUE(demo.ok());
   ASSERT_TRUE(demo->demoted_to_bucket);
 
   // Pin one old epoch-level epoch; retire the bucket down to K'=1.
-  CheckpointStore store(&fs, "run/ckpt", rec.manifest.shard_count);
-  store.AttachBucket("s3");
+  auto store = CheckpointStore::Open(&fs, "run/ckpt",
+                                     testutil::BucketTier("s3"),
+                                     &rec.manifest);
   Manifest manifest = rec.manifest;
   std::set<int64_t> epochs;
   for (const auto& r : manifest.records)
@@ -410,7 +416,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   policy.pinned_epochs = {pinned_epoch};
 
   auto report =
-      RetireBucketCheckpoints(&store, &manifest, "run/manifest.tsv",
+      RetireBucketCheckpoints(store.get(), &manifest, "run/manifest.tsv",
                               policy);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
@@ -431,14 +437,14 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   bool pinned_survived = false;
   for (const auto& r : persisted->records) {
     surviving.insert(r.key.ToString());
-    EXPECT_TRUE(store.Exists(r.key)) << r.key.ToString();
+    EXPECT_TRUE(store->Exists(r.key)) << r.key.ToString();
     if (r.epoch == pinned_epoch) pinned_survived = true;
   }
   EXPECT_TRUE(pinned_survived);
   for (const auto& r : rec.manifest.records) {
     if (surviving.count(r.key.ToString())) continue;
-    EXPECT_FALSE(fs.Exists(store.PathFor(r.key))) << r.key.ToString();
-    EXPECT_FALSE(fs.Exists(store.BucketPathFor(r.key)))
+    EXPECT_FALSE(fs.Exists(store->PathFor(r.key))) << r.key.ToString();
+    EXPECT_FALSE(fs.Exists(store->BucketPathFor(r.key)))
         << r.key.ToString();
   }
 
@@ -457,8 +463,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   faulty.InjectWriteFailures(1, "manifest.tsv");
   BucketGcPolicy aggressive;
   aggressive.keep_last_k = 1;
-  auto failed = RetireBucketRun(&faulty, "run/manifest.tsv", "run/ckpt",
-                                "s3", aggressive);
+  auto failed = RetireBucketRun(&faulty, "run", "s3", aggressive);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(SnapshotPrefix(base2, ""), before_fail);
 }
@@ -468,21 +473,21 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   const WorkloadProfile profile = TieredProfile(/*epochs=*/10, /*shards=*/4);
   const RecordResult rec = RecordWithMirror(&fs, profile);
 
-  CheckpointStore store(&fs, "run/ckpt", rec.manifest.shard_count);
-  store.AttachBucket("s3");
+  auto store = CheckpointStore::Open(&fs, "run/ckpt",
+                                     testutil::BucketTier("s3"),
+                                     &rec.manifest);
 
   // Manufacture orphans the way real passes leak them: retire some epochs
   // from the bucket with every delete failing — the manifest prune lands,
   // all the objects stay behind as unreferenced bytes.
   FaultInjectionFileSystem faulty(&fs);
-  CheckpointStore faulty_store(&faulty, "run/ckpt",
-                               rec.manifest.shard_count);
-  faulty_store.AttachBucket("s3");
+  auto faulty_store = CheckpointStore::Open(
+      &faulty, "run/ckpt", testutil::BucketTier("s3"), &rec.manifest);
   Manifest manifest = rec.manifest;
   faulty.InjectDeleteFailures(1 << 20);
   BucketGcPolicy policy;
   policy.keep_last_k = 2;
-  auto leaked = RetireBucketCheckpoints(&faulty_store, &manifest,
+  auto leaked = RetireBucketCheckpoints(faulty_store.get(), &manifest,
                                         "run/manifest.tsv", policy);
   ASSERT_TRUE(leaked.ok()) << leaked.status().ToString();
   EXPECT_TRUE(leaked->manifest_rewritten);
@@ -496,12 +501,12 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
       surviving.insert(r.key.ToString());
     for (const auto& r : rec.manifest.records) {
       if (surviving.count(r.key.ToString())) continue;
-      if (fs.Exists(store.PathFor(r.key))) ++n;
+      if (fs.Exists(store->PathFor(r.key))) ++n;
     }
     return n;
   }();
 
-  ReconcileReport sweep = ReconcileOrphans(&store, manifest);
+  ReconcileReport sweep = ReconcileOrphans(store.get(), manifest);
   EXPECT_TRUE(sweep.ok());
   EXPECT_EQ(sweep.shards.size(), 4u);
   EXPECT_EQ(sweep.local_orphans(), expected_local);
@@ -514,11 +519,11 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
                 fs.ListPrefix("s3/run/ckpt/").size(),
             manifest.records.size() * 2);
   for (const auto& r : manifest.records) {
-    EXPECT_TRUE(fs.Exists(store.PathFor(r.key))) << r.key.ToString();
-    EXPECT_TRUE(fs.Exists(store.BucketPathFor(r.key)))
+    EXPECT_TRUE(fs.Exists(store->PathFor(r.key))) << r.key.ToString();
+    EXPECT_TRUE(fs.Exists(store->BucketPathFor(r.key)))
         << r.key.ToString();
   }
-  ReconcileReport idempotent = ReconcileOrphans(&store, manifest);
+  ReconcileReport idempotent = ReconcileOrphans(store.get(), manifest);
   EXPECT_EQ(idempotent.local_orphans(), 0);
   EXPECT_EQ(idempotent.bucket_orphans(), 0);
 
