@@ -131,7 +131,7 @@ int main() {
       FLOR_CHECK(recorded.ok()) << recorded.status().ToString();
 
       if (bucket_k > 0) {
-        BucketGcPolicy bpolicy;
+        GcPolicy bpolicy;
         bpolicy.keep_last_k = bucket_k;
         auto pruned = RetireBucketRun(&fs, "run", "s3", bpolicy);
         FLOR_CHECK(pruned.ok()) << pruned.status().ToString();

@@ -174,7 +174,7 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
 Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
                                          Manifest* manifest,
                                          const std::string& manifest_path,
-                                         const BucketGcPolicy& policy) {
+                                         const GcPolicy& policy) {
   if (!store->has_bucket()) {
     return Status::InvalidArgument(
         "bucket retirement requires a store with a bucket tier attached");
@@ -183,10 +183,7 @@ Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
   report.shards.resize(static_cast<size_t>(store->num_shards()));
   report.surviving_records = static_cast<int64_t>(manifest->records.size());
 
-  GcPolicy local_shape;
-  local_shape.keep_last_k = policy.keep_last_k;
-  local_shape.pinned_epochs = policy.pinned_epochs;
-  const std::vector<size_t> retire = PlanRetirement(*manifest, local_shape);
+  const std::vector<size_t> retire = PlanRetirement(*manifest, policy);
   if (retire.empty()) return report;
 
   const std::vector<CheckpointRecord> retired =
@@ -272,7 +269,7 @@ Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
 
 Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
                                  const std::string& bucket_prefix,
-                                 const BucketGcPolicy& policy) {
+                                 const GcPolicy& policy) {
   FLOR_ASSIGN_OR_RETURN(OpenedRun run,
                         OpenRunForGc(fs, run_prefix, bucket_prefix));
   return RetireBucketCheckpoints(run.store.get(), &run.manifest,

@@ -43,6 +43,10 @@
 //     rehydration resurrects when it races local GC). Run it between
 //     sessions, not concurrently with a record run: a mid-materialize
 //     object is not yet in the manifest and would be swept as an orphan.
+//
+// Each pass takes a GcPolicy of its own tier. The convenience wrappers
+// (RetireRun, RetireBucketRun, ReconcileRun) take a run prefix and open
+// the run with OpenRun (checkpoint/store.h).
 
 #ifndef FLOR_CHECKPOINT_GC_H_
 #define FLOR_CHECKPOINT_GC_H_
@@ -55,7 +59,10 @@
 
 namespace flor {
 
-/// Retention policy for one run's checkpoint store.
+/// Retention policy for one tier of a run's checkpoint store. The local
+/// tier (RetireCheckpoints) and the bucket tier (RetireBucketCheckpoints)
+/// each take one, so local K and bucket K' are tuned independently
+/// (K' >= K keeps the bucket a superset of the local tier).
 struct GcPolicy {
   /// Keep the checkpoints of the K most recent epochs per loop; 0 disables
   /// retirement entirely (the GC is then a guaranteed no-op: no manifest
@@ -66,17 +73,6 @@ struct GcPolicy {
   /// GC treats it as a set). Protects epoch-level records (single-segment
   /// ctx) at those epochs; nested-loop records are not init-restore
   /// targets and retire by recency regardless of pins.
-  std::vector<int64_t> pinned_epochs;
-};
-
-/// Retention policy for the bucket tier (the durable archive). Same shape
-/// as GcPolicy, separate type: local K and bucket K' are tuned
-/// independently (K' >= K keeps the bucket a superset of the local tier).
-struct BucketGcPolicy {
-  /// Keep the bucket checkpoints of the K' most recent epochs per loop;
-  /// 0 disables bucket retirement (guaranteed no-op).
-  int64_t keep_last_k = 0;
-  /// Epoch pins, same semantics as GcPolicy::pinned_epochs.
   std::vector<int64_t> pinned_epochs;
 };
 
@@ -207,7 +203,7 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
 Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
                                          Manifest* manifest,
                                          const std::string& manifest_path,
-                                         const BucketGcPolicy& policy);
+                                         const GcPolicy& policy);
 
 /// Off-hot-path orphan sweep: diffs the manifest against ListPrefix of
 /// every shard (local tier and, when attached, bucket tier) and deletes
@@ -230,7 +226,7 @@ Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
 /// Convenience wrapper for RetireBucketCheckpoints, mirroring RetireRun.
 Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
                                  const std::string& bucket_prefix,
-                                 const BucketGcPolicy& policy);
+                                 const GcPolicy& policy);
 
 /// Convenience wrapper for ReconcileOrphans, mirroring RetireRun. Empty
 /// `bucket_prefix` sweeps the local tier only.

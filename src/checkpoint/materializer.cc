@@ -6,6 +6,14 @@
 
 namespace flor {
 
+namespace {
+
+/// State objects per checkpoint batch (the paper's 5000); only the
+/// per-object strategy (IPC-Plasma) is sensitive to it.
+constexpr double kObjectsPerBatch = 5000;
+
+}  // namespace
+
 const char* MaterializeStrategyName(MaterializeStrategy s) {
   switch (s) {
     case MaterializeStrategy::kBaseline:
@@ -101,8 +109,7 @@ std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
       break;
     case MaterializeStrategy::kIpcPlasma:
       main_s = bytes / c.plasma_copy_bps +
-               c.plasma_per_object_s *
-                   static_cast<double>(options_.objects_per_batch);
+               c.plasma_per_object_s * kObjectsPerBatch;
       bg_s = io;
       break;
     case MaterializeStrategy::kFork:

@@ -126,9 +126,6 @@ struct MaterializerOptions {
   /// Maximum simultaneously in-flight background jobs before the main
   /// thread stalls ("we have never seen more than two live children").
   int max_in_flight = 2;
-  /// Number of state objects per checkpoint batch (paper: 5000); only the
-  /// per-object strategies are sensitive to it.
-  int64_t objects_per_batch = 5000;
   /// Group-commit slot size: durable notifications are batched until a slot
   /// holds this many checkpoints, then delivered together behind one
   /// amortized sync (the slot leader pays durable_notify_seconds, followers

@@ -10,6 +10,13 @@
 
 namespace flor {
 
+namespace {
+
+/// Target false-positive rate of every store's bloom filters.
+constexpr double kBloomTargetFpr = 0.01;
+
+}  // namespace
+
 std::string JoinObjectPath(const std::string& prefix,
                            const std::string& rel) {
   std::string out = prefix;
@@ -156,7 +163,7 @@ std::unique_ptr<CheckpointStore> CheckpointStore::Open(
                         1);
   for (int s = 0; s < store->num_shards(); ++s) {
     store->filters_.push_back(std::make_unique<BloomFilter>(
-        keys_per_shard, tier.bloom_target_fpr));
+        keys_per_shard, kBloomTargetFpr));
   }
   if (manifest != nullptr) {
     for (const auto& rec : manifest->records)

@@ -133,11 +133,9 @@ struct TierOptions {
   bool bucket_rehydrate = true;
   /// Attach per-shard bloom filters to the store, seeded from the record
   /// manifest, so existence checks on absent keys answer definite-miss
-  /// without probing any tier. Off by default: the filterless store is the
-  /// pinned-byte-identical baseline.
+  /// without probing any tier (target false-positive rate 1%). Off by
+  /// default: the filterless store is the pinned-byte-identical baseline.
   bool bloom_filter = false;
-  /// Target false-positive rate of those filters.
-  double bloom_target_fpr = 0.01;
 };
 
 /// Filesystem-backed checkpoint storage: a facade routing each key onto one

@@ -66,6 +66,12 @@ SpoolReport SpoolReportDelta(const SpoolReport& after,
 
 Result<RecordResult> RecordSession::Run(ir::Program* program,
                                         exec::Frame* frame) {
+  // The manifest is a tab-separated line format: a workload name holding
+  // either separator would persist a manifest that no reader parses.
+  if (options_.workload.find_first_of("\t\n") != std::string::npos) {
+    return Status::InvalidArgument(
+        "workload name contains a tab or a newline");
+  }
   RecordResult result;
   SpoolQueue* spool =
       !options_.spool_prefix.empty()
@@ -83,9 +89,7 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
     for (int shard = 0; shard < spool->num_shards(); ++shard)
       spool_baseline.push_back(spool->ShardReport(shard));
   }
-  if (options_.checkpointing_enabled) {
-    result.instrument = InstrumentProgram(program);
-  }
+  result.instrument = InstrumentProgram(program);
 
   // Save the source before executing — this is the version replay diffs
   // against ("Flor stores a copy of the code", §3.1).
@@ -96,8 +100,7 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   manifest_.vanilla_runtime_seconds = options_.vanilla_runtime_seconds;
   manifest_.shard_count = store_->num_shards();
 
-  exec::Interpreter interp(env_, &result.logs,
-                           options_.checkpointing_enabled ? this : nullptr);
+  exec::Interpreter interp(env_, &result.logs, this);
   const double start = env_->clock()->NowSeconds();
   FLOR_RETURN_IF_ERROR(interp.Run(program, frame));
   // The end-of-run join with background children counts toward runtime.

@@ -45,11 +45,9 @@ namespace flor {
 struct RecordOptions {
   /// Filesystem prefix for this run's artifacts.
   std::string run_prefix = "run";
-  /// Workload name stored in the manifest (informational).
+  /// Workload name stored in the manifest (informational). Run rejects a
+  /// name holding a tab or a newline with InvalidArgument.
   std::string workload;
-  /// False disables instrumentation entirely — the "vanilla execution"
-  /// baseline the paper compares against.
-  bool checkpointing_enabled = true;
   /// Shard count of the run's checkpoint store (recorded in the manifest
   /// so replay finds objects without probing). 1 = legacy flat layout.
   int ckpt_shards = 1;

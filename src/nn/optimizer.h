@@ -6,8 +6,8 @@
 // mutates the model in place. The runtime changeset augmentation
 // (analysis/augment.cc) discovers this mutation by asking the optimizer for
 // its target module. Optimizer internal state (momentum / Adam moments) is
-// itself part of a Loop End Checkpoint, so full serialization is provided in
-// nn/serialize.h.
+// itself part of a Loop End Checkpoint: ir::SnapshotValue captures it
+// through StateTensors() and ir::RestoreValue writes it back.
 
 #ifndef FLOR_NN_OPTIMIZER_H_
 #define FLOR_NN_OPTIMIZER_H_

@@ -164,7 +164,6 @@ Result<std::unique_ptr<Session>> Connection::OpenSession(
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_)
       return Status::Unavailable("connection is closed to new work");
-    ++stats_.sessions_opened;
     ++GateLocked(tenant)->stats.sessions_opened;
   }
   return std::unique_ptr<Session>(new Session(this, tenant));
@@ -274,7 +273,6 @@ Status Connection::AcquireRecordSlot(const std::string& tenant,
   --gate->tokens;
   const double secs = SecondsSince(start);
   *waited_seconds = secs;
-  ++stats_.admission_waits;
   ++gate->stats.admission_waits;
   gate->stats.admission_wait_seconds += secs;
   gate->stats.max_admission_wait_seconds =
@@ -318,10 +316,8 @@ void Connection::ScheduleRetirement(const std::string& tenant,
     std::lock_guard<std::mutex> lock(mu_);
     TenantGate* gate = GateLocked(tenant);
     if (error.empty()) {
-      ++stats_.gc_passes;
       ++gate->stats.gc_passes;
     } else {
-      ++stats_.gc_failures;
       ++gate->stats.gc_failures;
       stats_.last_gc_error =
           StrCat("tenant ", tenant, " run ", run, ": ", error);
@@ -335,14 +331,12 @@ void Connection::ScheduleRetirement(const std::string& tenant,
 
 void Connection::BumpQuery(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.queries_served;
   ++GateLocked(tenant)->stats.queries_served;
 }
 
 void Connection::BumpReplay(const std::string& tenant, int64_t bucket_faults,
                             int64_t bloom_skipped_probes) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.replays_completed;
   TenantGate* gate = GateLocked(tenant);
   ++gate->stats.replays_completed;
   gate->stats.bucket_faults += bucket_faults;
@@ -352,7 +346,6 @@ void Connection::BumpReplay(const std::string& tenant, int64_t bucket_faults,
 void Connection::BumpRecord(const std::string& tenant, int64_t spool_objects,
                             int64_t spool_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.records_completed;
   TenantGate* gate = GateLocked(tenant);
   ++gate->stats.records_completed;
   gate->stats.spool_objects += spool_objects;
@@ -369,7 +362,7 @@ void Connection::AccountTier(const std::string& tenant,
 
 Result<GcReport> Connection::RetireBucket(const std::string& tenant,
                                           const std::string& run,
-                                          const BucketGcPolicy& policy) {
+                                          const GcPolicy& policy) {
   FLOR_RETURN_IF_ERROR(ValidateNamespaceSegment(tenant, "tenant"));
   FLOR_RETURN_IF_ERROR(ValidateNamespaceSegment(run, "run"));
   if (options_.tier.bucket_prefix.empty())
@@ -403,9 +396,18 @@ Result<ReconcileReport> Connection::Reconcile(const std::string& tenant,
 ConnectionStats Connection::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ConnectionStats snapshot = stats_;
-  snapshot.active_records = active_records_;
-  for (const auto& entry : gates_) {
-    snapshot.tenants[entry.first] = entry.second.stats;
+  // Every total is its tenants' sum, counted once on the tenant slice.
+  for (const auto& [tenant, gate] : gates_) {
+    const TenantStats& t = gate.stats;
+    snapshot.sessions_opened += t.sessions_opened;
+    snapshot.records_completed += t.records_completed;
+    snapshot.replays_completed += t.replays_completed;
+    snapshot.queries_served += t.queries_served;
+    snapshot.admission_waits += t.admission_waits;
+    snapshot.active_records += t.active_records;
+    snapshot.gc_passes += t.gc_passes;
+    snapshot.gc_failures += t.gc_failures;
+    snapshot.tenants[tenant] = t;
   }
   return snapshot;
 }

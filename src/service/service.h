@@ -151,7 +151,8 @@ struct GcFailure {
   std::string error;
 };
 
-/// Point-in-time service counters (Connection::stats()).
+/// Point-in-time service counters (Connection::stats()). Every count
+/// that TenantStats also has is the sum over `tenants`.
 struct ConnectionStats {
   int64_t sessions_opened = 0;
   int64_t records_completed = 0;
@@ -228,7 +229,7 @@ class Connection {
   /// any record session is executing.
   Result<GcReport> RetireBucket(const std::string& tenant,
                                 const std::string& run,
-                                const BucketGcPolicy& policy);
+                                const GcPolicy& policy);
 
   /// Manifest-vs-listing orphan sweep for one run. Synchronous,
   /// between-sessions maintenance like RetireBucket.
@@ -332,6 +333,8 @@ class Connection {
   int active_records_ = 0;
   int in_flight_ops_ = 0;
   bool closing_ = false;
+  /// Connection-wide fields only (max_observed_records and the GC error
+  /// ring); stats() sums every total from the tenant slices.
   ConnectionStats stats_;
 };
 

@@ -431,7 +431,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
     // or two is half-reclaimed (bucket copy gone, local copy not, or vice
     // versa) when the SIGKILL lands.
     ParkOnDeleteFileSystem parked(fs, /*park_at=*/3, wfd);
-    BucketGcPolicy policy;
+    GcPolicy policy;
     policy.keep_last_k = 2;
     auto report = RetireBucketRun(&parked, "run", "s3", policy);
     (void)report;
@@ -482,7 +482,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   EXPECT_GT(sweep->local_orphans() + sweep->bucket_orphans(), 0);
   EXPECT_EQ(count_objects(), manifest->records.size() * 2);
 
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 2;
   auto rerun = RetireBucketRun(&fs, "run", "s3", policy);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();

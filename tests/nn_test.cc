@@ -1,15 +1,18 @@
 // Unit tests: layers (incl. gradient checks), losses, optimizers,
-// schedulers, and model state serialization.
+// schedulers, and model state round trips through the checkpoint path
+// (ir::SnapshotValue -> EncodeCheckpoint -> DecodeCheckpoint ->
+// ir::RestoreValue).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "checkpoint/checkpoint.h"
+#include "ir/value.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/scheduler.h"
-#include "nn/serialize.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -311,6 +314,17 @@ TEST(Scheduler, CyclicOscillates) {
   EXPECT_NEAR(sgd.lr(), 0.1f, 1e-5f);
 }
 
+/// Carries `from`'s state through the checkpoint path — snapshot, encode,
+/// decode — and restores it into the object `into` references, the way
+/// replay restores a SkipBlock.
+Status RestoreThroughCheckpoint(const ir::Value& from, ir::Value into) {
+  NamedSnapshots snaps;
+  snaps.emplace_back("state", ir::SnapshotValue(from));
+  FLOR_ASSIGN_OR_RETURN(NamedSnapshots decoded,
+                        DecodeCheckpoint(EncodeCheckpoint(snaps)));
+  return ir::RestoreValue(decoded.front().second, &into);
+}
+
 TEST(Serialize, ModuleStateRoundTrip) {
   Rng rng = testutil::SeededRng(19);
   auto src = BuildMlp("mlp", {4, 6, 2}, &rng);
@@ -318,10 +332,9 @@ TEST(Serialize, ModuleStateRoundTrip) {
   auto dst = BuildMlp("mlp", {4, 6, 2}, &rng2);
   EXPECT_NE(src->StateFingerprint(), dst->StateFingerprint());
 
-  std::string bytes;
-  EncodeModuleState(&bytes, src.get());
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeModuleState(&dec, dst.get()).ok());
+  ASSERT_TRUE(RestoreThroughCheckpoint(ir::Value::ModuleRef(src.get()),
+                                       ir::Value::ModuleRef(dst.get()))
+                  .ok());
   EXPECT_EQ(src->StateFingerprint(), dst->StateFingerprint());
 }
 
@@ -329,10 +342,9 @@ TEST(Serialize, ModuleStructureMismatchRejected) {
   Rng rng = testutil::SeededRng(21);
   auto src = BuildMlp("mlp", {4, 6, 2}, &rng);
   auto other = BuildMlp("mlp", {4, 8, 2}, &rng);
-  std::string bytes;
-  EncodeModuleState(&bytes, src.get());
-  Decoder dec(bytes);
-  EXPECT_TRUE(DecodeModuleState(&dec, other.get()).IsCorruption());
+  EXPECT_TRUE(RestoreThroughCheckpoint(ir::Value::ModuleRef(src.get()),
+                                       ir::Value::ModuleRef(other.get()))
+                  .IsCorruption());
 }
 
 TEST(Serialize, OptimizerStateRoundTrip) {
@@ -343,10 +355,9 @@ TEST(Serialize, OptimizerStateRoundTrip) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(src.Step().ok());
 
   Adam dst(&fc, 0.5f);
-  std::string bytes;
-  EncodeOptimizerState(&bytes, &src);
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeOptimizerState(&dec, &dst).ok());
+  ASSERT_TRUE(RestoreThroughCheckpoint(ir::Value::OptimizerRef(&src),
+                                       ir::Value::OptimizerRef(&dst))
+                  .ok());
   EXPECT_EQ(dst.step_count(), 3);
   EXPECT_FLOAT_EQ(dst.lr(), 0.01f);
   EXPECT_EQ(src.StateFingerprint(), dst.StateFingerprint());
@@ -357,10 +368,9 @@ TEST(Serialize, OptimizerKindMismatchRejected) {
   Linear fc("fc", 2, 2, &rng);
   Sgd sgd(&fc, 0.1f);
   Adam adam(&fc, 0.1f);
-  std::string bytes;
-  EncodeOptimizerState(&bytes, &sgd);
-  Decoder dec(bytes);
-  EXPECT_TRUE(DecodeOptimizerState(&dec, &adam).IsCorruption());
+  EXPECT_TRUE(RestoreThroughCheckpoint(ir::Value::OptimizerRef(&sgd),
+                                       ir::Value::OptimizerRef(&adam))
+                  .IsCorruption());
 }
 
 TEST(Serialize, SchedulerStateRoundTrip) {
@@ -371,10 +381,9 @@ TEST(Serialize, SchedulerStateRoundTrip) {
   src.Step();
   src.Step();
   StepLr dst(&sgd, 3, 0.1f);
-  std::string bytes;
-  EncodeSchedulerState(&bytes, &src);
-  Decoder dec(bytes);
-  ASSERT_TRUE(DecodeSchedulerState(&dec, &dst).ok());
+  ASSERT_TRUE(RestoreThroughCheckpoint(ir::Value::SchedulerRef(&src),
+                                       ir::Value::SchedulerRef(&dst))
+                  .ok());
   EXPECT_EQ(dst.epoch(), 2);
 }
 

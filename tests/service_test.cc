@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -511,7 +512,7 @@ TEST(ServiceTest, MaintenanceRequiresQuiescence) {
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   (*conn)->DrainBackground();
 
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 1;
   auto bucket_gc = (*conn)->RetireBucket("alice", "r1", policy);
   ASSERT_TRUE(bucket_gc.ok()) << bucket_gc.status().ToString();
@@ -879,6 +880,127 @@ TEST(ServiceTest, CloseRefusesNewWorkAndUnblocksWaiters) {
   const ConnectionStats stats = (*conn)->stats();
   EXPECT_EQ(stats.records_completed, 1);
   EXPECT_EQ(stats.active_records, 0);
+}
+
+/// Each connection total equals the sum of its per-tenant slices.
+void ExpectTotalsAreTenantSums(const ConnectionStats& s) {
+  TenantStats sum;
+  for (const auto& entry : s.tenants) {
+    const TenantStats& t = entry.second;
+    sum.sessions_opened += t.sessions_opened;
+    sum.records_completed += t.records_completed;
+    sum.replays_completed += t.replays_completed;
+    sum.queries_served += t.queries_served;
+    sum.admission_waits += t.admission_waits;
+    sum.active_records += t.active_records;
+    sum.gc_passes += t.gc_passes;
+    sum.gc_failures += t.gc_failures;
+  }
+  EXPECT_EQ(s.sessions_opened, sum.sessions_opened);
+  EXPECT_EQ(s.records_completed, sum.records_completed);
+  EXPECT_EQ(s.replays_completed, sum.replays_completed);
+  EXPECT_EQ(s.queries_served, sum.queries_served);
+  EXPECT_EQ(s.admission_waits, sum.admission_waits);
+  EXPECT_EQ(s.active_records, sum.active_records);
+  EXPECT_EQ(s.gc_passes, sum.gc_passes);
+  EXPECT_EQ(s.gc_failures, sum.gc_failures);
+}
+
+TEST(ServiceTest, EachTotalIsItsTenantSum) {
+  // Three tenants record, replay, query and probe concurrently through a
+  // one-slot gate while the background worker demotes their runs; a
+  // poller samples the stats throughout.
+  const WorkloadProfile profile = ServiceProfile(/*epochs=*/6);
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  ConnectionOptions copts = TieredConnectionOptions(profile);
+  copts.tier.bloom_filter = true;
+  copts.gc.keep_last_k = 1;
+  copts.max_concurrent_records = 1;
+  auto conn = Connection::Open(&env, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const SessionRecordOptions sropts =
+      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+  const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
+  const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
+
+  constexpr int kTenants = 3;
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load()) ExpectTotalsAreTenantSums((*conn)->stats());
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTenants; ++t) {
+    threads.emplace_back([&, t] {
+      auto session = (*conn)->OpenSession(StrCat("tenant", t));
+      ASSERT_TRUE(session.ok());
+      for (const char* run : {"r1", "r2"}) {
+        auto rec = (*session)->Record(run, factory, sropts);
+        ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+        ASSERT_TRUE((*session)->Query().ok());
+        auto exists =
+            (*session)->Exists(run, rec->manifest.records.front().key);
+        ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+      }
+      SessionReplayOptions sopts;
+      sopts.engine = ReplayEngine::kThreads;
+      sopts.workers = 2;
+      auto replay = (*session)->Replay("r1", probed, sopts);
+      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    });
+  }
+  for (auto& th : threads) th.join();
+  (*conn)->DrainBackground();
+  done.store(true);
+  poller.join();
+
+  const ConnectionStats stats = (*conn)->stats();
+  ExpectTotalsAreTenantSums(stats);
+  EXPECT_EQ(stats.sessions_opened, kTenants);
+  EXPECT_EQ(stats.records_completed, 2 * kTenants);
+  EXPECT_EQ(stats.replays_completed, kTenants);
+  EXPECT_EQ(stats.queries_served, 4 * kTenants);
+  EXPECT_EQ(stats.active_records, 0);
+  EXPECT_EQ(stats.gc_passes, 2 * kTenants);
+  EXPECT_EQ(stats.gc_failures, 0) << stats.last_gc_error;
+  EXPECT_EQ(stats.max_observed_records, 1);
+}
+
+TEST(ServiceTest, WorkloadNameWithTabOrNewlineIsRejectedBeforeAnyWrite) {
+  // The manifest is a tab-separated line format: a workload name holding a
+  // tab or a newline would persist a manifest that no reader parses, and
+  // every later Query of the tenant would fail on it.
+  const WorkloadProfile profile = ServiceProfile(/*epochs=*/6);
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  auto conn = Connection::Open(&env, TieredConnectionOptions(profile));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto session = (*conn)->OpenSession("alice");
+  ASSERT_TRUE(session.ok());
+
+  const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeNone);
+  SessionRecordOptions sropts =
+      SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+  auto good = (*session)->Record("good", factory, sropts);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+
+  for (const char* name : {"bad\tname", "bad\nname"}) {
+    sropts.workload = name;
+    auto bad = (*session)->Record("bad", factory, sropts);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << bad.status().ToString();
+    (*conn)->DrainBackground();
+    EXPECT_TRUE(fs.ListPrefix("svc/alice/bad/").empty());
+    EXPECT_TRUE(fs.ListPrefix("s3/svc/alice/bad/").empty());
+  }
+
+  auto runs = (*session)->Query();
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  ASSERT_EQ(runs->size(), 1u);
+  EXPECT_EQ(runs->front().prefix, "svc/alice/good");
+  EXPECT_EQ(runs->front().workload, profile.name);
 }
 
 // --- What opening a run costs the store: a 4-shard connection with a

@@ -411,7 +411,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   for (const auto& r : manifest.records)
     if (r.epoch >= 0) epochs.insert(r.epoch);
   const int64_t pinned_epoch = *epochs.begin();
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 1;
   policy.pinned_epochs = {pinned_epoch};
 
@@ -461,7 +461,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   RecordWithMirror(&faulty, profile);
   const auto before_fail = SnapshotPrefix(base2, "");
   faulty.InjectWriteFailures(1, "manifest.tsv");
-  BucketGcPolicy aggressive;
+  GcPolicy aggressive;
   aggressive.keep_last_k = 1;
   auto failed = RetireBucketRun(&faulty, "run", "s3", aggressive);
   EXPECT_FALSE(failed.ok());
@@ -485,7 +485,7 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
       &faulty, "run/ckpt", testutil::BucketTier("s3"), &rec.manifest);
   Manifest manifest = rec.manifest;
   faulty.InjectDeleteFailures(1 << 20);
-  BucketGcPolicy policy;
+  GcPolicy policy;
   policy.keep_last_k = 2;
   auto leaked = RetireBucketCheckpoints(faulty_store.get(), &manifest,
                                         "run/manifest.tsv", policy);
