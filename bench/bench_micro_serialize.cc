@@ -1,7 +1,7 @@
 // Micro benchmarks (google-benchmark) for the serialization substrate:
-// tensor encode/decode, compression codecs, checksummed frames, and full
-// checkpoint round trips. These are the real-time costs behind the §5.1
-// serialization-vs-I/O discussion.
+// tensor encode/decode, the RLE codec on float and block-constant
+// payloads, checksummed frames, and full checkpoint round trips. These are
+// the real-time costs behind the §5.1 serialization-vs-I/O discussion.
 
 #include <benchmark/benchmark.h>
 
@@ -52,25 +52,10 @@ void BM_TensorDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorDecode)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_CompressLz(benchmark::State& state) {
+void BM_CompressRle(benchmark::State& state) {
   const bool compressible = state.range(1) != 0;
   std::string payload = TensorToBytes(MakeTensor(state.range(0),
                                                  compressible));
-  for (auto _ : state) {
-    std::string out = Compress(payload, Codec::kLz);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(payload.size()));
-}
-BENCHMARK(BM_CompressLz)
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1})
-    ->Args({1 << 18, 0})
-    ->Args({1 << 18, 1});
-
-void BM_CompressRle(benchmark::State& state) {
-  std::string payload = TensorToBytes(MakeTensor(state.range(0), true));
   for (auto _ : state) {
     std::string out = Compress(payload, Codec::kRle);
     benchmark::DoNotOptimize(out);
@@ -78,7 +63,11 @@ void BM_CompressRle(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(payload.size()));
 }
-BENCHMARK(BM_CompressRle)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_CompressRle)
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1})
+    ->Args({1 << 18, 0})
+    ->Args({1 << 18, 1});
 
 void BM_FrameRoundTrip(benchmark::State& state) {
   std::string payload = TensorToBytes(MakeTensor(state.range(0), false));

@@ -84,6 +84,16 @@ if grep -rnE 'make_unique<SpoolQueue>|new SpoolQueue|SpoolQueue [a-z_]+\(' \
   exit 1
 fi
 
+echo "== codec lint =="
+# RLE is the one checkpoint codec. Codec::kLz names the retired LZ tag,
+# which Decompress rejects, so only the codec itself may spell it: a
+# product path asking for it would be asking for RLE under a dead name.
+if grep -rn 'Codec::kLz' src/ | grep -vE '^src/serialize/compress\.(h|cc):'; then
+  echo "error: Codec::kLz in src/ — the LZ codec is retired; ask for" >&2
+  echo "Codec::kRle (src/serialize/compress.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

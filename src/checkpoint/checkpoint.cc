@@ -148,7 +148,7 @@ std::string EncodeCheckpoint(const NamedSnapshots& snaps) {
     PutLengthPrefixed(&payload, name);
     EncodeSnapshot(&payload, snap);
   }
-  std::string compressed = Compress(payload, Codec::kLz);
+  std::string compressed = Compress(payload, Codec::kRle);
   std::string out;
   AppendFrame(&out, compressed);
   return out;

@@ -2,7 +2,8 @@
 //
 // A Loop End Checkpoint (paper §4.1) is the memoized side-effect set of one
 // loop execution: a list of (variable name, state snapshot) pairs. On disk
-// it is one checksummed frame wrapping an LZ-compressed payload:
+// it is one checksummed frame wrapping a payload stored RLE or raw,
+// whichever is smaller (serialize/compress.h):
 //
 //   frame{ compress( varint n, n * [ name, ValueSnapshot ] ) }
 //
@@ -55,7 +56,7 @@ void EncodeSnapshot(std::string* dst, const ir::ValueSnapshot& snap);
 /// Decodes one ValueSnapshot.
 Result<ir::ValueSnapshot> DecodeSnapshot(Decoder* dec);
 
-/// Full checkpoint encode: serialize, compress, frame.
+/// Full checkpoint encode: serialize, compress (RLE or raw), frame.
 std::string EncodeCheckpoint(const NamedSnapshots& snaps);
 
 /// Inverse of EncodeCheckpoint (checksum + decompression verified).

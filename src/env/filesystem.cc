@@ -1,5 +1,9 @@
 #include "env/filesystem.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -232,15 +236,38 @@ Status PosixFileSystem::AppendFile(const std::string& path,
 }
 
 Result<std::string> PosixFileSystem::ReadFile(const std::string& path) const {
-  std::ifstream in(Resolve(path), std::ios::binary);
-  if (!in) return Status::NotFound("no such file: " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const std::string full = Resolve(path);
+  const int fd = ::open(full.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("no such file: " + path);
+  // One buffer sized from the open descriptor, so a concurrent rename
+  // cannot pair one object's size with another's bytes.
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::NotFound("no such file: " + path);
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t r = ::read(fd, &data[done], data.size() - done);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IOError(
+          StrCat("read failed: ", full, ": ", std::strerror(err)));
+    }
+    if (r == 0) break;  // truncated under us: return what is there
+    done += static_cast<size_t>(r);
+  }
+  ::close(fd);
+  data.resize(done);
   return data;
 }
 
 bool PosixFileSystem::Exists(const std::string& path) const {
-  return stdfs::exists(Resolve(path));
+  std::error_code ec;
+  return stdfs::is_regular_file(Resolve(path), ec);
 }
 
 Result<uint64_t> PosixFileSystem::FileSize(const std::string& path) const {

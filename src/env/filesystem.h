@@ -38,9 +38,13 @@ class FileSystem {
   virtual Status AppendFile(const std::string& path,
                             const std::string& data) = 0;
 
-  /// Reads the whole object.
+  /// Reads the whole object. NotFound when `path` names no object (on a
+  /// real filesystem, anything but a regular file, such as a directory or
+  /// a name too long to exist); IOError when its bytes cannot be read.
   virtual Result<std::string> ReadFile(const std::string& path) const = 0;
 
+  /// True iff `path` names an object, by the same rule as ReadFile. Never
+  /// throws: paths come from clients, and a hostile one is just absent.
   virtual bool Exists(const std::string& path) const = 0;
   virtual Result<uint64_t> FileSize(const std::string& path) const = 0;
   virtual Status DeleteFile(const std::string& path) = 0;
@@ -134,9 +138,11 @@ class FaultInjectionFileSystem : public FileSystem {
 };
 
 /// Real filesystem rooted at a directory. Creates parent directories on
-/// demand. ListPrefix walks only the directory its prefix names, so a
-/// missing directory lists nothing; objects written or deleted during the
-/// walk may or may not be listed, and one present throughout always is.
+/// demand. ReadFile sizes one buffer from fstat on the open file and fills
+/// it with one read loop. ListPrefix walks only the directory its prefix
+/// names, so a missing directory lists nothing; objects written or deleted
+/// during the walk may or may not be listed, and one present throughout
+/// always is.
 class PosixFileSystem : public FileSystem {
  public:
   /// `root` must name a directory; it is created if missing.

@@ -1,13 +1,18 @@
 // Block compression for checkpoints.
 //
 // The paper gzip-compresses checkpoints before spooling them to S3 (Table 4).
-// Offline, we implement two from-scratch codecs:
-//   * kRle  — byte-level run-length encoding; near-free, wins on the large
-//             zero/constant regions common in freshly-initialized or frozen
-//             model state.
-//   * kLz   — LZSS-style Lempel-Ziv with a 64 KiB window and a chained hash
-//             table; the gzip stand-in used for Table 4 sizes.
+// Offline there is one from-scratch codec plus raw storage:
+//   * kRle  — byte-level run-length encoding; one cheap pass each way, and
+//             it wins on the long zero/constant runs of frozen parameters
+//             and their optimizer moments (the fine-tune workloads).
+//   * kNone — the bytes as given, used whenever RLE would not shrink them
+//             (float checkpoints trained from scratch).
 // The codec byte is stored with the block, so readers self-describe.
+//
+// kLz (tag 2) is the retired LZSS codec: Compress encodes a kLz request
+// with RLE, and Decompress rejects a tag-2 blob as Corruption. The
+// enumerator stays only so callers that still spell kLz compile; no product
+// path asks for it.
 
 #ifndef FLOR_SERIALIZE_COMPRESS_H_
 #define FLOR_SERIALIZE_COMPRESS_H_
@@ -26,14 +31,17 @@ enum class Codec : uint8_t {
 };
 
 /// Compresses `input`, prepending a 1-byte codec tag and a varint of the
-/// uncompressed size. If compression does not help, stores raw with kNone.
+/// uncompressed size. kRle and kLz both encode with RLE; if that does not
+/// shrink the input, or `codec` is kNone, stores raw with kNone.
 std::string Compress(const std::string& input, Codec codec);
 
-/// Inverse of Compress. Fails with Corruption on malformed input.
+/// Inverse of Compress. Fails with Corruption on malformed input, an
+/// unknown codec byte, or a tag-2 (retired LZ) blob.
 Result<std::string> Decompress(const std::string& input);
 
-/// Codec actually used for a compressed blob (after the fallback-to-raw
-/// heuristic).
+/// Codec tag of a compressed blob (after the fallback-to-raw heuristic).
+/// A tag-2 blob from an older store reads as kLz here, though Decompress
+/// rejects it.
 Result<Codec> PeekCodec(const std::string& input);
 
 }  // namespace flor

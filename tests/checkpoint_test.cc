@@ -92,9 +92,12 @@ TEST(Checkpoint, HostilePayloadWithValidCrcIsCorruption) {
   PutVarint64(&tensor_snapshot, uint64_t{1} << 62);     // dim, no data
   std::string huge_blob(1, static_cast<char>(Codec::kLz));
   PutVarint64(&huge_blob, uint64_t{1} << 62);  // declared size
-  huge_blob.append("\x01\x00\x00\x00", 4);    // one match token
+  huge_blob.append("\x01\x00\x00\x00", 4);    // one LZ match token
+  std::string huge_rle(1, static_cast<char>(Codec::kRle));
+  PutVarint64(&huge_rle, uint64_t{1} << 62);  // declared size
+  huge_rle.append("\xff\x00", 2);             // one 129-byte run
   for (const std::string& compressed :
-       {Compress(tensor_snapshot, Codec::kLz), huge_blob}) {
+       {Compress(tensor_snapshot, Codec::kLz), huge_blob, huge_rle}) {
     std::string object;
     AppendFrame(&object, compressed);
     auto got = DecodeCheckpoint(object);

@@ -130,6 +130,52 @@ TEST_F(PosixFileSystemTest, RoundTripUnderTempRoot) {
   EXPECT_FALSE(fs.Exists("sub/dir/file.bin"));
 }
 
+TEST_F(PosixFileSystemTest, ReadFileMatchesMemFileSystemAcrossSizes) {
+  // One read sized from the open file: empty, page-edge and multi-MiB
+  // objects come back byte-exact, and an overwrite between two reads is
+  // seen by the second.
+  MemFileSystem mem;
+  PosixFileSystem posix(root());
+  Rng rng = testutil::SeededRng(21);
+  for (size_t size : {size_t{0}, size_t{1}, size_t{4095}, size_t{4096},
+                      size_t{4097}, size_t{9} << 20}) {
+    SCOPED_TRACE(size);
+    std::string bytes(size, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+    const std::string path = StrCat("sized/", size, ".bin");
+    ASSERT_TRUE(mem.WriteFile(path, bytes).ok());
+    ASSERT_TRUE(posix.WriteFile(path, bytes).ok());
+    auto got = posix.ReadFile(path);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->size(), size);
+    EXPECT_TRUE(*got == *mem.ReadFile(path));  // no 9 MiB failure dump
+    EXPECT_EQ(*posix.FileSize(path), size);
+  }
+  ASSERT_TRUE(posix.WriteFile("sized/over", std::string(5000, 'a')).ok());
+  EXPECT_EQ(*posix.ReadFile("sized/over"), std::string(5000, 'a'));
+  ASSERT_TRUE(posix.WriteFile("sized/over", "bb").ok());
+  EXPECT_EQ(*posix.ReadFile("sized/over"), "bb");
+}
+
+TEST_F(PosixFileSystemTest, OverlongNamesAndDirectoriesAreNotObjects) {
+  // Paths reach the filesystem from wire clients. A name longer than any
+  // directory entry (ENAMETOOLONG), or one that names a directory, is no
+  // object: every probe answers absent, and none throws.
+  PosixFileSystem fs(root());
+  ASSERT_TRUE(fs.WriteFile("dir/object", "x").ok());
+  const std::string overlong(300, 'n');
+  for (const std::string& path : {overlong, "dir/" + overlong,
+                                  std::string("dir"), std::string("dir/")}) {
+    SCOPED_TRACE(path.substr(0, 12));
+    EXPECT_NO_THROW({
+      EXPECT_FALSE(fs.Exists(path));
+      EXPECT_TRUE(fs.ReadFile(path).status().IsNotFound());
+      EXPECT_TRUE(fs.FileSize(path).status().IsNotFound());
+    });
+  }
+  EXPECT_TRUE(fs.Exists("dir/object"));
+}
+
 // The objects both filesystems hold for the listing contract: two tenants
 // whose names share a prefix, a bucket mirror of one of them, checkpoint
 // shards, and names that extend a directory's name without entering it.

@@ -220,6 +220,32 @@ TEST(Compress, IncompressibleFallsBackToRaw) {
   EXPECT_LE(packed.size(), input.size() + 16);
 }
 
+TEST(Compress, LzRequestEncodesAsRle) {
+  // The retired kLz request is the RLE codec, byte for byte, on input RLE
+  // shrinks and on input it stores raw.
+  for (const std::string& input :
+       {CompressibleBytes(1 << 14, 7), RandomBytes(1 << 14, 8)}) {
+    EXPECT_EQ(Compress(input, Codec::kLz), Compress(input, Codec::kRle));
+  }
+  EXPECT_EQ(*PeekCodec(Compress(CompressibleBytes(1 << 14, 7), Codec::kLz)),
+            Codec::kRle);
+}
+
+TEST(Compress, RetiredLzBlobIsCorruption) {
+  // A well-formed LZ blob of "abc" (one flag byte, three literals), as
+  // stores written with the LZ codec hold: tag 2 no longer decodes.
+  std::string blob(1, static_cast<char>(Codec::kLz));
+  PutVarint64(&blob, 3);
+  blob.push_back('\0');
+  blob.append("abc");
+  auto codec = PeekCodec(blob);
+  ASSERT_TRUE(codec.ok());
+  EXPECT_EQ(*codec, Codec::kLz);
+  auto got = Decompress(blob);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+}
+
 TEST(Compress, MalformedInputRejected) {
   EXPECT_TRUE(Decompress("").status().IsCorruption());
   std::string bogus;

@@ -317,6 +317,41 @@ TEST_F(ServicePosixTest, TenantQueryOnPosixStoreMatchesMemFileSystem) {
   }
 }
 
+TEST_F(ServicePosixTest, OverlongExistsProbeIsAbsentAndTheNextProbeWorks) {
+  // A wire `exists` request puts the client's ctx into the checkpoint's
+  // file name. Without bloom filters the probe reaches the POSIX store,
+  // where a name longer than a directory entry must read as absent rather
+  // than throw out of the session (and the server thread serving it).
+  const WorkloadProfile profile = ServiceProfile(/*epochs=*/4);
+  PosixFileSystem fs(root());
+  Env env = testutil::MakeSimEnv(&fs);
+  ConnectionOptions copts;
+  copts.root = "svc";
+  // One shard keeps every object in the run's ckpt/ directory, so the
+  // probe's directory exists and its name reaches the length check.
+  copts.ckpt_shards = 1;
+  ASSERT_FALSE(copts.tier.bloom_filter);
+  auto conn = Connection::Open(&env, copts);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto session = (*conn)->OpenSession("t0");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto rec = (*session)->Record(
+      "r", MakeWorkloadFactory(profile, kProbeNone),
+      SessionRecordFrom(workloads::DefaultRecordOptions(profile, "")));
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ASSERT_FALSE(rec->manifest.records.empty());
+
+  const CheckpointKey real = rec->manifest.records.back().key;
+  const CheckpointKey overlong{real.loop_id, std::string(300, 'e')};
+  Result<bool> absent = false;
+  EXPECT_NO_THROW(absent = (*session)->Exists("r", overlong));
+  ASSERT_TRUE(absent.ok()) << absent.status().ToString();
+  EXPECT_FALSE(*absent);
+  auto present = (*session)->Exists("r", real);
+  ASSERT_TRUE(present.ok()) << present.status().ToString();
+  EXPECT_TRUE(*present);
+}
+
 TEST(ServiceTest, AdmissionControlBoundsConcurrentRecorders) {
   // Wall-clock connection: two recorder threads, one admission slot. The
   // second thread starts only once the first is observably inside its

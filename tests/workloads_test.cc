@@ -1,10 +1,15 @@
-// Unit tests: workload registry, models, and the canonical training-script
-// factory (structure, determinism, learnability).
+// Unit tests: workload registry, models, the canonical training-script
+// factory (structure, determinism, learnability), and the codec each
+// profile's recorded checkpoints are stored with.
 
 #include <gtest/gtest.h>
 
+#include "checkpoint/store.h"
 #include "exec/interpreter.h"
 #include "flor/instrument.h"
+#include "flor/record.h"
+#include "serialize/compress.h"
+#include "serialize/frame.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -192,6 +197,67 @@ TEST(Factory, DefaultRecordOptionsWired) {
   EXPECT_NEAR(opts.adaptive.epsilon, 1.0 / 15.0, 1e-12);
   EXPECT_EQ(opts.materializer.strategy, MaterializeStrategy::kFork);
   EXPECT_NEAR(opts.vanilla_runtime_seconds, p.VanillaSeconds(), 1e-9);
+}
+
+/// Records `name` at its real model size for 3 epochs with every epoch
+/// checkpointed, and returns each stored checkpoint's codec and its object
+/// size over its decompressed payload size.
+void RecordAndMeasureStorage(const std::string& name,
+                             std::vector<Codec>* codecs,
+                             std::vector<double>* ratios) {
+  WorkloadProfile profile = *WorkloadByName(name);
+  profile.epochs = 3;
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  RecordOptions opts = DefaultRecordOptions(profile, "run");
+  opts.adaptive.enabled = false;
+  auto instance = MakeWorkloadFactory(profile, kProbeNone)();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  exec::Frame frame;
+  auto rec = RecordSession(&env, opts).Run(instance->program.get(), &frame);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+
+  auto run = OpenRun(&fs, "run", TierOptions{});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->manifest.records.size(), 3u);
+  for (const CheckpointRecord& record : run->manifest.records) {
+    auto object = run->store->GetBytes(record.key);
+    ASSERT_TRUE(object.ok()) << object.status().ToString();
+    FrameReader reader(*object);
+    std::string compressed;
+    ASSERT_TRUE(reader.Next(&compressed).ok());
+    auto codec = PeekCodec(compressed);
+    auto payload = Decompress(compressed);
+    ASSERT_TRUE(codec.ok());
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    codecs->push_back(*codec);
+    ratios->push_back(static_cast<double>(object->size()) /
+                      static_cast<double>(payload->size()));
+  }
+}
+
+TEST(Storage, FineTuneCheckpointsStoreRleAndFromScratchStoreRaw) {
+  // The fine-tune profiles freeze their encoder, so its weights' AdamW
+  // moments are long zero runs: RLE stores 0.36 of the payload, and the
+  // 0.37 bound sits below the 0.39 the retired LZ codec stored. A
+  // from-scratch model has no runs to find, so its checkpoints stay raw.
+  for (const char* name : {"RTE", "CoLA"}) {
+    SCOPED_TRACE(name);
+    std::vector<Codec> codecs;
+    std::vector<double> ratios;
+    ASSERT_NO_FATAL_FAILURE(RecordAndMeasureStorage(name, &codecs, &ratios));
+    for (size_t i = 0; i < codecs.size(); ++i) {
+      EXPECT_EQ(codecs[i], Codec::kRle) << "checkpoint " << i;
+      EXPECT_LE(ratios[i], 0.37) << "checkpoint " << i;
+    }
+  }
+  std::vector<Codec> codecs;
+  std::vector<double> ratios;
+  ASSERT_NO_FATAL_FAILURE(RecordAndMeasureStorage("Cifr", &codecs, &ratios));
+  for (size_t i = 0; i < codecs.size(); ++i) {
+    EXPECT_EQ(codecs[i], Codec::kNone) << "checkpoint " << i;
+    EXPECT_GT(ratios[i], 1.0) << "checkpoint " << i;
+  }
 }
 
 }  // namespace
