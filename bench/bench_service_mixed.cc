@@ -1,8 +1,8 @@
 // Service front-end under mixed multi-tenant load: N session threads share
-// one flor::Connection (shared spool, bucket tier, bloom filters,
-// background GC) and each runs a full tenant lifecycle — record a run,
-// hammer the query surface (ListRuns + Exists through the tiers), then a
-// thread-engine replay. Reports aggregate session throughput and the
+// one flor::Connection (bucket tier, bloom filters, background GC) and
+// each runs a full tenant lifecycle — record a run, hammer the query
+// surface (ListRuns + Exists through the tiers), then a thread-engine
+// replay. Reports aggregate session throughput and the
 // query-path latency distribution as the session count sweeps.
 //
 // Expected shape: sessions/sec grows with the session count until the

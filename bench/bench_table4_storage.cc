@@ -1,18 +1,18 @@
 // Table 4 — S3 storage costs for one execution of Flor record, plus the
-// sharded-store / batched-spool sweep.
+// sharded-store spool sweep.
 //
 // Each workload records with adaptive checkpointing; the table reports the
 // gzip-stand-in-compressed checkpoint footprint at paper scale (nominal
 // per-checkpoint size x checkpoints materialized) and its monthly S3 cost.
 // The checkpoints are also really spooled (at tiny-model scale) from the
-// local store to the simulated "s3/" bucket through the batched SpoolQueue,
-// as the paper's background spooler does.
+// local store to the simulated "s3/" bucket with SpoolStore, one object
+// copy after another, as the paper's background spooler does.
 //
 // On top of the paper's single-prefix column, the bench sweeps the
-// checkpoint store over shards ∈ {1, 4, 16} and spool batch sizes: the
-// shard-1 row must reproduce the pre-sharding storage bytes and monthly
-// cost exactly (sharding moves objects, never changes them), and every
-// sweep point must land the same bytes in the bucket.
+// checkpoint store over shards ∈ {1, 4, 16}: the shard-1 row must
+// reproduce the pre-sharding storage bytes and monthly cost exactly
+// (sharding moves objects, never changes them), and every sweep point
+// must land the same bytes in the bucket.
 //
 // A second sweep exercises the automatic end-to-end lifecycle (rows with
 // stage: "record+spool+gc"): RecordSession itself spools each checkpoint
@@ -47,13 +47,12 @@ int main() {
   std::vector<Row> rows;
 
   const int kShardSweep[] = {1, 4, 16};
-  const int64_t kBatchSweep[] = {1, 8, 64};  // objects per spool batch
 
   bench::BenchJson json("table4_storage");
 
   std::printf("Sharded-store spool sweep (real objects, tiny scale):\n\n");
-  std::printf("%-5s %7s %7s %9s %9s %9s %12s\n", "Name", "shards", "batch",
-              "objects", "batches", "retries", "spool");
+  std::printf("%-5s %7s %9s %9s %9s %12s\n", "Name", "shards", "objects",
+              "batches", "retries", "spool");
   bench::Hr();
 
   for (const auto& base_profile : bench::BenchWorkloads()) {
@@ -77,45 +76,37 @@ int main() {
       CheckpointStore store(&fs, "run/ckpt", shards);
       const uint64_t local_bytes = store.TotalBytes();
 
-      for (int64_t batch : kBatchSweep) {
-        // Really spool the (tiny-scale) checkpoints to the simulated
-        // bucket, one destination per sweep point.
-        SpoolOptions sopts;
-        sopts.max_batch_objects = batch;
-        const std::string dst =
-            StrCat("s3/b", batch, "/run/ckpt");
-        const auto start = std::chrono::steady_clock::now();
-        SpoolReport spool = SpoolStore(store, dst, sopts);
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
+      // Really spool the (tiny-scale) checkpoints to the simulated bucket,
+      // one destination per sweep point.
+      const std::string dst = StrCat("s3/shards", shards, "/run/ckpt");
+      const auto start = std::chrono::steady_clock::now();
+      SpoolReport spool = SpoolStore(store, dst);
+      const double seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count();
 
-        FLOR_CHECK(spool.ok()) << spool.first_error;
-        FLOR_CHECK_EQ(spool.objects,
-                      static_cast<int64_t>(rec.manifest.records.size()));
-        FLOR_CHECK_EQ(spool.bytes, local_bytes);
-        FLOR_CHECK_EQ(fs.TotalBytesUnder(dst + "/"), local_bytes);
+      FLOR_CHECK(spool.ok()) << spool.first_error;
+      FLOR_CHECK_EQ(spool.objects,
+                    static_cast<int64_t>(rec.manifest.records.size()));
+      FLOR_CHECK_EQ(spool.bytes, local_bytes);
+      FLOR_CHECK_EQ(fs.TotalBytesUnder(dst + "/"), local_bytes);
 
-        json.Row()
-            .Field("workload", profile.name)
-            .Field("shards", shards)
-            .Field("batch", batch)
-            .Field("stored_bytes", static_cast<int64_t>(stored))
-            .Field("monthly_cost_dollars", cost)
-            .Field("spooled_objects", spool.objects)
-            .Field("spool_batches", spool.batches)
-            .Field("spool_retries", spool.retries)
-            .Field("seconds", seconds);
+      json.Row()
+          .Field("workload", profile.name)
+          .Field("shards", shards)
+          .Field("stored_bytes", static_cast<int64_t>(stored))
+          .Field("monthly_cost_dollars", cost)
+          .Field("spooled_objects", spool.objects)
+          .Field("spool_batches", spool.batches)
+          .Field("spool_retries", spool.retries)
+          .Field("seconds", seconds);
 
-        std::printf("%-5s %7d %7lld %9lld %9lld %9lld %12s\n",
-                    profile.name.c_str(), shards,
-                    static_cast<long long>(batch),
-                    static_cast<long long>(spool.objects),
-                    static_cast<long long>(spool.batches),
-                    static_cast<long long>(spool.retries),
-                    HumanSeconds(seconds).c_str());
-      }
+      std::printf("%-5s %7d %9lld %9lld %9lld %12s\n", profile.name.c_str(),
+                  shards, static_cast<long long>(spool.objects),
+                  static_cast<long long>(spool.batches),
+                  static_cast<long long>(spool.retries),
+                  HumanSeconds(seconds).c_str());
 
       if (shards == 1) {
         baseline_stored = stored;

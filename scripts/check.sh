@@ -67,20 +67,10 @@ echo "== construction lint =="
 # A store's tier (bucket + bloom) is fixed when it is built, so
 # CheckpointStore::Open is the one sanctioned way to build a store: direct
 # construction anywhere else in src/ would bypass the tier configuration.
-# SpoolQueue constructions live only in the service layer (the connection's
-# shared spooler), the record session (the private per-run spooler of a
-# session without a shared one) and the spool subsystem itself; any other
-# would bypass the shared-spooler accounting.
 if grep -rnE 'make_unique<CheckpointStore>|new CheckpointStore|CheckpointStore [a-z_]+\(' \
         src/ | grep -vE '^src/checkpoint/store\.(h|cc):'; then
   echo "error: direct CheckpointStore construction in src/ — build stores" >&2
   echo "via CheckpointStore::Open, or open a finished run via OpenRun" >&2
-  exit 1
-fi
-if grep -rnE 'make_unique<SpoolQueue>|new SpoolQueue|SpoolQueue [a-z_]+\(' \
-        src/ | grep -vE '^(src/checkpoint/spool\.(h|cc)|src/service/connection\.cc|src/flor/record\.cc):'; then
-  echo "error: direct SpoolQueue construction outside the service layer —" >&2
-  echo "go through flor::Connection (src/service/service.h)" >&2
   exit 1
 fi
 
@@ -151,8 +141,8 @@ if [[ "${FLOR_SANITIZE:-}" == "thread" ]]; then
                  process_executor_test crash_consistency_test \
                  tiered_store_test service_test server_test
   # `tsan` labels the suites exercising real threads (thread-pool replay
-  # engine, spool/shard batching, the background queue and a POSIX listing
-  # racing writes and deletes); `proc` labels the fork-heavy suites
+  # engine, the ack-driven spool mirror, the background queue and a POSIX
+  # listing racing writes and deletes); `proc` labels the fork-heavy suites
   # (process replay engine, SIGKILL crash harness); `tiered` labels the
   # tiered-store suite racing bucket fault-in against local GC demotion;
   # `service` labels the Connection/Session suite racing concurrent tenant

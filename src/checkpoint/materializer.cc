@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace flor {
 
 namespace {
@@ -50,8 +48,8 @@ void Materializer::NotifyDurable(const CheckpointKey& key,
     gc_stats_.max_slot_joins = std::max(
         gc_stats_.max_slot_joins, static_cast<int64_t>(closed.size()));
   }
-  // Deliver outside the slot lock: on_durable may block on the spooler's
-  // bounded queue, and a stalled delivery must not wedge other joiners.
+  // Deliver outside the slot lock: on_durable may copy the checkpoint to
+  // the bucket, and a slow delivery must not wedge other joiners.
   if (options_.on_durable) {
     for (const auto& [k, bytes] : closed) options_.on_durable(k, bytes);
   }
@@ -131,7 +129,7 @@ std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
     // Backpressure: the checkpoint buffer is full — the training thread
     // stalls until the oldest background job retires.
     if (static_cast<int>(inflight_completions_.size()) >=
-        options_.max_in_flight) {
+        kMaxInFlightMaterializations) {
       const double wake = inflight_completions_.front();
       stall_s = std::max(0.0, wake - now);
       now = wake;
@@ -158,7 +156,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
     // Real serialize + write (synchronously, correctness path), simulated
     // time (cost model path).
     std::string bytes = EncodeCheckpoint(snaps);
-    receipt.stored_bytes = bytes.size();
     FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
     NotifyDurable(key, bytes.size());
 
@@ -173,7 +170,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
     const double start = env_->clock()->NowSeconds();
     if (options_.strategy == MaterializeStrategy::kBaseline) {
       std::string bytes = EncodeCheckpoint(snaps);
-      receipt.stored_bytes = bytes.size();
       FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
       NotifyDurable(key, bytes.size());
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
@@ -185,32 +181,25 @@ Result<MaterializeReceipt> Materializer::Materialize(
       // Backpressure: block only until a slot frees, like the sim model's
       // stall-until-oldest-child-retires (a full Drain would serialize
       // the training thread behind every queued checkpoint).
-      // max_in_flight <= 0 means fully synchronous (wait for an empty
-      // queue before every submit), matching the sim branch's stall-always
-      // reading of 0 — it must not disable the bound.
-      queue_->WaitUntilInFlightBelow(
-          options_.max_in_flight > 0
-              ? static_cast<size_t>(options_.max_in_flight)
-              : 1);
-      auto shared =
-          std::make_shared<NamedSnapshots>(std::move(snaps));
-      CheckpointStore* store_ptr = store;
-      const CheckpointKey key_copy = key;
+      queue_->WaitUntilInFlightBelow(kMaxInFlightMaterializations);
+      auto shared = std::make_shared<NamedSnapshots>(std::move(snaps));
       // `this` outlives the job: the destructor drains the queue before
-      // any member is torn down. NotifyDurable runs on the worker thread —
-      // the same thread the raw on_durable callback ran on before group
-      // commit existed — and is internally locked.
-      queue_->Submit([this, shared, store_ptr, key_copy] {
+      // any member is torn down. NotifyDurable is internally locked.
+      queue_->Submit([this, shared, store, key]() mutable {
         std::string bytes = EncodeCheckpoint(*shared);
-        // Errors in background materialization are logged, not fatal; the
-        // deferred replay checks surface missing checkpoints.
-        Status s = store_ptr->PutBytes(key_copy, bytes);
+        shared.reset();
+        const Status s = store->PutBytes(key, bytes);
+        const uint64_t stored_bytes = bytes.size();
+        // Free the encoded copy before the ack, which may read the object
+        // back to mirror it.
+        std::string().swap(bytes);
         if (!s.ok()) {
-          FLOR_LOG(kError) << "background materialization failed: "
-                           << s.ToString();
-        } else {
-          NotifyDurable(key_copy, bytes.size());
+          // Unacknowledged: Drain reports it, so the run fails instead of
+          // indexing a checkpoint that never landed.
+          if (background_status_.ok()) background_status_ = s;
+          return;
         }
+        NotifyDurable(key, stored_bytes);
       });
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
       receipt.background_seconds =
@@ -225,11 +214,11 @@ Result<MaterializeReceipt> Materializer::Materialize(
   return receipt;
 }
 
-void Materializer::Drain() {
+Status Materializer::Drain() {
   if (queue_) queue_->Drain();
   // All store writes have landed; deliver the partial slot so every acked
   // checkpoint's notification has fired before Drain returns (the record
-  // session spools and then persists the manifest on that guarantee).
+  // session mirrors and then persists the manifest on that guarantee).
   FlushGroupCommitSlot();
   if (env_->clock()->is_simulated() && !inflight_completions_.empty()) {
     const double last = inflight_completions_.back();
@@ -238,6 +227,7 @@ void Materializer::Drain() {
       env_->clock()->AdvanceMicros(SecondsToMicros(last - now));
     inflight_completions_.clear();
   }
+  return background_status_;
 }
 
 }  // namespace flor

@@ -115,17 +115,17 @@ struct MaterializeReceipt {
   double main_thread_seconds = 0;  ///< blocked training-thread time
   double stall_seconds = 0;        ///< part of main time due to backpressure
   double background_seconds = 0;   ///< bg serialize/write duration (Mi part)
-  uint64_t stored_bytes = 0;       ///< actual on-disk size
   uint64_t raw_bytes = 0;          ///< actual snapshot size
 };
+
+/// Background jobs in flight before the training thread stalls ("we have
+/// never seen more than two live children").
+inline constexpr int kMaxInFlightMaterializations = 2;
 
 /// Options for the materializer.
 struct MaterializerOptions {
   MaterializeStrategy strategy = MaterializeStrategy::kFork;
   MaterializerCosts costs;
-  /// Maximum simultaneously in-flight background jobs before the main
-  /// thread stalls ("we have never seen more than two live children").
-  int max_in_flight = 2;
   /// Group-commit slot size: durable notifications are batched until a slot
   /// holds this many checkpoints, then delivered together behind one
   /// amortized sync (the slot leader pays durable_notify_seconds, followers
@@ -133,13 +133,14 @@ struct MaterializerOptions {
   /// byte-identical to the per-checkpoint path. End-of-run Drain() flushes
   /// a partial slot, so no acked checkpoint's notification is ever lost.
   int group_commit_window = 1;
-  /// Invoked once a checkpoint's bytes are durably in the store (PutBytes
-  /// returned OK): inline on the training thread under a simulated clock
-  /// or the Baseline strategy, on the background worker thread otherwise —
-  /// so it must be thread-safe in wall mode and must never block on the
-  /// materializer itself. The record session hands checkpoints to the
-  /// background spooler through this hook (spool-as-you-materialize); it
-  /// is not called for failed writes.
+  /// The durability ack: invoked once per checkpoint whose bytes are in
+  /// the store (PutBytes returned OK), with the stored size, after its
+  /// group-commit slot closes. It runs inline on the training thread under
+  /// a simulated clock or the Baseline strategy, on the background worker
+  /// otherwise (after the job freed its encoded buffer), and never for a
+  /// failed write. It must not call back into the materializer. The record
+  /// session takes each checkpoint's stored size from it and, with a
+  /// spool prefix, mirrors the checkpoint to the bucket inside it.
   std::function<void(const CheckpointKey& key, uint64_t stored_bytes)>
       on_durable;
 };
@@ -160,10 +161,12 @@ class Materializer {
                                          NamedSnapshots snaps,
                                          uint64_t nominal_raw_bytes);
 
-  /// Blocks until all background work has completed. In sim mode, advances
-  /// the clock to the last completion (end-of-run join, like waiting for
-  /// forked children).
-  void Drain();
+  /// Blocks until all background work has completed and every ack has
+  /// been delivered. In sim mode, advances the clock to the last
+  /// completion (end-of-run join, like waiting for forked children).
+  /// Returns the first background store write that failed (OK if none):
+  /// that checkpoint was never acknowledged.
+  Status Drain();
 
   /// Totals across all Materialize calls.
   double total_main_thread_seconds() const { return total_main_seconds_; }
@@ -185,10 +188,9 @@ class Materializer {
   /// Group-commit entry point for one durably stored checkpoint: joins the
   /// open slot and, when the slot reaches group_commit_window, delivers the
   /// slot's on_durable notifications in store order (outside the slot lock,
-  /// so delivery may backpressure on the spooler without holding it).
-  /// Called inline on the training thread (sim / Baseline) or on the
-  /// background worker (wall mode) — same threads that invoked on_durable
-  /// directly before group commit existed.
+  /// so a slow delivery, such as a bucket copy, never holds it). Called
+  /// inline on the training thread (sim / Baseline) or on the background
+  /// worker (wall mode).
   void NotifyDurable(const CheckpointKey& key, uint64_t stored_bytes);
 
   /// Delivers a partial slot at end of run (one more amortized sync when
@@ -210,8 +212,10 @@ class Materializer {
   std::deque<double> inflight_completions_;
   double bg_busy_until_ = 0;
 
-  // Wall-mode worker.
+  // Wall-mode worker, and the first store write it failed (written only
+  // by the worker; read by Drain once the queue is idle).
   std::unique_ptr<BackgroundQueue> queue_;
+  Status background_status_;
 
   double total_main_seconds_ = 0;
   double total_stall_seconds_ = 0;

@@ -7,25 +7,22 @@
 // prefix on the same FileSystem (the MemFileSystem doubles as the simulated
 // bucket) and prices the result at S3 standard-storage rates.
 //
-// SpoolQueue is the production path: objects are grouped into size-bounded
-// batches per shard, each batch runs as one background job on a
-// BackgroundQueue worker (the paper's single background child), transient
-// write failures are retried per object, and the outcome is reported per
-// shard. Because every object lands with one atomic WriteFile, a failed or
-// killed batch never un-spools objects that already copied — shard-local
-// progress is monotone.
+// SpoolObject is the one copy: a record session calls it from the
+// materializer's durability ack, once per acknowledged checkpoint, so the
+// copy runs on whichever thread delivers the ack (the materializer's
+// worker, or the training thread) and the mirror only ever holds
+// acknowledged checkpoints. SpoolStore mirrors a whole store with the same
+// copy in a synchronous loop. Every object lands with one atomic WriteFile,
+// so a failed or killed spool never un-spools objects that already copied:
+// shard-local progress is monotone.
 
 #ifndef FLOR_CHECKPOINT_SPOOL_H_
 #define FLOR_CHECKPOINT_SPOOL_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "checkpoint/store.h"
-#include "common/status.h"
-#include "env/background_queue.h"
 #include "env/filesystem.h"
 
 namespace flor {
@@ -34,7 +31,7 @@ namespace flor {
 struct SpoolReport {
   int64_t objects = 0;         ///< objects successfully copied
   uint64_t bytes = 0;          ///< bytes successfully copied
-  int64_t batches = 0;         ///< spool jobs executed
+  int64_t batches = 0;         ///< copies attempted (one per object)
   int64_t retries = 0;         ///< failed write attempts that were retried
   int64_t failed_objects = 0;  ///< objects abandoned after max attempts
   double monthly_cost_dollars = 0;
@@ -52,96 +49,22 @@ inline constexpr double kS3DollarsPerGBMonth = 0.023;
 /// Monthly cost of storing `bytes` at S3 standard rates.
 double S3MonthlyCost(uint64_t bytes);
 
-/// Spool batching/retry knobs.
-struct SpoolOptions {
-  /// A shard's pending batch flushes once it holds this many bytes...
-  uint64_t max_batch_bytes = 8ull << 20;
-  /// ...or this many objects, whichever comes first.
-  int64_t max_batch_objects = 64;
-  /// Write attempts per object before it is abandoned (>= 1).
-  int max_attempts = 3;
-  /// Backpressure: producers block once this many batch jobs are queued
-  /// behind the background worker (0 disables the bound).
-  size_t max_queued_batches = 8;
-};
+/// Bucket write attempts per object before it is abandoned.
+inline constexpr int kSpoolMaxAttempts = 3;
 
-/// Asynchronous batched spooler. Enqueue() is thread-safe (per-shard
-/// locking, same discipline as the sharded CheckpointStore); batches
-/// execute on a single background worker. Reports are stable after
-/// Drain().
-class SpoolQueue {
- public:
-  /// Does not own `fs`. `num_shards` sizes the per-shard batching/report
-  /// state (use 1 for unsharded spools).
-  SpoolQueue(FileSystem* fs, int num_shards, SpoolOptions options = {});
-
-  /// Drains outstanding batches.
-  ~SpoolQueue();
-
-  SpoolQueue(const SpoolQueue&) = delete;
-  SpoolQueue& operator=(const SpoolQueue&) = delete;
-
-  /// Adds one object copy (src_path -> dst_path) to `shard`'s pending
-  /// batch, flushing the batch as a background job when it exceeds the
-  /// configured bounds. `size_hint` skips the size stat when the caller
-  /// already knows the object size.
-  void Enqueue(int shard, std::string src_path, std::string dst_path,
-               uint64_t size_hint = 0);
-
-  /// Submits every shard's partial batch (without waiting).
-  void Flush();
-
-  /// Flush() + blocks until all submitted batches have run.
-  void Drain();
-
-  /// One shard's report. Call after Drain() for final numbers.
-  SpoolReport ShardReport(int shard) const;
-
-  /// Aggregate over all shards.
-  SpoolReport TotalReport() const;
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
- private:
-  struct Item {
-    std::string src;
-    std::string dst;
-    uint64_t size = 0;
-  };
-  struct ShardState {
-    mutable std::mutex mu;
-    std::vector<Item> pending;
-    uint64_t pending_bytes = 0;
-    SpoolReport report;
-  };
-
-  /// Moves `shard`'s pending items out (under its lock) and submits them
-  /// as one batch job.
-  void FlushShard(int shard);
-
-  /// Submits one batch to the background worker, blocking while
-  /// max_queued_batches jobs are already in flight (hard bound).
-  void SubmitBatch(int shard, std::vector<Item> batch);
-
-  /// Executes one batch on the background worker.
-  void RunBatch(int shard, std::vector<Item> items);
-
-  FileSystem* fs_;
-  SpoolOptions options_;
-  std::vector<std::unique_ptr<ShardState>> shards_;
-  /// Serializes the wait-for-slot + Submit pair so max_queued_batches is
-  /// a hard bound under concurrent flushers.
-  std::mutex submit_mu_;
-  BackgroundQueue queue_;
-};
+/// Copies the object at `src` to `dst` on `fs`: one read, then one atomic
+/// WriteFile, attempted up to kSpoolMaxAttempts times. The outcome is added
+/// to `*report` (a missing source or an exhausted write counts in
+/// failed_objects and first_error) rather than returned: partial progress
+/// is real and already priced. Not thread-safe on `*report`.
+void SpoolObject(FileSystem* fs, const std::string& src,
+                 const std::string& dst, SpoolReport* report);
 
 /// Spools every object of `store` (all shards, layout preserved) under
-/// `dst_prefix`, synchronously: enqueue + drain. Failures are carried in
-/// the report (`ok()` / `failed_objects`), not as a Status — partial
-/// progress is real and already priced.
+/// `dst_prefix`, one SpoolObject after another. Failures are carried in
+/// the report (`ok()` / `failed_objects`), not as a Status.
 SpoolReport SpoolStore(const CheckpointStore& store,
-                       const std::string& dst_prefix,
-                       const SpoolOptions& options = SpoolOptions());
+                       const std::string& dst_prefix);
 
 }  // namespace flor
 

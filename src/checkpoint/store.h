@@ -141,7 +141,7 @@ struct TierOptions {
 /// Filesystem-backed checkpoint storage: a facade routing each key onto one
 /// of `num_shards` per-shard stores under a common prefix, with an optional
 /// read-through bucket tier mirroring the same shard layout (the mirror
-/// SpoolStore / the record session's spool queue write).
+/// SpoolStore / the record session's durability ack write).
 ///
 /// Thread-safe: writes serialize per shard (not globally), reads go
 /// straight to the (thread-safe) FileSystem without taking shard locks, so

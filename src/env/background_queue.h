@@ -38,8 +38,9 @@ class BackgroundQueue {
   void Drain();
 
   /// Blocks until fewer than `n` jobs are in flight — bounded-queue
-  /// backpressure for producers (the spooler caps how many batch jobs it
-  /// keeps queued behind the single worker). `n` == 0 returns immediately.
+  /// backpressure for producers (the materializer caps how many checkpoint
+  /// jobs it keeps queued behind the single worker). `n` == 0 returns
+  /// immediately.
   void WaitUntilInFlightBelow(size_t n);
 
   /// Jobs submitted but not yet finished.

@@ -16,53 +16,21 @@ RecordSession::RecordSession(Env* env, RecordOptions options)
   tier.bucket_prefix = options_.spool_prefix;
   store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), tier,
                                  nullptr, options_.ckpt_shards);
-  if (!options_.spool_prefix.empty()) {
-    // Spool-as-you-materialize: the materializer hands each durably stored
-    // checkpoint to the spooler's shard-local batch. In wall mode this
-    // runs on the materializer's worker thread, and a full spool queue
-    // (max_queued_batches) backpressures that worker — and, through the
-    // materializer's own bounded in-flight depth, eventually the training
-    // thread — instead of buffering unboundedly. A service Connection
-    // injects its shared queue through shared_spool; a standalone session
-    // owns a private one.
-    if (options_.shared_spool == nullptr) {
-      spool_ = std::make_unique<SpoolQueue>(env_->fs(), store_->num_shards(),
-                                            options_.spool);
-    }
-    SpoolQueue* spool =
-        options_.shared_spool != nullptr ? options_.shared_spool
-                                         : spool_.get();
-    options_.materializer.on_durable = [this, spool](const CheckpointKey& key,
-                                                     uint64_t stored_bytes) {
-      const std::string src = store_->PathFor(key);
-      spool->Enqueue(store_->ShardOf(key), src, store_->BucketPathFor(key),
-                     stored_bytes);
-    };
-  }
+  if (!options_.spool_prefix.empty())
+    spool_reports_.resize(static_cast<size_t>(store_->num_shards()));
+  // The durability ack sizes the checkpoint's manifest record and, with a
+  // spool prefix, mirrors it to the bucket (spool-as-you-materialize). It
+  // runs after the checkpoint's group-commit slot closes, so the mirror
+  // only ever holds acknowledged checkpoints.
+  options_.materializer.on_durable = [this](const CheckpointKey& key,
+                                            uint64_t stored_bytes) {
+    acked_bytes_[key.ToString()] = stored_bytes;
+    if (options_.spool_prefix.empty()) return;
+    SpoolObject(store_->fs(), store_->PathFor(key), store_->BucketPathFor(key),
+                &spool_reports_[static_cast<size_t>(store_->ShardOf(key))]);
+  };
   materializer_ = std::make_unique<Materializer>(env_, options_.materializer);
 }
-
-namespace {
-
-// Per-shard spool delta across one session's run: a shared queue's
-// counters are cumulative over every session it served, so a session
-// reports what moved on its watch. first_error is kept only when it
-// appeared during this window (error count grew).
-SpoolReport SpoolReportDelta(const SpoolReport& after,
-                             const SpoolReport& before) {
-  SpoolReport d;
-  d.objects = after.objects - before.objects;
-  d.bytes = after.bytes - before.bytes;
-  d.batches = after.batches - before.batches;
-  d.retries = after.retries - before.retries;
-  d.failed_objects = after.failed_objects - before.failed_objects;
-  d.monthly_cost_dollars =
-      after.monthly_cost_dollars - before.monthly_cost_dollars;
-  if (d.failed_objects > 0 || d.retries > 0) d.first_error = after.first_error;
-  return d;
-}
-
-}  // namespace
 
 Result<RecordResult> RecordSession::Run(ir::Program* program,
                                         exec::Frame* frame) {
@@ -73,22 +41,6 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
         "workload name contains a tab or a newline");
   }
   RecordResult result;
-  SpoolQueue* spool =
-      !options_.spool_prefix.empty()
-          ? (options_.shared_spool != nullptr ? options_.shared_spool
-                                              : spool_.get())
-          : nullptr;
-  std::vector<SpoolReport> spool_baseline;
-  if (spool != nullptr) {
-    if (spool->num_shards() != store_->num_shards()) {
-      return Status::InvalidArgument(
-          StrCat("shared spool has ", spool->num_shards(),
-                 " shard(s) but the run's checkpoint store has ",
-                 store_->num_shards()));
-    }
-    for (int shard = 0; shard < spool->num_shards(); ++shard)
-      spool_baseline.push_back(spool->ShardReport(shard));
-  }
   result.instrument = InstrumentProgram(program);
 
   // Save the source before executing — this is the version replay diffs
@@ -103,20 +55,19 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   exec::Interpreter interp(env_, &result.logs, this);
   const double start = env_->clock()->NowSeconds();
   FLOR_RETURN_IF_ERROR(interp.Run(program, frame));
-  // The end-of-run join with background children counts toward runtime.
-  materializer_->Drain();
+  // The end-of-run join with background children counts toward runtime,
+  // and so do the bucket copies its last acks make. A checkpoint whose
+  // background write failed was never acknowledged: the run fails here,
+  // before any log or manifest names it, as a crashed run would.
+  FLOR_RETURN_IF_ERROR(materializer_->Drain());
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
 
-  // Spooling is a background tail (the paper's spooler outlives training):
-  // drain it after the runtime measurement, so enabling it never shows up
-  // as record overhead.
-  if (spool != nullptr) {
-    spool->Drain();
-    for (int shard = 0; shard < spool->num_shards(); ++shard)
-      result.spool_shard_reports.push_back(SpoolReportDelta(
-          spool->ShardReport(shard),
-          spool_baseline[static_cast<size_t>(shard)]));
-    result.spool_report = AggregateSpoolReports(result.spool_shard_reports);
+  // Every checkpoint has been acknowledged, with its stored size.
+  for (CheckpointRecord& rec : manifest_.records)
+    rec.stored_bytes = acked_bytes_[rec.key.ToString()];
+  if (!options_.spool_prefix.empty()) {
+    result.spool_shard_reports = spool_reports_;
+    result.spool_report = AggregateSpoolReports(spool_reports_);
   }
 
   // Persist logs + manifest.
@@ -213,7 +164,6 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
   rec.key = key;
   rec.epoch = key.EpochIndex();
   rec.raw_bytes = receipt.raw_bytes;
-  rec.stored_bytes = receipt.stored_bytes;
   rec.nominal_raw_bytes = nominal;
   rec.materialize_seconds =
       receipt.background_seconds > 0

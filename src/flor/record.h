@@ -11,10 +11,9 @@
 //   4. the log stream and the checkpoint manifest are persisted.
 //
 // The background lifecycle continues past materialization when configured:
-// with RecordOptions::spool_prefix set, every checkpoint is handed to a
-// per-shard batched SpoolQueue the moment the materializer lands it
-// (spool-as-you-materialize — the paper's background spooler, §6.2), with
-// backpressure through the spooler's bounded queue depth; with
+// with RecordOptions::spool_prefix set, the materializer's durability ack
+// copies each checkpoint to the bucket (spool-as-you-materialize, the
+// paper's background spooler, §6.2; checkpoint/spool.h); with
 // RecordOptions::gc.keep_last_k set, old checkpoints are retired per shard
 // after the run's artifacts are persisted (keep-last-K-per-loop,
 // checkpoint/gc.h). Without a spool mirror the result's manifest reflects
@@ -25,6 +24,7 @@
 #ifndef FLOR_FLOR_RECORD_H_
 #define FLOR_FLOR_RECORD_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,26 +51,18 @@ struct RecordOptions {
   /// Shard count of the run's checkpoint store (recorded in the manifest
   /// so replay finds objects without probing). 1 = legacy flat layout.
   int ckpt_shards = 1;
+  /// The session installs its own durability ack as on_durable.
   MaterializerOptions materializer;
   AdaptiveOptions adaptive;
-  /// Non-empty enables spool-as-you-materialize: each checkpoint is
-  /// enqueued on a background SpoolQueue as soon as it is durably stored,
-  /// mirrored at "<spool_prefix>/<object path>" (prefix "s3" mirrors
-  /// run/ckpt/... under s3/run/ckpt/...). Shard-local batching; per-shard
-  /// SpoolReports in RecordResult after the end-of-run drain.
+  /// Non-empty enables spool-as-you-materialize: each checkpoint is copied
+  /// to "<spool_prefix>/<object path>" (prefix "s3" mirrors run/ckpt/...
+  /// under s3/run/ckpt/...) by its durability ack, one SpoolObject per
+  /// acknowledged checkpoint, on the thread that delivers the ack. The
+  /// copies of a group-commit slot land when the slot closes, and the
+  /// last slot's inside the end-of-run drain. Per-shard SpoolReports are
+  /// in RecordResult; a failed copy is counted there and never fails the
+  /// run.
   std::string spool_prefix;
-  SpoolOptions spool;
-  /// Externally owned spool queue (a flor::Connection's shared spooler):
-  /// when set together with spool_prefix, the session enqueues through it
-  /// instead of constructing a private queue, so concurrent record
-  /// sessions share one spooler's batching and backpressure (`spool` is
-  /// then ignored — the owner configured the queue). The queue's shard
-  /// count must match ckpt_shards. The end-of-run drain drains the shared
-  /// queue (other sessions' pending batches included — the group-drain
-  /// semantics of a shared spooler), and RecordResult reports the spool
-  /// *delta* observed across this session's run, not the queue's lifetime
-  /// totals.
-  SpoolQueue* shared_spool = nullptr;
   /// Checkpoint retention, applied after logs + manifest are persisted:
   /// keep_last_k == 0 (default) keeps everything and leaves the store
   /// byte-identical; K > 0 retires older epochs per loop, shard-locally
@@ -88,6 +80,9 @@ struct RecordOptions {
 
 /// Outcome of a record run.
 struct RecordResult {
+  /// Wall (or simulated) time of the run through the end-of-run drain.
+  /// With a spool prefix on a wall clock this includes the bucket copies
+  /// still pending at the drain: the last group-commit slot's.
   double runtime_seconds = 0;
   SkipBlockStats skipblocks;
   exec::LogStream logs;
@@ -101,9 +96,8 @@ struct RecordResult {
   /// each. At window 1, slots == joins == syncs (one sync per checkpoint).
   GroupCommitStats group_commit;
   std::vector<AdaptiveDecision> adaptive_trace;
-  /// Per-shard spool outcomes (empty when spooling is disabled) and their
-  /// aggregate. Spooling runs as a background tail: its drain is not
-  /// charged to runtime_seconds.
+  /// Per-shard spool outcomes of this run's copies (empty when spooling
+  /// is disabled) and their aggregate.
   std::vector<SpoolReport> spool_shard_reports;
   SpoolReport spool_report;
   /// Retention outcome (all-zero when gc.keep_last_k == 0). When
@@ -137,10 +131,14 @@ class RecordSession : public exec::ExecHooks {
   RecordOptions options_;
   RunPaths paths_;
   std::unique_ptr<CheckpointStore> store_;
-  /// Declared before materializer_: the materializer's background jobs
-  /// enqueue into the spooler through on_durable, so the materializer must
-  /// be destroyed (and drained) first.
-  std::unique_ptr<SpoolQueue> spool_;
+  /// What the durability ack writes: each acknowledged checkpoint's stored
+  /// size, by key, and the per-shard outcomes of its bucket copies. Acks
+  /// arrive one at a time (from the materializer's single worker, or the
+  /// training thread) and Run reads these only after the drain. Declared
+  /// before materializer_, whose destructor drains and can still deliver
+  /// acks.
+  std::map<std::string, uint64_t> acked_bytes_;
+  std::vector<SpoolReport> spool_reports_;
   std::unique_ptr<Materializer> materializer_;
   AdaptiveController adaptive_;
   Manifest manifest_;

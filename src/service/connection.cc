@@ -54,12 +54,7 @@ Status ValidateNamespaceSegment(const std::string& name, const char* what) {
 }
 
 Connection::Connection(Env* env, ConnectionOptions options)
-    : env_(env), options_(std::move(options)) {
-  if (!options_.tier.bucket_prefix.empty()) {
-    spool_ = std::make_unique<SpoolQueue>(env_->fs(), options_.ckpt_shards,
-                                          options_.spool);
-  }
-}
+    : env_(env), options_(std::move(options)) {}
 
 Result<std::unique_ptr<Connection>> Connection::Open(
     Env* env, ConnectionOptions options) {
@@ -99,12 +94,7 @@ Result<std::unique_ptr<Connection>> Connection::Open(
 
 Connection::~Connection() { DrainBackground(); }
 
-void Connection::DrainBackground() {
-  // Spool first: a GC pass scheduled behind a still-spooling run must see
-  // the bucket mirror complete before it demotes local copies.
-  if (spool_) spool_->Drain();
-  gc_queue_.Drain();
-}
+void Connection::DrainBackground() { gc_queue_.Drain(); }
 
 Status Connection::Close(double deadline_seconds) {
   {

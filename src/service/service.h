@@ -3,18 +3,18 @@
 //
 // Everything below this layer is one-shot: a RecordSession records and
 // exits, a replay engine replays and exits, each opening its own
-// CheckpointStore and SpoolQueue. A long-running service inverts that
-// ownership:
+// CheckpointStore. A long-running service inverts that ownership:
 //
 //   * flor::Connection — opened once per process. Owns the shared
 //     infrastructure: the tier configuration every store open uses
-//     (bucket mirror + bloom filters, TierOptions), the single shared
-//     SpoolQueue all record sessions spool through (shard-batched, with
-//     backpressure via SpoolOptions::max_queued_batches), admission
-//     control over concurrent recorders, and the background GC worker
-//     that retires checkpoints after record sessions finish — demoting
-//     to the bucket tier when one is attached, racing live readers
-//     safely (the tiered-store fall-through contract).
+//     (bucket mirror + bloom filters, TierOptions), admission control
+//     over concurrent recorders, and the background GC worker that
+//     retires checkpoints after record sessions finish — demoting to the
+//     bucket tier when one is attached, racing live readers safely (the
+//     tiered-store fall-through contract). It owns no spooler: each
+//     record session mirrors its own checkpoints to the bucket from the
+//     materializer's durability ack, so a record returns with its run's
+//     mirror complete and its spool report covering that run alone.
 //   * flor::Session — a lightweight per-tenant handle from
 //     Connection::OpenSession. Record / Replay / Query / Exists calls
 //     map the tenant namespace onto run prefixes
@@ -28,7 +28,7 @@
 // (RecordSession, sim::ClusterReplay, exec::ReplayExecutor,
 // exec::ProcessReplayExecutor) remain as the compat surface and share
 // this layer's internals (OpenRun and CheckpointStore::Open over one
-// TierOptions, GC by run prefix, RecordOptions::shared_spool), so both
+// TierOptions, GC by run prefix, RecordOptions::spool_prefix), so both
 // paths stay byte-identical.
 
 #ifndef FLOR_SERVICE_SERVICE_H_
@@ -45,14 +45,12 @@
 #include <vector>
 
 #include "checkpoint/gc.h"
-#include "checkpoint/spool.h"
 #include "checkpoint/store.h"
 #include "env/background_queue.h"
 #include "env/env.h"
 #include "flor/query.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
-#include "sim/cost_model.h"
 
 namespace flor {
 
@@ -68,8 +66,8 @@ enum class ReplayEngine {
 };
 
 /// Connection-level configuration: the layer of knobs that is set once
-/// for the service lifetime. Per-call knobs (engine choice, worker count,
-/// scratch dir, workload costs) live in SessionRecordOptions /
+/// for the service lifetime. Per-call knobs (workload costs, engine
+/// choice, worker count) live in SessionRecordOptions /
 /// SessionReplayOptions instead.
 struct ConnectionOptions {
   /// Filesystem root of the service namespace; a tenant's runs live at
@@ -82,10 +80,6 @@ struct ConnectionOptions {
   /// bucket prefix + rehydration, bloom filters + target FPR. The same
   /// aggregate the one-shot entry points inherit.
   TierOptions tier;
-  /// Shared spooler batching/backpressure (the admission-control back
-  /// half: a full queue blocks the materializer threads of every
-  /// recording session). Only used when tier.bucket_prefix is set.
-  SpoolOptions spool;
   /// Local checkpoint retention, applied by the background GC worker
   /// after each record session completes. keep_last_k == 0 disables
   /// retirement. With a bucket tier attached the pass *demotes* (local
@@ -188,8 +182,7 @@ inline constexpr size_t kGcErrorRingCapacity = 16;
 /// it across threads, handing each thread its own Session.
 class Connection {
  public:
-  /// Validates `options` (root name, shard count) and builds the shared
-  /// state: the spool queue when a bucket tier is configured, and the
+  /// Validates `options` (root name, shard count) and starts the
   /// background GC worker. Does not own `env`; env->fs() must be
   /// thread-safe (all flor FileSystem implementations are). A simulated
   /// env clock makes every record/replay run on its own fresh SimClock —
@@ -197,7 +190,7 @@ class Connection {
   static Result<std::unique_ptr<Connection>> Open(Env* env,
                                                   ConnectionOptions options);
 
-  /// Drains the shared spool and the background GC queue.
+  /// Drains the background GC queue.
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -208,17 +201,16 @@ class Connection {
   /// rejected so a tenant cannot escape its namespace.
   Result<std::unique_ptr<Session>> OpenSession(const std::string& tenant);
 
-  /// Blocks until the background work the connection owns is idle: the
-  /// shared spool's pending batches and every scheduled GC pass.
+  /// Blocks until every scheduled GC pass has run.
   void DrainBackground();
 
   /// Graceful drain: stops admitting new work (every subsequent session
   /// call — and any Record blocked on the admission gate — fails with
   /// Unavailable), waits for in-flight session calls to finish, then
-  /// drains the spool and the GC queue. `deadline_seconds > 0` bounds
-  /// the wait for in-flight work: on expiry Close returns Aborted
-  /// *without* draining — the connection stays closed and a later
-  /// Close() can finish the job. Idempotent; 0 = wait forever.
+  /// drains the GC queue. `deadline_seconds > 0` bounds the wait for
+  /// in-flight work: on expiry Close returns Aborted *without* draining —
+  /// the connection stays closed and a later Close() can finish the job.
+  /// Idempotent; 0 = wait forever.
   Status Close(double deadline_seconds = 0);
 
   /// True once Close has been called (even if a deadline expired).
@@ -239,8 +231,6 @@ class Connection {
   ConnectionStats stats() const;
   const ConnectionOptions& options() const { return options_; }
   Env* env() const { return env_; }
-  /// The shared spooler; null when no bucket tier is configured.
-  SpoolQueue* shared_spool() const { return spool_.get(); }
 
   /// "<root>/<tenant>" — the prefix a session's queries scan. The
   /// trailing-slash scan in ListRuns means tenant "a" can never match
@@ -318,10 +308,6 @@ class Connection {
 
   Env* env_;
   ConnectionOptions options_;
-
-  /// Declared before gc_queue_ so queued GC jobs (which only read/write
-  /// through env_->fs()) are drained before the spooler goes away.
-  std::unique_ptr<SpoolQueue> spool_;
   BackgroundQueue gc_queue_;
 
   mutable std::mutex mu_;
@@ -353,24 +339,15 @@ struct SessionRecordOptions {
   double vanilla_runtime_seconds = 0;
 };
 
-/// Per-call replay knobs. Session::Replay turns `workers`, `init_mode`,
-/// `sample_epochs` and `costs` plus the run prefix and the connection's
-/// tier into one replay request (ClusterPlanOptions); the rest are engine
-/// knobs.
+/// Per-call replay knobs. Session::Replay turns `workers`, the run prefix
+/// and the connection's tier into one replay request (ClusterPlanOptions)
+/// with strong init and the default costs. The thread engine runs one
+/// thread per worker, the process engine commits its results to a fresh
+/// scratch directory, and the simulated engine bills kP3_2xLarge machines.
 struct SessionReplayOptions {
   ReplayEngine engine = ReplayEngine::kSimulated;
   /// Log partitions (the paper's G); one worker per partition.
   int workers = 1;
-  /// Thread-engine pool size; 0 = one thread per worker.
-  int num_threads = 0;
-  InitMode init_mode = InitMode::kStrong;
-  std::vector<int64_t> sample_epochs;
-  MaterializerCosts costs;
-  /// Process-engine result-file directory; empty = fresh mkdtemp scratch.
-  std::string scratch_dir;
-  /// Simulated-engine billing: workers fill ceil(workers / instance.gpus)
-  /// machines of this instance type.
-  sim::Ec2Instance instance = sim::kP3_2xLarge;
 };
 
 /// Record outcome through the service path: everything the one-shot
@@ -380,15 +357,6 @@ struct SessionRecordResult : RecordResult {
   /// Wall-clock admission-gate wait before the run started (0 when
   /// admitted immediately).
   double admission_wait_seconds = 0;
-};
-
-/// Engine-agnostic replay outcome (merged logs are byte-identical across
-/// all three engines) plus the per-engine extras that survive the
-/// dispatch.
-struct SessionReplayResult : MergedClusterReplay {
-  ReplayEngine engine = ReplayEngine::kSimulated;
-  /// Simulated-cluster billing (simulated engine only).
-  double total_cost_dollars = 0;
 };
 
 /// A tenant-scoped handle. Cheap to create and destroy; NOT thread-safe —
@@ -403,18 +371,20 @@ class Session {
   Result<std::string> RunPrefix(const std::string& run) const;
 
   /// Records one program execution as run `run` under this tenant,
-  /// spooling through the connection's shared queue and subject to its
-  /// admission gate. Retirement (ConnectionOptions::gc) is scheduled on
-  /// the connection's background worker after the artifacts are durable —
-  /// the session never blocks on GC.
+  /// mirroring its checkpoints to the connection's bucket tier (when one
+  /// is attached) and subject to its admission gate. Retirement
+  /// (ConnectionOptions::gc) is scheduled on the connection's background
+  /// worker after the artifacts are durable — the session never blocks on
+  /// GC.
   Result<SessionRecordResult> Record(const std::string& run,
                                      const ProgramFactory& factory,
                                      const SessionRecordOptions& options =
                                          SessionRecordOptions());
 
   /// Replays run `run` on the chosen engine. `factory` rebuilds the
-  /// *current* (possibly probed) program per worker.
-  Result<SessionReplayResult> Replay(const std::string& run,
+  /// *current* (possibly probed) program per worker. The merged result is
+  /// byte-identical across the three engines.
+  Result<MergedClusterReplay> Replay(const std::string& run,
                                      const ProgramFactory& factory,
                                      const SessionReplayOptions& options =
                                          SessionReplayOptions());

@@ -57,11 +57,10 @@ Result<SessionRecordResult> Session::Record(
   ropts.adaptive = options.adaptive;
   ropts.nominal_checkpoint_bytes = options.nominal_checkpoint_bytes;
   ropts.vanilla_runtime_seconds = options.vanilla_runtime_seconds;
-  // The connection owns the spool mirror and retirement: sessions spool
-  // through the shared queue and never run GC inline — the background
-  // worker retires after the run's artifacts are durable.
+  // The session mirrors its run to the connection's bucket tier and never
+  // runs GC inline: the background worker retires after the run's
+  // artifacts, its bucket mirror included, are durable.
   ropts.spool_prefix = copts.tier.bucket_prefix;
-  ropts.shared_spool = conn_->shared_spool();
   ropts.gc = GcPolicy();
 
   double admission_wait_seconds = 0;
@@ -81,13 +80,10 @@ Result<SessionRecordResult> Session::Record(
                     static_cast<int64_t>(result->spool_report.objects),
                     static_cast<int64_t>(result->spool_report.bytes));
   conn_->ScheduleRetirement(tenant_, run);
-  SessionRecordResult out;
-  static_cast<RecordResult&>(out) = std::move(*result);
-  out.admission_wait_seconds = admission_wait_seconds;
-  return out;
+  return SessionRecordResult{std::move(*result), admission_wait_seconds};
 }
 
-Result<SessionReplayResult> Session::Replay(
+Result<MergedClusterReplay> Session::Replay(
     const std::string& run, const ProgramFactory& factory,
     const SessionReplayOptions& options) {
   FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
@@ -98,34 +94,27 @@ Result<SessionReplayResult> Session::Replay(
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
   FileSystem* fs = conn_->env()->fs();
-  const ClusterPlanOptions request{prefix, options.workers, options.init_mode,
-                                   options.costs, options.sample_epochs,
-                                   conn_->options().tier};
+  ClusterPlanOptions request;
+  request.run_prefix = prefix;
+  request.num_workers = options.workers;
+  request.tier = conn_->options().tier;
 
-  SessionReplayResult out;
-  out.engine = options.engine;
+  MergedClusterReplay out;
   switch (options.engine) {
     case ReplayEngine::kSimulated: {
       FLOR_ASSIGN_OR_RETURN(
-          sim::ClusterReplayResult r,
-          sim::ClusterReplay(factory, fs, request, options.instance));
-      out.total_cost_dollars = r.total_cost_dollars;
-      static_cast<MergedClusterReplay&>(out) = std::move(r);
+          out, sim::ClusterReplay(factory, fs, request, sim::kP3_2xLarge));
       break;
     }
     case ReplayEngine::kThreads: {
-      exec::ReplayExecutor executor(
-          fs, request,
-          options.num_threads > 0 ? options.num_threads : options.workers);
-      FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(out),
-                            executor.Run(factory));
+      exec::ReplayExecutor executor(fs, request, options.workers);
+      FLOR_ASSIGN_OR_RETURN(out, executor.Run(factory));
       break;
     }
     case ReplayEngine::kProcesses: {
       exec::ProcessReplayExecutor executor(
-          fs, exec::ProcessReplayExecutorOptions{request, options.scratch_dir});
-      FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(out),
-                            executor.Run(factory));
+          fs, exec::ProcessReplayExecutorOptions{request, /*scratch_dir=*/""});
+      FLOR_ASSIGN_OR_RETURN(out, executor.Run(factory));
       break;
     }
   }

@@ -471,7 +471,7 @@ TEST(Materializer, BackpressureStallsWhenBufferFull) {
   MaterializerOptions opts;
   opts.strategy = MaterializeStrategy::kFork;
   opts.costs = sim::PaperPlatformCosts();
-  opts.max_in_flight = 2;
+  static_assert(kMaxInFlightMaterializations == 2);
   Materializer mat(env.get(), opts);
   CheckpointStore store(env->fs(), "ck");
   const uint64_t huge = 4ull << 30;  // ~25s of background work each

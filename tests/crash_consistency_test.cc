@@ -169,14 +169,65 @@ TEST_F(CrashConsistencyTest, CompletedChildWriteSurvivesKill) {
   EXPECT_EQ(*raw, bytes);
 }
 
+/// Delegating FileSystem that parks the process (after signaling `wfd`)
+/// on the `park_at`-th WriteFile under `watch_prefix` — before the write
+/// lands, so the parent SIGKILLs a writer at a deterministic point: the
+/// earlier writes are complete, the parked one never exists.
+class ParkOnWriteFileSystem : public FileSystem {
+ public:
+  ParkOnWriteFileSystem(FileSystem* base, std::string watch_prefix,
+                        int park_at, int wfd)
+      : base_(base), watch_prefix_(std::move(watch_prefix)),
+        park_at_(park_at), wfd_(wfd) {}
+
+  Status WriteFile(const std::string& path, const std::string& data)
+      override {
+    if (path.rfind(watch_prefix_, 0) == 0 && ++writes_ == park_at_) {
+      char one = 1;
+      (void)!write(wfd_, &one, 1);
+      pause();  // parked before the write; parent SIGKILLs
+    }
+    return base_->WriteFile(path, data);
+  }
+  Status AppendFile(const std::string& path, const std::string& data)
+      override {
+    return base_->AppendFile(path, data);
+  }
+  Result<std::string> ReadFile(const std::string& path) const override {
+    return base_->ReadFile(path);
+  }
+  bool Exists(const std::string& path) const override {
+    return base_->Exists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  std::vector<std::string> ListPrefix(
+      const std::string& prefix) const override {
+    return base_->ListPrefix(prefix);
+  }
+
+ private:
+  FileSystem* base_;
+  std::string watch_prefix_;
+  int writes_ = 0;
+  int park_at_;
+  int wfd_;
+};
+
 TEST_F(CrashConsistencyTest, KilledMidBatchedSpoolKeepsShardLocalAtomicity) {
-  // The spooler child dies (SIGKILL) partway through draining a sharded
-  // store to the bucket. Shard-local atomicity: every object that made it
-  // to the bucket must be complete and decode bit-exact (WriteFile is
-  // atomic per object), with no torn objects anywhere — a shard is simply
-  // a prefix of fully-spooled objects plus absent ones.
+  // The spooler child dies (SIGKILL) partway through mirroring a sharded
+  // store to the bucket, parked on its 7th bucket write. Shard-local
+  // atomicity: every object that made it to the bucket is complete and
+  // decodes bit-exact (WriteFile is atomic per object), with no torn
+  // object anywhere — a shard is a prefix of fully-spooled objects plus
+  // absent ones.
   const int kShards = 4;
   const int kObjects = 16;
+  const int kParkAt = 7;
   const std::string bytes = EncodeCheckpoint(TestSnapshots());
 
   // Parent stages the sharded store first, so it knows the full layout.
@@ -189,21 +240,10 @@ TEST_F(CrashConsistencyTest, KilledMidBatchedSpoolKeepsShardLocalAtomicity) {
   }
 
   KillChildMidWrite([&](PosixFileSystem* fs, int wfd) {
-    CheckpointStore store(fs, "run/ckpt", kShards);
-    SpoolOptions sopts;
-    sopts.max_batch_objects = 4;
-    SpoolQueue queue(fs, kShards, sopts);
-    for (int shard = 0; shard < kShards; ++shard) {
-      for (const auto& path :
-           fs->ListPrefix(store.ShardPrefix(shard) + "/"))
-        queue.Enqueue(shard, path, "s3/" + path);
-    }
-    queue.Flush();
-    // Report mid-spool while batches are still running in the background
-    // worker, then park: the parent SIGKILLs a genuinely in-flight spool.
-    char one = 1;
-    (void)!write(wfd, &one, 1);
-    pause();
+    ParkOnWriteFileSystem parked(fs, "s3/", kParkAt, wfd);
+    CheckpointStore store(&parked, "run/ckpt", kShards);
+    SpoolReport report = SpoolStore(store, "s3/run/ckpt");
+    (void)report;  // never reached: the 7th bucket write parks
   });
 
   PosixFileSystem fs(root());
@@ -212,7 +252,7 @@ TEST_F(CrashConsistencyTest, KilledMidBatchedSpoolKeepsShardLocalAtomicity) {
   for (int e = 0; e < kObjects; ++e) {
     const CheckpointKey key{2, StrCat("e=", e)};
     const std::string dst = "s3/" + store.PathFor(key);
-    if (!fs.Exists(dst)) continue;  // never spooled: fine
+    if (!fs.Exists(dst)) continue;  // not reached before the kill
     ++spooled;
     // Present implies complete and bit-exact — never torn.
     auto got = fs.ReadFile(dst);
@@ -222,20 +262,20 @@ TEST_F(CrashConsistencyTest, KilledMidBatchedSpoolKeepsShardLocalAtomicity) {
     EXPECT_TRUE(decoded.ok()) << dst << ": "
                               << decoded.status().ToString();
   }
-  // A kill between stage and rename can orphan a ".tmp" — that is fine
-  // (readers resolve only final paths); what must never exist is a torn
-  // object at a *final* path.
+  EXPECT_EQ(spooled, kParkAt - 1);
+  // What must never exist is a torn object at a *final* path.
+  int final_paths = 0;
   for (const auto& path : fs.ListPrefix("s3/")) {
     if (EndsWith(path, ".tmp")) continue;
+    ++final_paths;
     auto data = fs.ReadFile(path);
     ASSERT_TRUE(data.ok()) << path;
     EXPECT_TRUE(DecodeCheckpoint(*data).ok()) << path;
   }
+  EXPECT_EQ(final_paths, kParkAt - 1);
   // The local store is untouched by the crashed spooler.
   EXPECT_EQ(fs.TotalBytesUnder("run/ckpt/"),
             static_cast<uint64_t>(kObjects) * bytes.size());
-  // (spooled count varies with kill timing; zero and all are both legal.)
-  EXPECT_LE(spooled, kObjects);
 }
 
 /// Delegating FileSystem that parks the process (after signaling `wfd`)
@@ -490,56 +530,6 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   EXPECT_EQ(count_objects(), manifest->records.size() * 2);
 }
 
-/// Delegating FileSystem that parks the process (after signaling `wfd`)
-/// on the `park_at`-th WriteFile under `watch_prefix` — before the write
-/// lands, so the parent SIGKILLs a record session genuinely mid-slot:
-/// earlier checkpoints are durable (some acked, some batched in the open
-/// group-commit slot), the parked one never exists.
-class ParkOnWriteFileSystem : public FileSystem {
- public:
-  ParkOnWriteFileSystem(FileSystem* base, std::string watch_prefix,
-                        int park_at, int wfd)
-      : base_(base), watch_prefix_(std::move(watch_prefix)),
-        park_at_(park_at), wfd_(wfd) {}
-
-  Status WriteFile(const std::string& path, const std::string& data)
-      override {
-    if (path.rfind(watch_prefix_, 0) == 0 && ++writes_ == park_at_) {
-      char one = 1;
-      (void)!write(wfd_, &one, 1);
-      pause();  // parked mid-slot; parent SIGKILLs
-    }
-    return base_->WriteFile(path, data);
-  }
-  Status AppendFile(const std::string& path, const std::string& data)
-      override {
-    return base_->AppendFile(path, data);
-  }
-  Result<std::string> ReadFile(const std::string& path) const override {
-    return base_->ReadFile(path);
-  }
-  bool Exists(const std::string& path) const override {
-    return base_->Exists(path);
-  }
-  Result<uint64_t> FileSize(const std::string& path) const override {
-    return base_->FileSize(path);
-  }
-  Status DeleteFile(const std::string& path) override {
-    return base_->DeleteFile(path);
-  }
-  std::vector<std::string> ListPrefix(
-      const std::string& prefix) const override {
-    return base_->ListPrefix(prefix);
-  }
-
- private:
-  FileSystem* base_;
-  std::string watch_prefix_;
-  int writes_ = 0;
-  int park_at_;
-  int wfd_;
-};
-
 TEST_F(CrashConsistencyTest, KilledMidGroupCommitSlotLosesNoAckedCheckpoint) {
   // Group commit batches durable *notifications*, not durability: a record
   // process SIGKILLed mid-slot (kill lands during the 6th checkpoint write
@@ -548,7 +538,7 @@ TEST_F(CrashConsistencyTest, KilledMidGroupCommitSlotLosesNoAckedCheckpoint) {
   //   (a) no torn object at any final path (every checkpoint on disk
   //       decodes bit-exact),
   //   (b) the spool mirror holding only *acked* checkpoints (the open
-  //       slot's members were never handed to the spooler), each
+  //       slot's acks never ran, so its members were never copied), each
   //       byte-identical to its local object,
   //   (c) no manifest (the run never completed — a half-written index
   //       would be worse than none), and
@@ -582,7 +572,6 @@ TEST_F(CrashConsistencyTest, KilledMidGroupCommitSlotLosesNoAckedCheckpoint) {
     RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
     opts.adaptive.enabled = false;  // dense: one checkpoint per epoch
     opts.spool_prefix = "s3";
-    opts.spool.max_batch_objects = 1;  // spool each ack promptly
     opts.materializer.group_commit_window = kWindow;
     RecordSession session(&env, opts);
     exec::Frame frame;

@@ -2,7 +2,7 @@
 // every tier (local shards, bucket fall-through, bloom fast path),
 // byte-identity of the service path against the one-shot entry points on
 // all three replay engines, admission control over concurrent recorders,
-// concurrent sessions racing the background GC worker, shared-spool delta
+// concurrent sessions racing the background GC worker, per-run spool
 // accounting, namespace validation, the options-dedup static guards, and
 // the pinned process-worker wire format — plus the fair-admission gate
 // (per-tenant quotas, starved-wait histogram), per-tenant stats slices,
@@ -131,7 +131,7 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   (*conn)->DrainBackground();
 
-  // One-shot path: same run prefix, same spool mirror, private spooler.
+  // One-shot path: same run prefix, same spool mirror.
   MemFileSystem fs_direct;
   Env env_direct = testutil::MakeSimEnv(&fs_direct);
   RecordOptions direct_opts = workloads::DefaultRecordOptions(profile, prefix);
@@ -148,8 +148,8 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   }
 
   // Record artifacts and the bucket mirror are byte-identical between the
-  // service path (shared spool, connection-owned store) and the one-shot
-  // path (private spool, session-owned store).
+  // service path (connection-owned tier) and the one-shot path
+  // (session-owned store).
   EXPECT_EQ(SnapshotPrefix(fs_svc, "svc"), SnapshotPrefix(fs_direct, "svc"));
   EXPECT_EQ(SnapshotPrefix(fs_svc, "s3"), SnapshotPrefix(fs_direct, "s3"));
 
@@ -479,14 +479,56 @@ TEST(ServiceTest, SharedSpoolReportsPerSessionDeltas) {
   auto rec2 = (*session)->Record("r2", factory, sropts);
   ASSERT_TRUE(rec2.ok()) << rec2.status().ToString();
 
-  // Each session's report covers its own run, not the queue's cumulative
-  // totals; the shared queue's lifetime totals are the sum.
+  // Each session's report covers its own run; the tenant's spool total is
+  // the sum.
   EXPECT_EQ(rec1->spool_report.objects,
             static_cast<int64_t>(rec1->manifest.records.size()));
   EXPECT_EQ(rec2->spool_report.objects,
             static_cast<int64_t>(rec2->manifest.records.size()));
-  EXPECT_EQ((*conn)->shared_spool()->TotalReport().objects,
+  EXPECT_EQ((*conn)->stats().tenants.at("alice").spool_objects,
             rec1->spool_report.objects + rec2->spool_report.objects);
+}
+
+TEST(ServiceTest, ConcurrentWallClockRecordsReportOnlyTheirOwnSpool) {
+  // Two tenants record at once on a wall clock, with different epoch
+  // counts: each run's copies happen on its own materializer's worker, and
+  // each report counts exactly its own run's checkpoints and bytes.
+  MemFileSystem fs;
+  Env env(std::make_unique<WallClock>(), &fs);
+  auto conn = Connection::Open(&env, TieredConnectionOptions(ServiceProfile()));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const int64_t kEpochs[] = {4, 7};
+  Result<SessionRecordResult> recs[2] = {Status::Internal("not run"),
+                                         Status::Internal("not run")};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const WorkloadProfile profile = ServiceProfile(kEpochs[t]);
+      SessionRecordOptions sropts =
+          SessionRecordFrom(workloads::DefaultRecordOptions(profile, ""));
+      sropts.adaptive.enabled = false;  // every epoch materializes
+      auto session = (*conn)->OpenSession(StrCat("tenant", t));
+      ASSERT_TRUE(session.ok());
+      recs[t] = (*session)->Record("r1",
+                                   MakeWorkloadFactory(profile, kProbeNone),
+                                   sropts);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(recs[t].ok()) << recs[t].status().ToString();
+    const SessionRecordResult& rec = *recs[t];
+    ASSERT_EQ(static_cast<int64_t>(rec.manifest.records.size()), kEpochs[t]);
+    const std::string ckpt = StrCat("svc/tenant", t, "/r1/ckpt/");
+    EXPECT_TRUE(rec.spool_report.ok()) << rec.spool_report.first_error;
+    EXPECT_EQ(rec.spool_report.objects, kEpochs[t]);
+    EXPECT_EQ(rec.spool_report.bytes, fs.TotalBytesUnder(ckpt));
+    EXPECT_EQ(fs.TotalBytesUnder("s3/" + ckpt), fs.TotalBytesUnder(ckpt));
+    EXPECT_EQ((*conn)->stats().tenants.at(StrCat("tenant", t)).spool_objects,
+              kEpochs[t]);
+  }
 }
 
 TEST(ServiceTest, NamespaceValidationRejectsEscapes) {

@@ -1,6 +1,10 @@
-// SpoolQueue: batched async spooling, retry/failure paths, per-shard
-// reporting, and the concurrent materialize-while-spool interaction with
-// the sharded CheckpointStore. This suite carries the `tsan` ctest label —
+// The spool mirror: SpoolObject / SpoolStore copies, retry and failure
+// paths, per-shard reporting, the concurrent materialize-while-spool
+// interaction with the sharded CheckpointStore, and the record session's
+// ack-driven mirror (each acknowledged checkpoint copied to the bucket by
+// the materializer's durability ack) with the run-level contracts of that
+// ack: a failed background write fails the record, and every manifest
+// record is sized by its ack. This suite carries the `tsan` ctest label —
 // FLOR_SANITIZE=thread ./scripts/check.sh runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -34,48 +38,22 @@ uint64_t FillStore(CheckpointStore* store, int n, size_t object_bytes) {
   return store->TotalBytes();
 }
 
-TEST(SpoolQueue, BatchesBySizeAndObjectCount) {
-  MemFileSystem fs;
-  CheckpointStore store(&fs, "run/ckpt");
-  FillStore(&store, 10, 100);
-
-  // Object-count bound: 10 objects at 4 per batch -> 3 batches.
-  SpoolOptions opts;
-  opts.max_batch_objects = 4;
-  opts.max_batch_bytes = 1ull << 30;
-  SpoolReport by_count = SpoolStore(store, "s3/count", opts);
-  EXPECT_TRUE(by_count.ok());
-  EXPECT_EQ(by_count.objects, 10);
-  EXPECT_EQ(by_count.batches, 3);
-
-  // Byte bound: 100-byte objects with a 250-byte bound -> a batch flushes
-  // once it reaches 3 objects (300 >= 250): 4 batches (3+3+3+1).
-  opts.max_batch_objects = 1000;
-  opts.max_batch_bytes = 250;
-  SpoolReport by_bytes = SpoolStore(store, "s3/bytes", opts);
-  EXPECT_TRUE(by_bytes.ok());
-  EXPECT_EQ(by_bytes.objects, 10);
-  EXPECT_EQ(by_bytes.batches, 4);
-  EXPECT_EQ(by_bytes.bytes, 1000u);
-}
-
-TEST(SpoolQueue, PerShardReportsSumToTotal) {
+TEST(SpoolMirror, PerShardReportsSumToTotal) {
   MemFileSystem fs;
   CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/4);
   const uint64_t local = FillStore(&store, 32, 64);
 
-  SpoolQueue queue(&fs, store.num_shards());
+  std::vector<SpoolReport> per_shard(static_cast<size_t>(store.num_shards()));
   for (int shard = 0; shard < store.num_shards(); ++shard) {
     for (const auto& path : fs.ListPrefix(store.ShardPrefix(shard) + "/"))
-      queue.Enqueue(shard, path, "s3/" + path);
+      SpoolObject(&fs, path, "s3/" + path,
+                  &per_shard[static_cast<size_t>(shard)]);
   }
-  queue.Drain();
 
   int64_t objects = 0;
   uint64_t bytes = 0;
   int shards_with_objects = 0;
-  for (int shard = 0; shard < queue.num_shards(); ++shard) {
-    SpoolReport r = queue.ShardReport(shard);
+  for (const SpoolReport& r : per_shard) {
     EXPECT_TRUE(r.ok());
     objects += r.objects;
     bytes += r.bytes;
@@ -86,13 +64,21 @@ TEST(SpoolQueue, PerShardReportsSumToTotal) {
   // CRC32C placement spreads 32 keys over more than one of 4 shards.
   EXPECT_GT(shards_with_objects, 1);
 
-  SpoolReport total = queue.TotalReport();
+  SpoolReport total = AggregateSpoolReports(per_shard);
   EXPECT_EQ(total.objects, 32);
   EXPECT_EQ(total.bytes, local);
   EXPECT_DOUBLE_EQ(total.monthly_cost_dollars, S3MonthlyCost(local));
+
+  // The whole-store loop lands the same totals: 10 objects of 100 bytes.
+  CheckpointStore flat(&fs, "flat/ckpt");
+  FillStore(&flat, 10, 100);
+  SpoolReport by_store = SpoolStore(flat, "s3/flat/ckpt");
+  EXPECT_TRUE(by_store.ok());
+  EXPECT_EQ(by_store.objects, 10);
+  EXPECT_EQ(by_store.bytes, 1000u);
 }
 
-TEST(SpoolQueue, ShardedStoreLayoutPreservedInBucket) {
+TEST(SpoolMirror, ShardedStoreLayoutPreservedInBucket) {
   MemFileSystem fs;
   CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/4);
   FillStore(&store, 12, 50);
@@ -109,7 +95,7 @@ TEST(SpoolQueue, ShardedStoreLayoutPreservedInBucket) {
   EXPECT_EQ(fs.TotalBytesUnder("s3/run/ckpt/"), store.TotalBytes());
 }
 
-TEST(SpoolQueue, SpoolStoreMirrorLayoutIgnoresDestinationSlashes) {
+TEST(SpoolMirror, SpoolStoreMirrorLayoutIgnoresDestinationSlashes) {
   // The bucket tier reads objects at JoinObjectPath(bucket_prefix,
   // PathFor(key)), so a spool that shifts keys by a slash strands every
   // demoted checkpoint: stray trailing slashes on the destination must
@@ -149,7 +135,7 @@ TEST(SpoolQueue, SpoolStoreMirrorLayoutIgnoresDestinationSlashes) {
   }
 }
 
-TEST(SpoolQueue, TransientWriteFailuresAreRetried) {
+TEST(SpoolMirror, TransientWriteFailuresAreRetried) {
   MemFileSystem base;
   FaultInjectionFileSystem fs(&base);
   CheckpointStore store(&fs, "run/ckpt");
@@ -157,10 +143,9 @@ TEST(SpoolQueue, TransientWriteFailuresAreRetried) {
 
   // Two consecutive bucket-write failures, three attempts allowed: the
   // spool must recover without losing an object.
+  static_assert(kSpoolMaxAttempts == 3);
   fs.InjectWriteFailures(2, "s3/");
-  SpoolOptions opts;
-  opts.max_attempts = 3;
-  SpoolReport report = SpoolStore(store, "s3/run/ckpt", opts);
+  SpoolReport report = SpoolStore(store, "s3/run/ckpt");
   EXPECT_TRUE(report.ok()) << report.first_error;
   EXPECT_EQ(report.objects, 5);
   EXPECT_EQ(report.retries, 2);
@@ -168,7 +153,7 @@ TEST(SpoolQueue, TransientWriteFailuresAreRetried) {
   EXPECT_EQ(base.TotalBytesUnder("s3/run/ckpt/"), store.TotalBytes());
 }
 
-TEST(SpoolQueue, ExhaustedRetriesSurfaceFailedReportWithoutLosingObjects) {
+TEST(SpoolMirror, ExhaustedRetriesSurfaceFailedReportWithoutLosingObjects) {
   MemFileSystem base;
   FaultInjectionFileSystem fs(&base);
   CheckpointStore store(&fs, "run/ckpt");
@@ -177,10 +162,7 @@ TEST(SpoolQueue, ExhaustedRetriesSurfaceFailedReportWithoutLosingObjects) {
   // One object's destination fails persistently (its key string appears
   // only in its own path); everything else must still spool.
   fs.InjectWriteFailures(1000, "s3/run/ckpt/L2@e=3");
-  SpoolOptions opts;
-  opts.max_attempts = 3;
-  opts.max_batch_objects = 2;
-  SpoolReport report = SpoolStore(store, "s3/run/ckpt", opts);
+  SpoolReport report = SpoolStore(store, "s3/run/ckpt");
 
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.failed_objects, 1);
@@ -195,18 +177,16 @@ TEST(SpoolQueue, ExhaustedRetriesSurfaceFailedReportWithoutLosingObjects) {
   }
 }
 
-TEST(SpoolQueue, MissingSourceCountsAsFailedObject) {
+TEST(SpoolMirror, MissingSourceCountsAsFailedObject) {
   MemFileSystem fs;
-  SpoolQueue queue(&fs, 1);
-  queue.Enqueue(0, "run/ckpt/ghost.ckpt", "s3/ghost.ckpt");
-  queue.Drain();
-  SpoolReport report = queue.TotalReport();
+  SpoolReport report;
+  SpoolObject(&fs, "run/ckpt/ghost.ckpt", "s3/ghost.ckpt", &report);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.failed_objects, 1);
   EXPECT_EQ(report.objects, 0);
 }
 
-TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {
+TEST(SpoolMirror, ConcurrentMaterializeWhileSpooling) {
   // The production overlap: a wall-clock materializer keeps writing new
   // checkpoints into a sharded store while the spooler drains existing
   // objects to the bucket. Distinct per-shard locks and the thread-safe
@@ -221,18 +201,10 @@ TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {
   mopts.strategy = MaterializeStrategy::kFork;
   Materializer materializer(&wall_env, mopts);
 
-  SpoolOptions sopts;
-  sopts.max_batch_objects = 4;
-  SpoolQueue queue(&fs, store.num_shards(), sopts);
-
+  SpoolReport report;
   std::atomic<bool> done{false};
   std::thread spooler([&] {
-    for (int shard = 0; shard < store.num_shards(); ++shard) {
-      for (const auto& path :
-           fs.ListPrefix(store.ShardPrefix(shard) + "/"))
-        queue.Enqueue(shard, path, "s3/" + path);
-    }
-    queue.Drain();
+    report = SpoolStore(store, "s3/run/ckpt");
     done.store(true);
   });
 
@@ -252,7 +224,6 @@ TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {
   // The spooler copied exactly the pre-existing objects (its listing ran
   // before/while the writer added more — either way each listed object
   // must have landed), and the store now holds both generations.
-  SpoolReport report = queue.TotalReport();
   EXPECT_TRUE(report.ok()) << report.first_error;
   EXPECT_GE(report.objects, kPre);
   int64_t store_objects = 0;
@@ -260,15 +231,13 @@ TEST(SpoolQueue, ConcurrentMaterializeWhileSpooling) {
   EXPECT_EQ(store_objects, kPre + kNew);
 }
 
-TEST(SpoolQueue, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
+TEST(SpoolMirror, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
   // The full production overlap, driven entirely by RecordSession: a
   // wall-clock Fork materializer lands checkpoints from its background
-  // worker, and each durable checkpoint is handed straight to the
-  // spooler's shard-local batch (Materializer on_durable -> SpoolQueue) —
-  // three threads touching the store concurrently (training, materializer
-  // worker, spool worker). TSAN-checked in CI via the `tsan` label. Small
-  // batch and queue bounds force multiple flushes and exercise the
-  // bounded-depth backpressure path.
+  // worker, and each durable checkpoint is copied to the bucket by its
+  // ack on that worker (Materializer on_durable -> SpoolObject) while the
+  // training thread keeps snapshotting into the same store. TSAN-checked
+  // in CI via the `tsan` label.
   MemFileSystem fs;
   Env env(std::make_unique<WallClock>(), &fs);
 
@@ -295,8 +264,6 @@ TEST(SpoolQueue, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
   // disable it — this test is about the spool pipeline, not the policy.
   opts.adaptive.enabled = false;
   opts.spool_prefix = "s3";
-  opts.spool.max_batch_objects = 2;
-  opts.spool.max_queued_batches = 2;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -484,6 +451,128 @@ TEST(GroupCommit, SimNotifyCostIsAmortizedByWindow) {
               1e-6);
   EXPECT_NEAR(w8.runtime_seconds - free_run.runtime_seconds,
               10 * 0.5 / 8, 1e-6);
+}
+
+// --- The durability ack on a wall clock ------------------------------------
+
+/// Records GroupCommitProfile() over `fs` under a wall clock with the Fork
+/// strategy and every epoch materialized, so each checkpoint is written
+/// and acknowledged on the materializer's worker. An empty `spool_prefix`
+/// records without a bucket mirror.
+Result<RecordResult> RecordOnWallClock(FileSystem* fs,
+                                       const std::string& spool_prefix,
+                                       int64_t keep_last_k = 0) {
+  Env env(std::make_unique<WallClock>(), fs);
+  auto instance = workloads::MakeWorkloadFactory(GroupCommitProfile(),
+                                                 workloads::kProbeNone)();
+  if (!instance.ok()) return instance.status();
+  RecordOptions opts =
+      workloads::DefaultRecordOptions(GroupCommitProfile(), "run");
+  opts.materializer.strategy = MaterializeStrategy::kFork;
+  opts.adaptive.enabled = false;
+  opts.spool_prefix = spool_prefix;
+  opts.gc.keep_last_k = keep_last_k;
+  RecordSession session(&env, opts);
+  exec::Frame frame;
+  return session.Run(instance->program.get(), &frame);
+}
+
+TEST(RecordAck, FailedBackgroundWriteFailsTheRecordAndWritesNoManifest) {
+  // The first checkpoint's background write fails. It is never
+  // acknowledged, so the run must fail like a crashed one, before any
+  // manifest names a checkpoint that never landed.
+  MemFileSystem base;
+  FaultInjectionFileSystem fs(&base);
+  fs.InjectWriteFailures(1, "run/ckpt/");
+  auto result = RecordOnWallClock(&fs, "");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError)
+      << result.status().ToString();
+  EXPECT_EQ(fs.failures_injected(), 1);
+  EXPECT_FALSE(base.Exists("run/manifest.tsv"));
+}
+
+TEST(RecordAck, StoredBytesMatchEachObjectOnWallClock) {
+  // Background writes finish after Materialize returns; each manifest
+  // record still carries its object's stored size, taken from its ack.
+  MemFileSystem fs;
+  auto result = RecordOnWallClock(&fs, "");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->manifest.records.size(), 10u);
+  CheckpointStore store(&fs, "run/ckpt", result->manifest.shard_count);
+  for (const auto& rec : result->manifest.records) {
+    auto size = fs.FileSize(store.PathFor(rec.key));
+    ASSERT_TRUE(size.ok()) << rec.key.ToString();
+    EXPECT_EQ(rec.stored_bytes, *size) << rec.key.ToString();
+  }
+  auto persisted = ReadManifest(&fs, "run");
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  EXPECT_EQ(persisted->TotalStoredBytes(), fs.TotalBytesUnder("run/ckpt/"));
+}
+
+TEST(SpoolMirror, RecordRetriesTransientBucketWritesOnWallClock) {
+  // The first two bucket writes fail; the acks' copies retry them, and the
+  // run ends with a complete, byte-identical mirror.
+  MemFileSystem base;
+  FaultInjectionFileSystem fs(&base);
+  fs.InjectWriteFailures(2, "s3/");
+  auto result = RecordOnWallClock(&fs, "s3");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->spool_report.ok()) << result->spool_report.first_error;
+  EXPECT_EQ(result->spool_report.retries, 2);
+  EXPECT_EQ(result->spool_report.objects,
+            static_cast<int64_t>(result->manifest.records.size()));
+
+  CheckpointStore store(&base, "run/ckpt", result->manifest.shard_count);
+  for (const auto& rec : result->manifest.records) {
+    const std::string local = store.PathFor(rec.key);
+    auto local_data = base.ReadFile(local);
+    auto bucket_data = base.ReadFile("s3/" + local);
+    ASSERT_TRUE(local_data.ok()) << local;
+    ASSERT_TRUE(bucket_data.ok()) << "s3/" << local;
+    EXPECT_EQ(*bucket_data, *local_data) << local;
+  }
+  EXPECT_EQ(base.TotalBytesUnder("s3/run/ckpt/"),
+            base.TotalBytesUnder("run/ckpt/"));
+}
+
+TEST(SpoolMirror, RecordSurvivesABucketThatRefusesOneKey) {
+  // Every bucket write of one key fails. The copy is counted as failed and
+  // the run still succeeds with a complete manifest; end-of-run demotion
+  // (keep-last-1) must then keep that key's only copy local.
+  MemFileSystem base;
+  FaultInjectionFileSystem fs(&base);
+  CheckpointStore local(&base, "run/ckpt", GroupCommitProfile().ckpt_shards);
+  const CheckpointKey poisoned{2, "e=3"};
+  const std::string bucket_path =
+      JoinObjectPath("s3", local.PathFor(poisoned));
+  fs.InjectWriteFailures(1000, bucket_path);
+  auto result = RecordOnWallClock(&fs, "s3", /*keep_last_k=*/1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_FALSE(result->spool_report.ok());
+  EXPECT_EQ(result->spool_report.failed_objects, 1);
+  EXPECT_EQ(result->spool_report.retries, 2);
+  EXPECT_EQ(result->spool_report.objects, 9);
+  EXPECT_FALSE(base.Exists(bucket_path));
+
+  ASSERT_EQ(result->manifest.records.size(), 10u);
+  auto persisted = ReadManifest(&base, "run");
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  EXPECT_EQ(persisted->records.size(), 10u);
+
+  EXPECT_TRUE(result->gc_report.demoted_to_bucket);
+  EXPECT_EQ(result->gc_report.skipped_unspooled(), 1);
+  EXPECT_TRUE(local.Exists(poisoned));
+  // Every record stays readable: the poisoned key locally, the demoted
+  // ones through the bucket tier.
+  TierOptions tier;
+  tier.bucket_prefix = "s3";
+  auto opened = OpenRun(&base, "run", tier);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  for (const auto& rec : result->manifest.records) {
+    EXPECT_TRUE(opened->store->Get(rec.key).ok()) << rec.key.ToString();
+  }
 }
 
 }  // namespace
