@@ -52,9 +52,9 @@ int main() {
       copts.run_prefix = "run";
       copts.num_workers = 4;
       copts.costs = sim::PaperPlatformCosts();
-      auto replay = sim::ClusterReplay(
-          workloads::MakeWorkloadFactory(profile, workloads::kProbeInner),
-          &fs, copts, sim::kP3_8xLarge);
+      auto replay = exec::Replay(
+          ReplayEngine::kSimulated, &fs, copts,
+          workloads::MakeWorkloadFactory(profile, workloads::kProbeInner));
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
 

@@ -9,9 +9,9 @@
 // partitions, so 4 GPUs can at best reach (max segment / epochs) of vanilla
 // time (paper: 2/6 = 33%).
 //
-// Two engines run:
-//   * simulated (sim::ClusterReplay) — paper-scale latencies on per-worker
-//     simulated clocks;
+// Three engines run:
+//   * simulated (exec::Replay(kSimulated)) — paper-scale latencies on
+//     per-worker simulated clocks;
 //   * real (exec::ReplayExecutor) — the same partition plan on an actual
 //     thread pool, measured with the wall clock, 4 partitions at 1/2/4
 //     threads. The merged multi-thread log is verified byte-identical to
@@ -62,7 +62,7 @@ int main() {
       copts.num_workers = 4;
       copts.init_mode = m == 0 ? InitMode::kWeak : InitMode::kStrong;
       copts.costs = sim::PaperPlatformCosts();
-      auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+      auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
       FLOR_CHECK(result.ok()) << result.status().ToString();
       FLOR_CHECK(result->deferred.ok)
           << profile.name << ": "

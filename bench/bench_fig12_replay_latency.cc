@@ -20,9 +20,9 @@ namespace {
 using namespace flor;
 
 /// Cluster replay with as many machines (from a pool of 4) as keep helping.
-sim::ClusterReplayResult BestOverPool(const ProgramFactory& factory,
-                                      MemFileSystem* fs, int* machines_used) {
-  sim::ClusterReplayResult best;
+MergedClusterReplay BestOverPool(const ProgramFactory& factory,
+                                 MemFileSystem* fs, int* machines_used) {
+  MergedClusterReplay best;
   bool first = true;
   for (int machines = 1; machines <= 4; ++machines) {
     ClusterPlanOptions copts;
@@ -33,7 +33,7 @@ sim::ClusterReplayResult BestOverPool(const ProgramFactory& factory,
     // partial replay (the paper's scale-out runs use weak init, Fig. 13).
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, fs, copts, sim::kP3_8xLarge);
+    auto result = exec::Replay(ReplayEngine::kSimulated, fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
     if (first || result->latency_seconds < best.latency_seconds * 0.98) {

@@ -50,7 +50,7 @@ int main() {
     copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;  // the paper's Fig. 13 uses weak
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+    auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
 

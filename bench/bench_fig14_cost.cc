@@ -62,18 +62,20 @@ int main() {
     copts.num_workers = 4 * c.machines;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(
-        workloads::MakeWorkloadFactory(profile, workloads::kProbeInner), &fs,
-        copts, sim::kP3_8xLarge);
+    auto result = exec::Replay(
+        ReplayEngine::kSimulated, &fs, copts,
+        workloads::MakeWorkloadFactory(profile, workloads::kProbeInner));
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
+    const double parallel_cost = sim::TotalClusterCost(
+        sim::PriceCluster(sim::kP3_8xLarge, result->worker_seconds));
 
     std::printf("%-6s-%-3d %12s %10s %12s %10s %7.2fx\n", c.name,
                 c.machines, HumanSeconds(vanilla).c_str(),
                 HumanDollars(serial_cost).c_str(),
                 HumanSeconds(result->latency_seconds).c_str(),
-                HumanDollars(result->total_cost_dollars).c_str(),
-                result->total_cost_dollars / serial_cost);
+                HumanDollars(parallel_cost).c_str(),
+                parallel_cost / serial_cost);
     json.Row()
         .Field("stage", "serial_vs_parallel")
         .Field("workload", c.name)
@@ -81,7 +83,7 @@ int main() {
         .Field("serial_seconds", vanilla)
         .Field("serial_cost_dollars", serial_cost)
         .Field("parallel_seconds", result->latency_seconds)
-        .Field("parallel_cost_dollars", result->total_cost_dollars);
+        .Field("parallel_cost_dollars", parallel_cost);
   }
   bench::Hr();
   std::printf("Paper shape: parallel replay costs about the same as serial "
@@ -156,12 +158,14 @@ int main() {
       copts.tier.bucket_prefix = "s3";
       // Rehydration off: every bucket restore stays visible.
       copts.tier.bucket_rehydrate = false;
-      auto replay = sim::ClusterReplay(
+      auto replay = exec::Replay(
+          ReplayEngine::kSimulated, &fs, copts,
           workloads::MakeWorkloadFactory(frontier_profile,
-                                         workloads::kProbeInner),
-          &fs, copts, sim::kP3_8xLarge);
+                                         workloads::kProbeInner));
       FLOR_CHECK(replay.ok()) << replay.status().ToString();
       FLOR_CHECK(replay->deferred.ok);
+      const double cluster_cost = sim::TotalClusterCost(
+          sim::PriceCluster(sim::kP3_8xLarge, replay->worker_seconds));
 
       // Retention must never change what hindsight replay computes: every
       // point's merged logs are byte-identical to the unretired baseline.
@@ -194,7 +198,7 @@ int main() {
                   HumanDollars(s3_monthly).c_str(),
                   HumanSeconds(replay->latency_seconds).c_str(),
                   static_cast<long long>(replay->bucket_faults),
-                  HumanDollars(replay->total_cost_dollars).c_str());
+                  HumanDollars(cluster_cost).c_str());
       json.Row()
           .Field("stage", "tiered_frontier")
           .Field("workload", frontier_case.name)
@@ -206,7 +210,7 @@ int main() {
           .Field("s3_monthly_cost_dollars", s3_monthly)
           .Field("bucket_faults", replay->bucket_faults)
           .Field("latency_seconds", replay->latency_seconds)
-          .Field("cluster_cost_dollars", replay->total_cost_dollars);
+          .Field("cluster_cost_dollars", cluster_cost);
     }
   }
   bench::Hr();

@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "flor/replay.h"
+#include "sim/cluster.h"
 #include "sim/cost_model.h"
-#include "sim/parallel_replay.h"
 #include "workloads/profiles.h"
 #include "workloads/programs.h"
 

@@ -9,8 +9,9 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "sim/cost_model.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -69,7 +70,7 @@ int main() {
   copts.num_workers = 4;  // 4 GPUs
   copts.costs = sim::PaperPlatformCosts();
   auto result =
-      sim::ClusterReplay(factory, &fs_adaptive, copts, sim::kP3_8xLarge);
+      exec::Replay(ReplayEngine::kSimulated, &fs_adaptive, copts, factory);
   FLOR_CHECK(result.ok()) << result.status().ToString();
   FLOR_CHECK(result->deferred.ok);
   std::printf("  partitions available: %lld (from the sparse checkpoints)\n",

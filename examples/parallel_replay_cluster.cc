@@ -9,8 +9,9 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "sim/cluster.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -54,15 +55,16 @@ int main() {
     copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
-    auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+    auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << "replay anomaly: " << result->deferred.anomalies[0];
+    const double dollars = sim::TotalClusterCost(
+        sim::PriceCluster(sim::kP3_8xLarge, result->worker_seconds));
     std::printf("%9d %6d %12s %8.2fx %14zu %12s\n", machines, machines * 4,
                 HumanSeconds(result->latency_seconds).c_str(),
                 vanilla / result->latency_seconds,
-                result->probe_entries.size(),
-                HumanDollars(result->total_cost_dollars).c_str());
+                result->probe_entries.size(), HumanDollars(dollars).c_str());
   }
 
   std::printf("\nEvery row produced the identical merged hindsight log and "

@@ -84,6 +84,17 @@ if grep -rn 'Codec::kLz' src/ | grep -vE '^src/serialize/compress\.(h|cc):'; the
   exit 1
 fi
 
+echo "== engine lint =="
+# exec::Replay is the one way src/ replays a recorded run: it dispatches
+# onto the simulated, thread and process engines. Building an engine
+# directly anywhere else in src/ would bypass that dispatch.
+if grep -rnE '(Process)?ReplayExecutor( +[A-Za-z_][A-Za-z_0-9]*)? *[({]|(make_unique<|new +)(exec::)?(Process)?ReplayExecutor\b' \
+        src/ | grep -vE '^src/exec/'; then
+  echo "error: replay engine constructed in src/ outside src/exec/ —" >&2
+  echo "replay through exec::Replay (src/exec/replay_executor.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 
@@ -149,8 +160,9 @@ if [[ "${FLOR_SANITIZE:-}" == "thread" ]]; then
   # sessions against the connection's background GC worker; `server` labels
   # the wire-server suite racing socket clients, fuzzed frames, and drain
   # against the accept/handler threads. All run
-  # instrumented: every fork happens from a single-threaded coordinator
-  # and the children stay single-threaded, which ThreadSanitizer supports.
+  # instrumented: the children stay single-threaded and no fork happens
+  # while another process-engine run is mid-run, which ThreadSanitizer
+  # supports.
   ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure \
         --no-tests=error -j "${JOBS}" -L 'tsan|proc|tiered|service|server'
 elif [[ "${FLOR_SANITIZE:-}" == "address" ]]; then

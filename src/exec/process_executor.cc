@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -50,6 +51,12 @@ namespace {
 constexpr int kChildReplayFailed = 12;  // error file has the Status
 constexpr int kChildWriteFailed = 13;   // could not commit result/error
 
+/// Held by a run from its planning to its merge, so concurrent runs in one
+/// process take turns: each reaps with waitpid(-1), which would take (and
+/// discard) another run's children, and a fork while another run is
+/// mid-work hands the child every lock that run holds.
+std::mutex run_mu;
+
 /// EINTR-safe waitpid: a signal delivered to the coordinator must never
 /// diagnose a healthy partition as dead.
 pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
@@ -86,14 +93,9 @@ Status ReadErrorFile(const PosixFileSystem& scratch_fs,
   if (options.child_before_session)
     options.child_before_session(worker_id, attempt);
 
-  auto run_worker = [&]() -> Result<ReplayResult> {
-    Env env(std::make_unique<WallClock>(), shared_fs);
-    FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-    ReplaySession session(&env, WorkerReplayOptions(options, worker_id));
-    exec::Frame frame;
-    return session.Run(instance.program.get(), &frame);
-  };
-  Result<ReplayResult> result = run_worker();
+  Result<ReplayResult> result =
+      ReplayPartition(factory, shared_fs, options, worker_id,
+                      /*simulated_clock=*/false);
 
   if (options.child_before_result_write)
     options.child_before_result_write(worker_id, attempt);
@@ -114,6 +116,7 @@ Status ReadErrorFile(const PosixFileSystem& scratch_fs,
 
 Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     const ProgramFactory& factory) {
+  std::lock_guard<std::mutex> run_lock(run_mu);
   const WallClock clock;
   const double wall_start = clock.NowSeconds();
   FLOR_ASSIGN_OR_RETURN(const int active,

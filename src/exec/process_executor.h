@@ -1,13 +1,13 @@
 // Process-level parallel replay engine (the paper's flashback deployment:
 // one replay process per GPU/partition).
 //
-// The third engine over the shared plan (flor/replay_plan.h):
-//   * sim::ClusterReplay     — sequential workers, simulated clocks;
-//   * exec::ReplayExecutor   — worker threads, one address space;
-//   * exec::ProcessReplayExecutor — forked worker *processes*, true
-//     isolation: a worker that segfaults, leaks, or is OOM-killed takes
-//     down only its partition, exactly like a lost GPU node in the
-//     paper's cluster runs.
+// exec::Replay's kProcesses engine (exec/replay_executor.h). Beside the
+// simulated and thread engines, which run partitions on a thread pool in
+// one address space, this one forks a worker *process* per partition for
+// true isolation: a worker that segfaults, leaks, or is OOM-killed takes
+// down only its partition, exactly like a lost GPU node in the paper's
+// cluster runs. This class adds the scheduler knobs and statistics that
+// exec::Replay leaves at their defaults.
 //
 // The executor is a small cluster scheduler, not a fork-all barrier: a
 // bounded pool of at most `max_concurrent_children` worker processes runs
@@ -21,13 +21,13 @@
 //
 // Protocol: the parent plans partitions (the same PlanActiveWorkers every
 // engine uses) and forks worker processes as described above. Each child
-// runs its ReplaySession against the shared record artifacts and writes
-// its merged-log fragment plus per-worker stats to a length-prefixed,
-// CRC-framed result file (serialize/sections.h) in a posix scratch
-// directory — atomically, so a child killed mid-write leaves either
-// nothing or a torn file that fails to parse, never a silently mergeable
-// garbage fragment. The parent reaps children as they exit (EINTR-safe
-// waitpid(-1)), maps death (nonzero exit or signal) into retry-or-fail per
+// runs ReplayPartition, every engine's worker body, against the shared
+// record artifacts and writes its merged-log fragment plus per-worker
+// stats to a length-prefixed, CRC-framed result file
+// (serialize/sections.h) in a posix scratch directory — atomically, so a
+// child killed mid-write leaves either nothing or a torn file that fails
+// to parse, never a silently mergeable garbage fragment. The parent reaps
+// children as they exit (EINTR-safe waitpid(-1)), maps death (nonzero exit or signal) into retry-or-fail per
 // partition without touching surviving fragments, decodes committed
 // fragments (flor::DecodeWorkerResult) in completion order, and merges
 // them via the same ReplayMerger as the other two engines — merging is
@@ -105,11 +105,12 @@ struct ProcessReplayExecutorResult : MergedClusterReplay {
 
 /// Runs partitioned hindsight replay on forked worker processes. Single-
 /// use per Run call; the executor itself holds no per-run state. Fork
-/// happens on the calling thread — do not call with unrelated threads
-/// live in the parent (the engines' usual single-coordinator discipline).
-/// Run reaps with waitpid(-1): it must not race another wait loop in the
-/// same process (statuses of unrelated children reaped here are
-/// discarded).
+/// happens on the calling thread. Run reaps with waitpid(-1), so
+/// concurrent Runs in one process (the wire server's handler threads)
+/// take turns: each holds a process-wide lock from its planning to its
+/// merge, and each still schedules its own pool. Other code in the
+/// process must not call waitpid(-1) while a Run is live (statuses of
+/// unrelated children reaped here are discarded).
 class ProcessReplayExecutor {
  public:
   /// Does not own `shared_fs` (see file comment for cross-process

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/strings.h"
+#include "exec/process_executor.h"
 
 namespace flor {
 namespace exec {
@@ -83,51 +84,34 @@ WorkStealingPool::Stats WorkStealingPool::Run(
   return stats;
 }
 
-ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
-                               const ReplayExecutorOptions& options)
-    : ReplayExecutor(shared_fs,
-                     ClusterPlanOptions{options.run_prefix,
-                                        options.num_partitions > 0
-                                            ? options.num_partitions
-                                            : options.num_threads,
-                                        options.init_mode, options.costs,
-                                        options.sample_epochs, options.tier},
-                     options.num_threads) {}
+namespace {
 
-ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
-                               ClusterPlanOptions request, int num_threads)
-    : fs_(shared_fs),
-      request_(std::move(request)),
-      num_threads_(num_threads) {}
-
-Result<ReplayExecutorResult> ReplayExecutor::Run(
-    const ProgramFactory& factory) {
+/// The simulated and thread engines: plan, replay one task per partition
+/// on the pool, merge. Every worker owns its clock, program instance and
+/// log stream; the only shared object is the (thread-safe) filesystem.
+Result<ReplayExecutorResult> RunOnPool(FileSystem* fs,
+                                       const ClusterPlanOptions& request,
+                                       const ProgramFactory& factory,
+                                       int num_threads,
+                                       bool simulated_clock) {
   const WallClock clock;
   const double wall_start = clock.NowSeconds();
   FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, request_));
+                        PlanActiveWorkers(factory, fs, request));
 
-  // One task per partition. Every worker owns its clock, program instance,
-  // and log stream; the only shared object is the (thread-safe) filesystem.
   std::vector<Result<ReplayResult>> slots(
       static_cast<size_t>(active), Status::Internal("worker never ran"));
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<size_t>(active));
   for (int w = 0; w < active; ++w) {
-    tasks.push_back([this, &factory, &slots, w] {
-      auto run_worker = [&]() -> Result<ReplayResult> {
-        Env env(std::make_unique<WallClock>(), fs_);
-        FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-        ReplaySession session(&env, WorkerReplayOptions(request_, w));
-        exec::Frame frame;
-        return session.Run(instance.program.get(), &frame);
-      };
-      slots[static_cast<size_t>(w)] = run_worker();
+    tasks.push_back([&, w] {
+      slots[static_cast<size_t>(w)] =
+          ReplayPartition(factory, fs, request, w, simulated_clock);
     });
   }
 
   const WorkStealingPool::Stats pool_stats =
-      WorkStealingPool::Run(num_threads_, tasks);
+      WorkStealingPool::Run(num_threads, tasks);
 
   ReplayMerger merger;
   for (int w = 0; w < active; ++w) {
@@ -141,11 +125,46 @@ Result<ReplayExecutorResult> ReplayExecutor::Run(
   }
   ReplayExecutorResult result;
   FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(fs_, request_.run_prefix));
-  result.threads_used = std::min(num_threads_, active);
+                        merger.Finish(fs, request.run_prefix));
+  result.threads_used = std::min(num_threads, active);
   result.steals = pool_stats.steals;
   result.wall_seconds = clock.NowSeconds() - wall_start;
   return result;
+}
+
+}  // namespace
+
+Result<MergedClusterReplay> Replay(ReplayEngine engine, FileSystem* fs,
+                                   const ClusterPlanOptions& request,
+                                   const ProgramFactory& factory) {
+  MergedClusterReplay out;
+  if (engine == ReplayEngine::kProcesses) {
+    ProcessReplayExecutor executor(
+        fs, ProcessReplayExecutorOptions{request, /*scratch_dir=*/""});
+    FLOR_ASSIGN_OR_RETURN(out, executor.Run(factory));
+  } else {
+    const bool simulated = engine == ReplayEngine::kSimulated;
+    FLOR_ASSIGN_OR_RETURN(
+        out, RunOnPool(fs, request, factory,
+                       simulated ? 1 : request.num_workers, simulated));
+  }
+  return out;
+}
+
+ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
+                               const ReplayExecutorOptions& options)
+    : fs_(shared_fs),
+      request_{options.run_prefix,
+               options.num_partitions > 0 ? options.num_partitions
+                                          : options.num_threads,
+               options.init_mode, options.costs, options.sample_epochs,
+               options.tier},
+      num_threads_(options.num_threads) {}
+
+Result<ReplayExecutorResult> ReplayExecutor::Run(
+    const ProgramFactory& factory) {
+  return RunOnPool(fs_, request_, factory, num_threads_,
+                   /*simulated_clock=*/false);
 }
 
 }  // namespace exec

@@ -1,18 +1,26 @@
-// Real thread-pool parallel replay engine (paper §5.4, Fig. 10/13 — the
-// measured counterpart of sim::ClusterReplay).
+// The replay engines (paper §5.4, Fig. 10/13/14) behind exec::Replay, the
+// one call that replays a recorded run in partitions.
 //
-// The executor runs one ReplaySession per log partition on N worker
-// threads, work-stealing over the partitions, against a shared thread-safe
-// FileSystem and the wall clock. Partition planning and log merging are the
-// exact same code the simulated engine uses (flor/replay_plan.h), so the
-// merged replay log is byte-identical to a single-thread run and to the
-// simulated engine — only the latency is measured instead of modeled.
+// Every engine plans partitions with PlanActiveWorkers, replays each one
+// with ReplayPartition and merges with ReplayMerger (flor/replay_plan.h),
+// so the merged replay log is byte-identical across engines and partition
+// counts. The engines differ in clocks and isolation:
+//   * kSimulated runs the thread engine's plan -> pool -> merge core on one
+//     thread, each partition on a fresh SimClock: deterministic,
+//     paper-scale latency (sim::PriceCluster bills its worker_seconds);
+//   * kThreads runs the same core with one wall-clock thread per
+//     partition (ReplayExecutor spells it with a pool size of its own);
+//   * kProcesses forks one worker process per partition
+//     (ProcessReplayExecutor, exec/process_executor.h).
 //
 // Worker sessions never synchronize with each other (hindsight replay is
 // embarrassingly parallel): each builds its own program instance, owns its
 // own clock and log stream, and only shares the read-only record artifacts
 // through the FileSystem. The coordinating thread merges partitions after
-// all workers join.
+// all workers join. Under kSimulated and kThreads a failing partition fails
+// the replay with its own status code and the prefix "replay worker <w>: ";
+// the pool has run every partition by then, so the simulated engine's
+// partitions after the failing one still ran.
 
 #ifndef FLOR_EXEC_REPLAY_EXECUTOR_H_
 #define FLOR_EXEC_REPLAY_EXECUTOR_H_
@@ -25,6 +33,15 @@
 #include "flor/replay_plan.h"
 
 namespace flor {
+
+/// Which engine runs a replay (exec::Replay). All three produce
+/// byte-identical merged logs; they differ in clocks and isolation.
+enum class ReplayEngine {
+  kSimulated,  ///< partitions in order on one thread, simulated clocks
+  kThreads,    ///< one wall-clock thread per partition
+  kProcesses,  ///< fork-per-partition scheduler, true isolation
+};
+
 namespace exec {
 
 /// Minimal work-stealing task pool. Task indices are dealt round-robin to
@@ -44,6 +61,16 @@ class WorkStealingPool {
   static Stats Run(int num_threads,
                    const std::vector<std::function<void()>>& tasks);
 };
+
+/// Replays the run `request` names in request.num_workers partitions on
+/// `engine`, against `fs` (thread-safe, and readable from forked children
+/// for kProcesses; see exec/process_executor.h). `factory` rebuilds the
+/// current (possibly probed) program once per partition, possibly
+/// concurrently. kProcesses runs with ProcessReplayExecutorOptions'
+/// defaults.
+Result<MergedClusterReplay> Replay(ReplayEngine engine, FileSystem* fs,
+                                   const ClusterPlanOptions& request,
+                                   const ProgramFactory& factory);
 
 /// Thread-engine configuration in its long-standing spelling: the fields
 /// of the replay request (ClusterPlanOptions, with G spelled
@@ -71,17 +98,15 @@ struct ReplayExecutorResult : MergedClusterReplay {
   int64_t steals = 0;
 };
 
-/// Runs partitioned hindsight replay on a real thread pool. Single-use per
-/// Run call; the executor itself holds no per-run state.
+/// The thread engine with a pool size of its own: exec::Replay's
+/// kThreads on `num_threads` threads, which steal partitions when G
+/// exceeds them. Single-use per Run call; the executor itself holds no
+/// per-run state.
 class ReplayExecutor {
  public:
   /// Does not own `shared_fs`, which must be thread-safe (all flor
   /// FileSystem implementations are).
   ReplayExecutor(FileSystem* shared_fs, const ReplayExecutorOptions& options);
-  /// Replays `request` (G = request.num_workers partitions) on a pool of
-  /// `num_threads` threads.
-  ReplayExecutor(FileSystem* shared_fs, ClusterPlanOptions request,
-                 int num_threads);
 
   /// Plans partitions, replays them on the pool, merges, deferred-checks.
   /// `factory` is invoked once per worker, on the worker's thread; it must

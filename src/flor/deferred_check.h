@@ -11,10 +11,13 @@
 //   * entries outside a worker's replayed segment,
 //   * init-mode output (excluded by the caller via WorkEntries()),
 //   * output of the probe statements themselves.
-// So the check is: every non-probe replay entry must match a distinct
-// record entry with the same (stmt uid, iteration context, label, text).
-// Any divergence in logged *values* — the fingerprint of training
-// characteristics the paper relies on — fails the check.
+// So the check is: every non-probe replay entry must pair off, in order,
+// with a distinct record entry of the same (label, iteration context), and
+// the two must have the same text. Labels identify a logged quantity
+// because a probe shifts the uids of later statements; uids only mark the
+// probe statements whose output is skipped. Any divergence in logged
+// *values* — the fingerprint of training characteristics the paper relies
+// on — fails the check.
 
 #ifndef FLOR_FLOR_DEFERRED_CHECK_H_
 #define FLOR_FLOR_DEFERRED_CHECK_H_

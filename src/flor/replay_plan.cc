@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <set>
 
 #include "common/strings.h"
@@ -99,6 +100,9 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
   return std::vector<int64_t>(restore.begin(), restore.end());
 }
 
+namespace {
+
+/// Per-worker ReplayOptions: the request plus `worker_id`.
 ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
                                   int worker_id) {
   ReplayOptions ropts{options, worker_id,
@@ -106,8 +110,6 @@ ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
   if (!ropts.sample_epochs.empty()) ropts.num_workers = 1;
   return ropts;
 }
-
-namespace {
 
 // Worker-result format: a sectioned message (serialize/sections.h) tagged
 // kResultTag. Section 0 is the meta block, sections 1-2 are LogStream
@@ -133,6 +135,23 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
 }
 
 }  // namespace
+
+Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
+                                     FileSystem* fs,
+                                     const ClusterPlanOptions& request,
+                                     int worker_id, bool simulated_clock) {
+  std::unique_ptr<Clock> clock;
+  if (simulated_clock) {
+    clock = std::make_unique<SimClock>();
+  } else {
+    clock = std::make_unique<WallClock>();
+  }
+  Env env(std::move(clock), fs);
+  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+  ReplaySession session(&env, WorkerReplayOptions(request, worker_id));
+  exec::Frame frame;
+  return session.Run(instance.program.get(), &frame);
+}
 
 std::string EncodeWorkerResult(const ReplayResult& result) {
   std::string meta =

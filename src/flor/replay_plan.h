@@ -1,14 +1,12 @@
-// Shared partition-planning and log-merging core for cluster replay.
+// Shared core of partitioned hindsight replay: planning, the partition
+// body and log merging.
 //
-// Two engines execute partitioned hindsight replay:
-//   * sim::ClusterReplay — workers run sequentially, each on its own
-//     simulated clock (deterministic paper-scale latency modeling);
-//   * exec::ReplayExecutor — workers run concurrently on a real thread
-//     pool against the wall clock (measured speedup).
-// Both must agree on *what* each worker replays and on how worker log
-// partitions are merged and deferred-checked, so that the merged replay
-// logs are byte-identical across engines and thread counts. That common
-// core lives here.
+// Every engine behind exec::Replay (exec/replay_executor.h) plans with
+// PlanActiveWorkers, replays each partition with ReplayPartition and
+// merges with ReplayMerger, so the merged replay logs are byte-identical
+// across engines and partition counts. The engines differ only in where
+// ReplayPartition runs: on a pool thread, on a simulated or the wall
+// clock, or in a forked worker process.
 //
 // Checkpoint-store sharding is invisible at this layer by design: each
 // worker's ReplaySession reads the shard count from the record manifest
@@ -45,10 +43,15 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
                               const ClusterPlanOptions& options);
 
-/// Per-worker ReplayOptions: the request plus `worker_id`. The deferred
-/// check is disabled per worker: the merger checks the merged stream once.
-ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
-                                  int worker_id);
+/// Replays partition `worker_id` of `request`: builds a fresh program
+/// instance with `factory` and runs one ReplaySession over it against
+/// `fs`, on a fresh SimClock when `simulated_clock` is set and on the
+/// wall clock otherwise. The worker skips the deferred check: the merger
+/// checks the merged stream once. Every engine's worker body.
+Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
+                                     FileSystem* fs,
+                                     const ClusterPlanOptions& request,
+                                     int worker_id, bool simulated_clock);
 
 /// Main-loop epochs whose checkpoints the replay planned by `options` will
 /// restore during worker initialization (weak init: each worker's single
@@ -56,8 +59,8 @@ ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
 /// sampling: the weak-init epoch before every non-contiguous jump), as a
 /// sorted, deduplicated list. Retention pins these
 /// (GcPolicy::pinned_epochs) so a replay planned before a GC pass still
-/// finds every checkpoint it restores — the GC-side half of "both engines
-/// never observe a retired epoch they were planned against". Fails when
+/// finds every checkpoint it restores — the GC-side half of "no engine
+/// ever observes a retired epoch it was planned against". Fails when
 /// the main-loop trip count is not statically known (such plans are made
 /// at run time and cannot be pinned ahead of a GC).
 Result<std::vector<int64_t>> PlannedRestoreEpochs(
@@ -70,8 +73,8 @@ struct MergedClusterReplay {
   /// concatenated by worker order).
   double latency_seconds = 0;
   /// Measured wall-clock time of the whole replay (plan + workers +
-  /// merge) from the coordinator's side; 0 under the simulated engine,
-  /// whose latency_seconds is modeled.
+  /// merge) from the coordinator's side, under every engine (the
+  /// simulated engine's latency_seconds is modeled).
   double wall_seconds = 0;
   std::vector<double> worker_seconds;
   int workers_used = 0;
@@ -102,8 +105,8 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data);
 
 /// Accumulates per-worker ReplayResults (in any completion order), then
 /// merges logs in worker order and runs the merged deferred check against
-/// the record logs. Thread-compatible: callers serialize Add/Finish (both
-/// engines add results from the coordinating thread after workers join).
+/// the record logs. Thread-compatible: callers serialize Add/Finish (every
+/// engine adds results from the coordinating thread after workers join).
 /// Results may come from in-process workers or be decoded from another
 /// process's result file (DecodeWorkerResult) — the merge is identical.
 class ReplayMerger {

@@ -24,12 +24,11 @@
 //
 // Thread-safety follows WiredTiger: a Connection is fully thread-safe
 // and meant to be shared; a Session is a cheap single-threaded handle —
-// open one per thread. The pre-existing one-shot entry points
-// (RecordSession, sim::ClusterReplay, exec::ReplayExecutor,
-// exec::ProcessReplayExecutor) remain as the compat surface and share
-// this layer's internals (OpenRun and CheckpointStore::Open over one
-// TierOptions, GC by run prefix, RecordOptions::spool_prefix), so both
-// paths stay byte-identical.
+// open one per thread. The one-shot entry points (RecordSession and
+// exec::Replay) remain as the compat surface and share this layer's
+// internals (OpenRun and CheckpointStore::Open over one TierOptions, GC by
+// run prefix, RecordOptions::spool_prefix), so both paths stay
+// byte-identical; Session::Replay is exec::Replay on a tenant's run.
 
 #ifndef FLOR_SERVICE_SERVICE_H_
 #define FLOR_SERVICE_SERVICE_H_
@@ -48,6 +47,7 @@
 #include "checkpoint/store.h"
 #include "env/background_queue.h"
 #include "env/env.h"
+#include "exec/replay_executor.h"
 #include "flor/query.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
@@ -55,15 +55,6 @@
 namespace flor {
 
 class Session;
-
-/// Which engine executes a Session::Replay. All three consume the shared
-/// plan (flor/replay_plan.h) and produce byte-identical merged logs; they
-/// differ in clocks and isolation.
-enum class ReplayEngine {
-  kSimulated,  ///< sequential workers on simulated clocks (latency model)
-  kThreads,    ///< work-stealing thread pool, wall clock
-  kProcesses,  ///< fork-per-partition scheduler, true isolation
-};
 
 /// Connection-level configuration: the layer of knobs that is set once
 /// for the service lifetime. Per-call knobs (workload costs, engine
@@ -341,9 +332,9 @@ struct SessionRecordOptions {
 
 /// Per-call replay knobs. Session::Replay turns `workers`, the run prefix
 /// and the connection's tier into one replay request (ClusterPlanOptions)
-/// with strong init and the default costs. The thread engine runs one
-/// thread per worker, the process engine commits its results to a fresh
-/// scratch directory, and the simulated engine bills kP3_2xLarge machines.
+/// with strong init and the default costs, and runs it with exec::Replay:
+/// the thread engine runs one thread per worker, and the process engine
+/// commits its results to a fresh scratch directory.
 struct SessionReplayOptions {
   ReplayEngine engine = ReplayEngine::kSimulated;
   /// Log partitions (the paper's G); one worker per partition.

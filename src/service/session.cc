@@ -3,18 +3,16 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "exec/process_executor.h"
 #include "exec/replay_executor.h"
-#include "sim/parallel_replay.h"
 
 namespace flor {
 
 namespace {
 
-/// A record/replay run on a connection whose env clock is simulated gets
-/// its own fresh SimClock — every run starts at t=0 regardless of what
-/// other sessions did, which is exactly the per-worker-env discipline
-/// sim::ClusterReplay uses, and what keeps service-path results
+/// A record run on a connection whose env clock is simulated gets its own
+/// fresh SimClock — every run starts at t=0 regardless of what other
+/// sessions did, which is exactly the per-partition clock discipline of
+/// the simulated replay engine, and what keeps service-path results
 /// byte-identical to the one-shot entry points. Wall-clock connections
 /// keep the shared clock (wall clocks are stateless).
 struct RunEnv {
@@ -93,31 +91,13 @@ Result<MergedClusterReplay> Session::Replay(
   }
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  FileSystem* fs = conn_->env()->fs();
   ClusterPlanOptions request;
   request.run_prefix = prefix;
   request.num_workers = options.workers;
   request.tier = conn_->options().tier;
-
-  MergedClusterReplay out;
-  switch (options.engine) {
-    case ReplayEngine::kSimulated: {
-      FLOR_ASSIGN_OR_RETURN(
-          out, sim::ClusterReplay(factory, fs, request, sim::kP3_2xLarge));
-      break;
-    }
-    case ReplayEngine::kThreads: {
-      exec::ReplayExecutor executor(fs, request, options.workers);
-      FLOR_ASSIGN_OR_RETURN(out, executor.Run(factory));
-      break;
-    }
-    case ReplayEngine::kProcesses: {
-      exec::ProcessReplayExecutor executor(
-          fs, exec::ProcessReplayExecutorOptions{request, /*scratch_dir=*/""});
-      FLOR_ASSIGN_OR_RETURN(out, executor.Run(factory));
-      break;
-    }
-  }
+  FLOR_ASSIGN_OR_RETURN(
+      MergedClusterReplay out,
+      exec::Replay(options.engine, conn_->env()->fs(), request, factory));
   conn_->BumpReplay(tenant_, out.bucket_faults, out.bloom_skipped_probes);
   return out;
 }

@@ -6,20 +6,17 @@ namespace flor {
 namespace sim {
 
 std::vector<MachineUsage> PriceCluster(
-    const Cluster& cluster, const std::vector<double>& worker_seconds) {
+    const Ec2Instance& instance, const std::vector<double>& worker_seconds) {
   std::vector<MachineUsage> usage;
-  const int per_machine = cluster.instance.gpus;
-  for (int m = 0; m < cluster.num_machines; ++m) {
+  const size_t per_machine = static_cast<size_t>(std::max(1, instance.gpus));
+  for (size_t begin = 0; begin < worker_seconds.size();
+       begin += per_machine) {
     MachineUsage mu;
-    mu.machine_id = m;
-    const size_t begin = static_cast<size_t>(m) * per_machine;
-    for (size_t w = begin;
-         w < begin + static_cast<size_t>(per_machine) &&
-         w < worker_seconds.size();
-         ++w) {
+    mu.machine_id = static_cast<int>(begin / per_machine);
+    const size_t end = std::min(begin + per_machine, worker_seconds.size());
+    for (size_t w = begin; w < end; ++w)
       mu.busy_seconds = std::max(mu.busy_seconds, worker_seconds[w]);
-    }
-    mu.cost_dollars = InstanceCost(cluster.instance, mu.busy_seconds);
+    mu.cost_dollars = InstanceCost(instance, mu.busy_seconds);
     if (mu.busy_seconds > 0) usage.push_back(mu);
   }
   return usage;

@@ -1,23 +1,16 @@
-// Cluster description for parallel replay experiments.
+// Cluster billing for parallel replay (paper §6, Fig. 14): a replay's
+// workers fill GPU machines of one instance type in order, and each
+// machine is billed for its busiest worker.
 
 #ifndef FLOR_SIM_CLUSTER_H_
 #define FLOR_SIM_CLUSTER_H_
 
-#include <string>
 #include <vector>
 
 #include "sim/cost_model.h"
 
 namespace flor {
 namespace sim {
-
-/// A homogeneous pool of GPU machines.
-struct Cluster {
-  Ec2Instance instance = kP3_8xLarge;
-  int num_machines = 1;
-
-  int total_gpus() const { return instance.gpus * num_machines; }
-};
 
 /// Per-machine accounting after a parallel replay.
 struct MachineUsage {
@@ -26,9 +19,11 @@ struct MachineUsage {
   double cost_dollars = 0;
 };
 
-/// Assigns worker wall-times to machines (workers fill machines in order)
-/// and prices each machine for its busy span.
-std::vector<MachineUsage> PriceCluster(const Cluster& cluster,
+/// Prices `worker_seconds` (a replay's MergedClusterReplay::worker_seconds)
+/// on ceil(workers / instance.gpus) machines of type `instance`: workers
+/// fill machines in order, and each machine is billed for its busy span.
+/// Machines with no busy worker are free and are left out.
+std::vector<MachineUsage> PriceCluster(const Ec2Instance& instance,
                                        const std::vector<double>&
                                            worker_seconds);
 

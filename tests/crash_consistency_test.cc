@@ -31,7 +31,6 @@
 #include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "serialize/sections.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -404,7 +403,7 @@ TEST_F(CrashConsistencyTest, KilledMidGcLeavesReplayableStore) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -509,7 +508,7 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   copts.tier.bucket_prefix = "s3";
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
@@ -745,7 +744,7 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(rerun->merged_logs.Serialize(),
@@ -831,7 +830,7 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_EQ(result->merged_logs.Serialize(),

@@ -20,7 +20,6 @@
 #include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -253,9 +252,8 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                           kProbeInner),
-                                       &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok)
       << (sim_result->deferred.anomalies.empty()
@@ -462,9 +460,8 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   copts.init_mode = InitMode::kWeak;
   copts.tier.bucket_prefix = "s3";
   copts.tier.bucket_rehydrate = false;
-  auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                           kProbeInner),
-                                       &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);

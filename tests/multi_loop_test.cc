@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "flor/replay.h"
 #include "ir/builder.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 
 namespace flor {
@@ -136,8 +136,8 @@ TEST(MultiLoop, ParallelReplayIntersectsBoundaries) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;  // 4 workers over 6 epochs
-  auto result = sim::ClusterReplay([] { return TwoLoopProgram(true); }, &fs,
-                                   copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             [] { return TwoLoopProgram(true); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 6 epochs balance optimally onto 3 workers (2-2-2); a 4th would not
   // reduce the maximum share, so the partitioner does not use it.

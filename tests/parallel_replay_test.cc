@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
+#include "sim/cluster.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -58,7 +59,7 @@ TEST(ClusterReplay, InnerProbeScalesAcrossWorkers) {
   copts.costs = sim::PaperPlatformCosts();
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  auto result = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->workers_used, 4);
@@ -87,10 +88,10 @@ TEST(ClusterReplay, WeakAndStrongInitAgree) {
   copts.costs = sim::PaperPlatformCosts();
 
   copts.init_mode = InitMode::kStrong;
-  auto strong = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto strong = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(strong.ok());
   copts.init_mode = InitMode::kWeak;
-  auto weak = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto weak = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(weak.ok());
 
   EXPECT_TRUE(strong->deferred.ok);
@@ -116,9 +117,8 @@ TEST(ClusterReplay, SpeedupBoundedByLoadBalanceCeiling) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
   const double speedup = record_seconds / result->latency_seconds;
   EXPECT_LE(speedup, 10.0 / 3.0 + 0.01);
@@ -134,9 +134,8 @@ TEST(ClusterReplay, MoreWorkersThanEpochsUsesEpochCount) {
   copts.run_prefix = "run";
   copts.num_workers = 8;  // 8 GPUs for 3 epochs
   copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->workers_used, 3);
   EXPECT_TRUE(result->deferred.ok);
@@ -151,8 +150,8 @@ TEST(ClusterReplay, OuterProbeIsCheapAndParallel) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeOuter),
-                                   &fs, copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             MakeWorkloadFactory(profile, kProbeOuter));
   ASSERT_TRUE(result.ok());
   // Partial replay: all training loops restored, not executed.
   EXPECT_EQ(result->skipblocks.executed, 0);
@@ -172,15 +171,69 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.costs = sim::PaperPlatformCosts();
-  auto result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts, sim::kP3_8xLarge);
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->machine_usage.size(), 1u);
-  EXPECT_NEAR(result->machine_usage[0].cost_dollars,
+  const std::vector<sim::MachineUsage> usage =
+      sim::PriceCluster(sim::kP3_8xLarge, result->worker_seconds);
+  ASSERT_EQ(usage.size(), 1u);
+  EXPECT_NEAR(usage[0].cost_dollars,
               sim::InstanceCost(sim::kP3_8xLarge, result->latency_seconds),
               1e-9);
-  EXPECT_GT(result->total_cost_dollars, 0);
+  EXPECT_GT(sim::TotalClusterCost(usage), 0);
+}
+
+// The simulated engine's modelled numbers for one recorded run, bit for
+// bit: worker count, every worker's seconds, latency and the P3.8xLarge
+// bill at G = 1, 3, 4 and 8. They do not depend on the test seed.
+TEST(ClusterReplay, SimulatedNumbersArePinned) {
+  MemFileSystem fs;
+  const WorkloadProfile profile = ParProfile();
+  RecordOnto(&fs, profile);
+
+  struct Pin {
+    int workers;
+    int workers_used;
+    std::vector<double> worker_seconds;
+    double latency_seconds;
+    double bill_dollars;
+  };
+  const Pin pins[] = {
+      {1, 1, {0x1.334p+10}, 0x1.334p+10, 0x1.0b6e2eb1c432dp+2},
+      {3,
+       3,
+       {0x1.9dp+8, 0x1.a547cd466f501p+8, 0x1.ad8f9a8cdea03p+8},
+       0x1.ad8f9a8cdea03p+8,
+       0x1.75e3cd61a0989p+0},
+      {4,
+       4,
+       {0x1.37p+8, 0x1.3d35d9f4d37c1p+8, 0x1.436bb3e9a6f82p+8,
+        0x1.49a18dde7a743p+8},
+       0x1.49a18dde7a743p+8,
+       0x1.1ee92fb4f2923p+0},
+      {8,
+       6,
+       {0x1.a2p+7, 0x1.aa47cd466f501p+7, 0x1.b28f9a8cdea03p+7,
+        0x1.bad767d34df05p+7, 0x1.c31f3519bd406p+7, 0x1.cb6702602c908p+7},
+       0x1.cb6702602c908p+7,
+       0x1.88a810ba3e532p+0},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.workers);
+    ClusterPlanOptions copts;
+    copts.run_prefix = "run";
+    copts.num_workers = pin.workers;
+    copts.costs = sim::PaperPlatformCosts();
+    auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                               MakeWorkloadFactory(profile, kProbeInner));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->workers_used, pin.workers_used);
+    EXPECT_EQ(result->worker_seconds, pin.worker_seconds);
+    EXPECT_EQ(result->latency_seconds, pin.latency_seconds);
+    EXPECT_EQ(sim::TotalClusterCost(
+                  sim::PriceCluster(sim::kP3_8xLarge, result->worker_seconds)),
+              pin.bill_dollars);
+  }
 }
 
 }  // namespace

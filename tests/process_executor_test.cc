@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/gc.h"
@@ -22,7 +23,6 @@
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -97,8 +97,8 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   ASSERT_TRUE(sim_result->deferred.ok);
   const std::string baseline = sim_result->merged_logs.Serialize();
@@ -199,8 +199,8 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto before = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
+  auto before = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                             MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   const std::string baseline = before->merged_logs.Serialize();
@@ -216,8 +216,8 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   // and each one observes the same fault set.
   copts.tier.bucket_prefix = "s3";
   copts.tier.bucket_rehydrate = false;
-  auto sim_result = sim::ClusterReplay(
-      MakeWorkloadFactory(profile, kProbeInner), &fs, copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
@@ -604,6 +604,49 @@ TEST_F(ProcessReplayTest, ConcurrentChildrenNeverExceedPoolCap) {
   EXPECT_EQ(started, proc->workers_used);  // every partition ran once
   EXPECT_GE(high_water, 1);
   EXPECT_LE(high_water, kPool) << "pool cap breached";
+}
+
+// The wire server runs one handler thread per client, so two `procs`
+// replays can be live in one process at once. Each must reap only the
+// workers it forked: a run that reaped the other's children failed with
+// ECHILD and then SIGKILLed pids it no longer owned.
+TEST_F(ProcessReplayTest, ConcurrentReplaysReapOnlyTheirOwnWorkers) {
+  PosixFileSystem fs(root());
+  const WorkloadProfile profile = ProcProfile();
+  RecordOnto(&fs, profile);
+  auto sequential = RunProcesses(&fs, profile, /*partitions=*/4);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  const std::string baseline = sequential->merged_logs.Serialize();
+
+  constexpr int kRounds = 5;
+  int failed_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Result<exec::ProcessReplayExecutorResult>> results(
+        2, Status::Internal("replay never ran"));
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < results.size(); ++t) {
+      callers.emplace_back([&, t] {
+        results[t] = RunProcesses(&fs, profile, /*partitions=*/4);
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+
+    bool round_ok = true;
+    for (const auto& result : results) {
+      if (!result.ok()) {
+        round_ok = false;
+        ADD_FAILURE() << "round " << round << ": "
+                      << result.status().ToString();
+        continue;
+      }
+      EXPECT_TRUE(result->deferred.ok);
+      EXPECT_EQ(result->merged_logs.Serialize(), baseline);
+      EXPECT_EQ(result->total_forks, result->workers_used);
+    }
+    if (!round_ok) ++failed_rounds;
+  }
+  EXPECT_EQ(failed_rounds, 0) << failed_rounds << " of " << kRounds
+                              << " rounds failed";
 }
 
 TEST_F(ProcessReplayTest, ShrinkingPartitionCountClearsAllStaleScratch) {

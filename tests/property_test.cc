@@ -8,10 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "ir/builder.h"
 #include "flor/replay.h"
-#include "sim/parallel_replay.h"
+#include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -129,7 +130,7 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   copts.run_prefix = "run";
   copts.num_workers = gpus;
   copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs, copts, {"test", gpus, 1.0});
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
       << (result->deferred.anomalies.empty()

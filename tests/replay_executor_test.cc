@@ -12,7 +12,6 @@
 
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -107,9 +106,8 @@ TEST(ReplayExecutor, AgreesWithSimulatedEngineByteForByte) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
 
   // Real engine, same G=4 partitioning.
@@ -155,9 +153,8 @@ TEST(ReplayExecutor, ShardedStoreKeepsByteIdentityAcrossEnginesAndThreads) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto sim_result =
-      sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
-                         copts, sim::kP3_8xLarge);
+  auto sim_result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                                 MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 

@@ -31,7 +31,6 @@
 #include "flor/record.h"
 #include "flor/replay_plan.h"
 #include "service/service.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -154,14 +153,15 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   EXPECT_EQ(SnapshotPrefix(fs_svc, "s3"), SnapshotPrefix(fs_direct, "s3"));
 
   // Replay through the session on all three engines; all merged logs must
-  // be byte-identical to a direct sim::ClusterReplay of the one-shot run.
+  // be byte-identical to a direct exec::Replay(kSimulated) of the one-shot
+  // run.
   const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
   ClusterPlanOptions sim_opts;
   sim_opts.run_prefix = prefix;
   sim_opts.num_workers = 2;
   sim_opts.tier.bucket_prefix = "s3";
   auto direct_replay =
-      sim::ClusterReplay(probed, &fs_direct, sim_opts, sim::kP3_2xLarge);
+      exec::Replay(ReplayEngine::kSimulated, &fs_direct, sim_opts, probed);
   ASSERT_TRUE(direct_replay.ok()) << direct_replay.status().ToString();
   ASSERT_TRUE(direct_replay->deferred.ok);
   const std::string golden_logs = direct_replay->merged_logs.Serialize();

@@ -35,20 +35,10 @@ TEST(CostModel, PaperPlatformRatios) {
   EXPECT_DOUBLE_EQ(costs.io_bps, 875e6);
 }
 
-TEST(Cluster, TotalGpus) {
-  Cluster c;
-  c.instance = kP3_8xLarge;
-  c.num_machines = 3;
-  EXPECT_EQ(c.total_gpus(), 12);
-}
-
 TEST(Cluster, PriceClusterAssignsWorkersInOrder) {
-  Cluster c;
-  c.instance = kP3_8xLarge;
-  c.num_machines = 2;
   // 6 workers: first 4 on machine 0, last 2 on machine 1.
   std::vector<double> workers{100, 200, 150, 50, 300, 250};
-  auto usage = PriceCluster(c, workers);
+  auto usage = PriceCluster(kP3_8xLarge, workers);
   ASSERT_EQ(usage.size(), 2u);
   EXPECT_DOUBLE_EQ(usage[0].busy_seconds, 200);  // max of first four
   EXPECT_DOUBLE_EQ(usage[1].busy_seconds, 300);  // max of last two
@@ -59,11 +49,9 @@ TEST(Cluster, PriceClusterAssignsWorkersInOrder) {
 }
 
 TEST(Cluster, IdleMachinesAreFree) {
-  Cluster c;
-  c.instance = kP3_8xLarge;
-  c.num_machines = 4;
-  std::vector<double> workers{100};  // one busy worker on machine 0
-  auto usage = PriceCluster(c, workers);
+  // One busy worker on machine 0; machine 1 holds only an idle worker.
+  std::vector<double> workers{100, 0, 0, 0, 0};
+  auto usage = PriceCluster(kP3_8xLarge, workers);
   ASSERT_EQ(usage.size(), 1u);  // idle machines not billed
   EXPECT_EQ(usage[0].machine_id, 0);
 }
@@ -73,11 +61,9 @@ TEST(Cluster, SerialVsParallelCostNearParity) {
   // costs the same as one GPU at T, when the per-GPU rate matches.
   const double total_seconds = 8 * 3600;
   const double serial_cost = InstanceCost(kP3_2xLarge, total_seconds);
-  Cluster c;
-  c.instance = kP3_8xLarge;
-  c.num_machines = 2;
   std::vector<double> workers(8, total_seconds / 8);
-  const double parallel_cost = TotalClusterCost(PriceCluster(c, workers));
+  const double parallel_cost =
+      TotalClusterCost(PriceCluster(kP3_8xLarge, workers));
   EXPECT_NEAR(parallel_cost, serial_cost, 1e-9);
 }
 

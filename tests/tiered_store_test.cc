@@ -21,7 +21,6 @@
 #include "exec/replay_executor.h"
 #include "flor/record.h"
 #include "flor/replay_plan.h"
-#include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -209,9 +208,8 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   copts.tier.bucket_prefix = "s3";
-  auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                         kProbeInner),
-                                     &fs, copts, sim::kP3_8xLarge);
+  auto replayed = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                               MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_FALSE(replayed.ok());
   EXPECT_TRUE(replayed.status().IsCorruption())
       << replayed.status().ToString();
@@ -272,7 +270,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   copts.run_prefix = "run";
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
-  auto before = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto before = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
   EXPECT_EQ(before->bucket_faults, 0);
@@ -286,7 +284,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 
   copts.tier.bucket_prefix = "s3";
   copts.tier.bucket_rehydrate = false;
-  auto sim_after = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto sim_after = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(sim_after.ok()) << sim_after.status().ToString();
   EXPECT_TRUE(sim_after->deferred.ok);
   EXPECT_GT(sim_after->bucket_faults, 0);
@@ -309,7 +307,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   // The threaded engine ran with rehydration on: faulted objects are back
   // on the local shard, so a bucket-less replay works again.
   copts.tier.bucket_prefix.clear();
-  auto rehydrated = sim::ClusterReplay(factory, &fs, copts, sim::kP3_8xLarge);
+  auto rehydrated = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(rehydrated.ok()) << rehydrated.status().ToString();
   EXPECT_TRUE(rehydrated->deferred.ok);
   EXPECT_EQ(rehydrated->merged_logs.Serialize(),
@@ -326,7 +324,8 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   no_bucket.num_workers = 4;
   no_bucket.init_mode = InitMode::kWeak;
   no_bucket.tier.bucket_prefix = "nosuch-bucket";
-  auto missing = sim::ClusterReplay(factory, &fs2, no_bucket, sim::kP3_8xLarge);
+  auto missing = exec::Replay(ReplayEngine::kSimulated, &fs2, no_bucket,
+                              factory);
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound())
       << missing.status().ToString();
@@ -532,9 +531,8 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   copts.num_workers = 4;
   copts.init_mode = InitMode::kWeak;
   copts.tier.bucket_prefix = "s3";
-  auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
-                                                         kProbeInner),
-                                     &fs, copts, sim::kP3_8xLarge);
+  auto replayed = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
+                               MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_TRUE(replayed->deferred.ok);
 }
