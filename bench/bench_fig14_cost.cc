@@ -125,12 +125,17 @@ int main() {
       FLOR_CHECK(instance.ok()) << instance.status().ToString();
       RecordOptions opts =
           workloads::DefaultRecordOptions(frontier_profile, "run");
-      opts.spool_prefix = "s3";     // bucket mirror, spooled as materialized
-      opts.gc.keep_last_k = local_k;  // end-of-run demotion
+      opts.spool_prefix = "s3";  // bucket mirror, spooled as materialized
       RecordSession session(&env, opts);
       exec::Frame frame;
       auto recorded = session.Run(instance->program.get(), &frame);
       FLOR_CHECK(recorded.ok()) << recorded.status().ToString();
+
+      // Demote the finished run to the newest K local epochs per loop.
+      GcPolicy lpolicy;
+      lpolicy.keep_last_k = local_k;
+      auto demoted = RetireRun(&fs, "run", lpolicy, "s3");
+      FLOR_CHECK(demoted.ok()) << demoted.status().ToString();
 
       if (bucket_k > 0) {
         GcPolicy bpolicy;

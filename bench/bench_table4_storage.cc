@@ -14,10 +14,11 @@
 // (sharding moves objects, never changes them), and every sweep point
 // must land the same bytes in the bucket.
 //
-// A second sweep exercises the automatic end-to-end lifecycle (rows with
-// stage: "record+spool+gc"): RecordSession itself spools each checkpoint
-// as the materializer lands it and retires old epochs keep-last-K per
-// shard — no bench-side spool or GC calls. Invariants checked per point:
+// A second sweep exercises the end-to-end lifecycle (rows with stage:
+// "record+spool+gc"): RecordSession itself spools each checkpoint as the
+// materializer lands it — no bench-side spool calls — and one RetireRun
+// on the finished run retires old epochs keep-last-K per shard, timed
+// with the record. Invariants checked per point:
 // the spooled bucket holds every materialized checkpoint (it is the
 // durable archive), retirement leaves at most K epochs per loop locally,
 // and the K=0 / shard-1 point leaves the run byte-identical to a plain
@@ -123,8 +124,8 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Lifecycle sweep: record + spool-as-you-materialize + keep-last-K GC,
-  // all driven by RecordSession.
+  // Lifecycle sweep: record + spool-as-you-materialize through
+  // RecordSession, then keep-last-K GC of the finished run.
   // ------------------------------------------------------------------
   std::printf("\nBackground lifecycle sweep (record+spool+gc, automatic):"
               "\n\n");
@@ -163,27 +164,28 @@ int main() {
         RecordOptions opts =
             workloads::DefaultRecordOptions(profile, "run");
         opts.spool_prefix = "s3";
-        opts.gc.keep_last_k = keep_k;
+        GcPolicy policy;
+        policy.keep_last_k = keep_k;
 
         const auto start = std::chrono::steady_clock::now();
         RecordSession session(&env, opts);
         exec::Frame frame;
         auto result = session.Run(instance->program.get(), &frame);
+        auto gc = RetireRun(&fs, "run", policy, "s3");
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count();
         FLOR_CHECK(result.ok()) << result.status().ToString();
+        FLOR_CHECK(gc.ok()) << gc.status().ToString();
 
-        // The pipeline was automatic: every materialized checkpoint is in
-        // the bucket (the durable archive), and — because the spool mirror
-        // is the store's bucket tier — the GC *demoted*: the manifest
-        // stays complete while the local store keeps only the newest K
-        // epochs per loop.
+        // Every materialized checkpoint is in the bucket (the durable
+        // archive), and — because the spool mirror is the run's bucket
+        // tier — the GC *demoted*: the manifest stays complete while the
+        // local store keeps only the newest K epochs per loop.
         const int64_t materialized =
             static_cast<int64_t>(result->manifest.records.size());
-        const int64_t local_objects =
-            materialized - result->gc_report.retired_objects();
+        const int64_t local_objects = materialized - gc->retired_objects;
         FLOR_CHECK(result->spool_report.ok())
             << result->spool_report.first_error;
         FLOR_CHECK_EQ(result->spool_report.objects, materialized);
@@ -196,7 +198,7 @@ int main() {
 
         if (keep_k == 0) {
           // Retention disabled: a guaranteed no-op.
-          FLOR_CHECK_EQ(result->gc_report.retired_objects(), 0);
+          FLOR_CHECK_EQ(gc->retired_objects, 0);
           if (shards == 1) {
             // And at shard 1 the local run output is byte-identical to a
             // plain record without the lifecycle.
@@ -210,8 +212,8 @@ int main() {
         } else {
           // Demotion held keep-last-K *locally*: at most K epochs per
           // loop still have a local object; the rest are bucket-only.
-          FLOR_CHECK(result->gc_report.demoted_to_bucket);
-          FLOR_CHECK_EQ(result->gc_report.skipped_unspooled(), 0);
+          FLOR_CHECK(gc->demoted_to_bucket);
+          FLOR_CHECK_EQ(gc->skipped_unspooled, 0);
           CheckpointStore local_store(&fs, "run/ckpt",
                                       result->manifest.shard_count);
           std::map<int32_t, std::set<int64_t>> local_epochs;
@@ -233,7 +235,7 @@ int main() {
             .Field("checkpoints", materialized)
             .Field("spooled_objects", result->spool_report.objects)
             .Field("spool_batches", result->spool_report.batches)
-            .Field("demoted_objects", result->gc_report.retired_objects())
+            .Field("demoted_objects", gc->retired_objects)
             .Field("local_objects", local_objects)
             .Field("seconds", seconds);
 
@@ -242,8 +244,7 @@ int main() {
                     static_cast<long long>(keep_k),
                     static_cast<long long>(materialized),
                     static_cast<long long>(result->spool_report.objects),
-                    static_cast<long long>(
-                        result->gc_report.retired_objects()),
+                    static_cast<long long>(gc->retired_objects),
                     static_cast<long long>(local_objects),
                     HumanSeconds(seconds).c_str());
       }

@@ -95,6 +95,19 @@ if grep -rnE '(Process)?ReplayExecutor( +[A-Za-z_][A-Za-z_0-9]*)? *[({]|(make_un
   exit 1
 fi
 
+echo "== retention lint =="
+# Retention is a pass over a finished run (RetireRun, RetireBucketRun,
+# ReconcileRun), which the service's background GC runs after a record.
+# Only the passes and src/service/ may include checkpoint/gc.h, so record
+# and replay never retire.
+if grep -rn '#include "checkpoint/gc.h"' src/ \
+     | grep -vE '^src/(checkpoint/gc\.cc|service/)'; then
+  echo "error: checkpoint/gc.h included in src/ outside src/service/ —" >&2
+  echo "record and replay never retire; run RetireRun on the finished" >&2
+  echo "run (src/checkpoint/gc.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

@@ -34,28 +34,22 @@ std::vector<CheckpointRecord> RetiredByShard(
   return retired;
 }
 
-/// Prunes the retire set from the manifest and persists it FIRST: from
-/// this atomic write on, no replay plan can reference a retired epoch.
-/// If the persist fails, the in-memory manifest is restored and the
+/// Prunes the retire set from the run's manifest and persists it FIRST,
+/// at the manifest path beside the store: from this atomic write on, no
+/// replay plan can reference a retired epoch. If the persist fails, the
 /// caller deletes nothing.
-Status PersistPrunedManifest(FileSystem* fs, const std::string& path,
+Status PersistPrunedManifest(FileSystem* fs, const std::string& run_prefix,
                              const std::vector<size_t>& retire,
                              Manifest* manifest, GcReport* report) {
+  const std::set<size_t> retire_set(retire.begin(), retire.end());
   std::vector<CheckpointRecord> pruned;
   pruned.reserve(manifest->records.size() - retire.size());
-  {
-    std::set<size_t> retire_set(retire.begin(), retire.end());
-    for (size_t i = 0; i < manifest->records.size(); ++i) {
-      if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
-    }
+  for (size_t i = 0; i < manifest->records.size(); ++i) {
+    if (!retire_set.count(i)) pruned.push_back(manifest->records[i]);
   }
-  std::vector<CheckpointRecord> original = std::move(manifest->records);
   manifest->records = std::move(pruned);
-  Status persisted = fs->WriteFile(path, manifest->Serialize());
-  if (!persisted.ok()) {
-    manifest->records = std::move(original);
-    return persisted;
-  }
+  FLOR_RETURN_IF_ERROR(
+      fs->WriteFile(RunPaths(run_prefix).Manifest(), manifest->Serialize()));
   report->manifest_rewritten = true;
   report->surviving_records = static_cast<int64_t>(manifest->records.size());
   return Status::OK();
@@ -64,14 +58,14 @@ Status PersistPrunedManifest(FileSystem* fs, const std::string& path,
 /// Counts one local delete of `rec`: reclaimed, already gone, or failed
 /// (an orphan for the reconciliation sweep).
 void CountDelete(const Status& s, const CheckpointRecord& rec,
-                 GcShardStats* stats) {
+                 GcReport* report) {
   if (s.ok()) {
-    ++stats->retired_objects;
-    stats->retired_bytes += rec.stored_bytes;
+    ++report->retired_objects;
+    report->retired_bytes += rec.stored_bytes;
   } else if (s.IsNotFound()) {
-    ++stats->already_absent;
+    ++report->already_absent;
   } else {
-    ++stats->failed_deletes;
+    ++report->failed_deletes;
   }
 }
 
@@ -125,20 +119,21 @@ std::vector<size_t> PlanRetirement(const Manifest& manifest,
   return retire;
 }
 
-Result<GcReport> RetireCheckpoints(CheckpointStore* store,
-                                   Manifest* manifest,
-                                   const std::string& manifest_path,
-                                   const GcPolicy& policy) {
+Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
+                           const GcPolicy& policy,
+                           const std::string& bucket_prefix) {
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
+                        OpenRunForGc(fs, run_prefix, bucket_prefix));
+  CheckpointStore* store = run.store.get();
   GcReport report;
-  report.shards.resize(static_cast<size_t>(store->num_shards()));
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
+  report.surviving_records = static_cast<int64_t>(run.manifest.records.size());
 
-  const std::vector<size_t> retire = PlanRetirement(*manifest, policy);
+  const std::vector<size_t> retire = PlanRetirement(run.manifest, policy);
   // Guaranteed no-op: no manifest rewrite, no deletes, store untouched.
   if (retire.empty()) return report;
 
   const std::vector<CheckpointRecord> retired =
-      RetiredByShard(*manifest, retire);
+      RetiredByShard(run.manifest, retire);
 
   if (store->has_bucket()) {
     // Demotion: the bucket mirror keeps every retired record readable, so
@@ -147,133 +142,71 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
     // are skipped — demotion never makes a record unreadable.
     report.demoted_to_bucket = true;
     for (const CheckpointRecord& rec : retired) {
-      GcShardStats& stats = report.shards[static_cast<size_t>(rec.shard)];
-      if (!store->fs()->Exists(store->BucketPathFor(rec.key))) {
-        ++stats.skipped_unspooled;
+      if (!fs->Exists(store->BucketPathFor(rec.key))) {
+        ++report.skipped_unspooled;
         continue;
       }
-      CountDelete(store->DeleteObject(rec.key), rec, &stats);
+      CountDelete(store->DeleteObject(rec.key), rec, &report);
     }
     return report;
   }
 
-  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(store->fs(), manifest_path,
-                                             retire, manifest, &report));
+  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(fs, run_prefix, retire,
+                                             &run.manifest, &report));
 
   // Delete the retired objects shard by shard. Each delete goes through
   // the shard's writer lock, so a concurrent materializer on another shard
   // never contends with retirement here. Failures leak an orphan (the
   // manifest already dropped the record) — reported, never fatal.
-  for (const CheckpointRecord& rec : retired) {
-    CountDelete(store->DeleteObject(rec.key), rec,
-                &report.shards[static_cast<size_t>(rec.shard)]);
-  }
+  for (const CheckpointRecord& rec : retired)
+    CountDelete(store->DeleteObject(rec.key), rec, &report);
   return report;
 }
 
-Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
-                                         Manifest* manifest,
-                                         const std::string& manifest_path,
-                                         const GcPolicy& policy) {
-  if (!store->has_bucket()) {
+Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
+                                 const std::string& bucket_prefix,
+                                 const GcPolicy& policy) {
+  if (bucket_prefix.empty()) {
     return Status::InvalidArgument(
-        "bucket retirement requires a store with a bucket tier attached");
+        "bucket retirement requires a bucket prefix");
   }
+  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
+                        OpenRunForGc(fs, run_prefix, bucket_prefix));
+  CheckpointStore* store = run.store.get();
   GcReport report;
-  report.shards.resize(static_cast<size_t>(store->num_shards()));
-  report.surviving_records = static_cast<int64_t>(manifest->records.size());
+  report.surviving_records = static_cast<int64_t>(run.manifest.records.size());
 
-  const std::vector<size_t> retire = PlanRetirement(*manifest, policy);
+  const std::vector<size_t> retire = PlanRetirement(run.manifest, policy);
   if (retire.empty()) return report;
 
   const std::vector<CheckpointRecord> retired =
-      RetiredByShard(*manifest, retire);
+      RetiredByShard(run.manifest, retire);
 
   // Same ordering contract as the local tier: the pruned manifest lands
   // first (one atomic WriteFile), deletes follow. A crash mid-delete
   // leaves orphans in either tier, never a dangling record.
-  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(store->fs(), manifest_path,
-                                             retire, manifest, &report));
+  FLOR_RETURN_IF_ERROR(PersistPrunedManifest(fs, run_prefix, retire,
+                                             &run.manifest, &report));
 
   // Per record, reclaim both tiers: the bucket object and any local copy
   // demotion has not yet removed. A hard failure on either tier leaks an
   // orphan for the reconciliation sweep; both tiers already gone means a
   // prior pass (or crash) got here first.
   for (const CheckpointRecord& rec : retired) {
-    GcShardStats& stats = report.shards[static_cast<size_t>(rec.shard)];
     Status bucket =
         store->DeleteShardPath(rec.shard, store->BucketPathFor(rec.key));
     Status local = store->DeleteObject(rec.key);
     if ((!bucket.ok() && !bucket.IsNotFound()) ||
         (!local.ok() && !local.IsNotFound())) {
-      ++stats.failed_deletes;
+      ++report.failed_deletes;
     } else if (bucket.IsNotFound() && local.IsNotFound()) {
-      ++stats.already_absent;
+      ++report.already_absent;
     } else {
-      ++stats.retired_objects;
-      stats.retired_bytes += rec.stored_bytes;
+      ++report.retired_objects;
+      report.retired_bytes += rec.stored_bytes;
     }
   }
   return report;
-}
-
-ReconcileReport ReconcileOrphans(CheckpointStore* store,
-                                 const Manifest& manifest) {
-  ReconcileReport report;
-  report.shards.resize(static_cast<size_t>(store->num_shards()));
-
-  // Every path a manifest record is allowed to occupy, in either tier.
-  std::unordered_set<std::string> referenced;
-  referenced.reserve(manifest.records.size() * 2);
-  for (const auto& rec : manifest.records) {
-    referenced.insert(store->PathFor(rec.key));
-    if (store->has_bucket()) referenced.insert(store->BucketPathFor(rec.key));
-  }
-
-  // Shard prefixes partition both namespaces, so per-shard listings cover
-  // every object exactly once.
-  for (int shard = 0; shard < store->num_shards(); ++shard) {
-    ReconcileShardStats& stats = report.shards[static_cast<size_t>(shard)];
-    auto sweep = [&](const std::string& prefix, int64_t* orphans,
-                     uint64_t* orphan_bytes) {
-      for (const std::string& path :
-           store->fs()->ListPrefix(prefix + "/")) {
-        if (referenced.count(path)) continue;
-        auto size = store->fs()->FileSize(path);
-        if (!store->DeleteShardPath(shard, path).ok()) {
-          ++stats.failed_deletes;
-          continue;
-        }
-        ++*orphans;
-        if (size.ok()) *orphan_bytes += *size;
-      }
-    };
-    sweep(store->ShardPrefix(shard), &stats.local_orphans,
-          &stats.local_orphan_bytes);
-    if (store->has_bucket()) {
-      sweep(store->BucketShardPrefix(shard), &stats.bucket_orphans,
-            &stats.bucket_orphan_bytes);
-    }
-  }
-  return report;
-}
-
-Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
-                           const GcPolicy& policy,
-                           const std::string& bucket_prefix) {
-  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
-                        OpenRunForGc(fs, run_prefix, bucket_prefix));
-  return RetireCheckpoints(run.store.get(), &run.manifest,
-                           RunPaths(run_prefix).Manifest(), policy);
-}
-
-Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
-                                 const std::string& bucket_prefix,
-                                 const GcPolicy& policy) {
-  FLOR_ASSIGN_OR_RETURN(OpenedRun run,
-                        OpenRunForGc(fs, run_prefix, bucket_prefix));
-  return RetireBucketCheckpoints(run.store.get(), &run.manifest,
-                                 RunPaths(run_prefix).Manifest(), policy);
 }
 
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
@@ -281,7 +214,37 @@ Result<ReconcileReport> ReconcileRun(FileSystem* fs,
                                      const std::string& bucket_prefix) {
   FLOR_ASSIGN_OR_RETURN(OpenedRun run,
                         OpenRunForGc(fs, run_prefix, bucket_prefix));
-  return ReconcileOrphans(run.store.get(), run.manifest);
+  CheckpointStore* store = run.store.get();
+  ReconcileReport report;
+
+  // Every path a manifest record is allowed to occupy, in either tier.
+  std::unordered_set<std::string> referenced;
+  referenced.reserve(run.manifest.records.size() * 2);
+  for (const auto& rec : run.manifest.records) {
+    referenced.insert(store->PathFor(rec.key));
+    if (store->has_bucket()) referenced.insert(store->BucketPathFor(rec.key));
+  }
+
+  // Shard prefixes partition both namespaces, so per-shard listings cover
+  // every object exactly once.
+  for (int shard = 0; shard < store->num_shards(); ++shard) {
+    auto sweep = [&](const std::string& prefix, int64_t* orphans) {
+      for (const std::string& path : fs->ListPrefix(prefix + "/")) {
+        if (referenced.count(path)) continue;
+        auto size = fs->FileSize(path);
+        if (!store->DeleteShardPath(shard, path).ok()) {
+          ++report.failed_deletes;
+          continue;
+        }
+        ++*orphans;
+        if (size.ok()) report.orphan_bytes += *size;
+      }
+    };
+    sweep(store->ShardPrefix(shard), &report.local_orphans);
+    if (store->has_bucket())
+      sweep(store->BucketShardPrefix(shard), &report.bucket_orphans);
+  }
+  return report;
 }
 
 }  // namespace flor

@@ -27,26 +27,30 @@
 // bodies, so nested-loop checkpoints are never init-restore targets and
 // retire by recency alone.
 //
-// With a bucket tier attached to the store, retirement is *tiered*:
+// With a bucket tier named (the run's spool mirror), retirement is
+// *tiered*:
 //
-//   * RetireCheckpoints demotes — it deletes only the local copy of each
-//     retired object (after verifying the bucket mirror holds it) and
-//     leaves the manifest intact, because the record is still readable
-//     through the bucket fall-through. Unspooled objects are skipped, so
-//     demotion never makes a record unreadable.
-//   * RetireBucketCheckpoints is the final-tier GC (keep-newest-K',
-//     unpinned): it follows the same manifest-first ordering contract —
+//   * RetireRun demotes — it deletes only the local copy of each retired
+//     object (after verifying the bucket mirror holds it) and leaves the
+//     manifest intact, because the record is still readable through the
+//     bucket fall-through. Unspooled objects are skipped, so demotion
+//     never makes a record unreadable.
+//   * RetireBucketRun is the final-tier GC (keep-newest-K', pins
+//     honored): it follows the same manifest-first ordering contract —
 //     prune + persist the manifest atomically, then delete the bucket
 //     object and any lingering local copy.
-//   * ReconcileOrphans is the off-hot-path sweep reclaiming the orphans
-//     both passes leak by design on failed deletes (and the ones
-//     rehydration resurrects when it races local GC). Run it between
-//     sessions, not concurrently with a record run: a mid-materialize
-//     object is not yet in the manifest and would be swept as an orphan.
+//   * ReconcileRun is the off-hot-path sweep reclaiming the orphans both
+//     passes leak by design on failed deletes (and the ones rehydration
+//     resurrects when it races local GC). Run it between sessions, not
+//     concurrently with a record run: a mid-materialize object is not yet
+//     in the manifest and would be swept as an orphan.
 //
-// Each pass takes a GcPolicy of its own tier. The convenience wrappers
-// (RetireRun, RetireBucketRun, ReconcileRun) take a run prefix and open
-// the run with OpenRun (checkpoint/store.h).
+// Every pass takes a run prefix and opens the run with OpenRun
+// (checkpoint/store.h), so it always prunes the manifest that sits beside
+// the store it deletes from; each retiring pass takes a GcPolicy of its
+// own tier. Record and replay never retire: a caller runs a pass on a
+// finished run (the service's background GC does so after each record),
+// and scripts/check.sh keeps this header out of the rest of src/.
 
 #ifndef FLOR_CHECKPOINT_GC_H_
 #define FLOR_CHECKPOINT_GC_H_
@@ -60,9 +64,9 @@
 namespace flor {
 
 /// Retention policy for one tier of a run's checkpoint store. The local
-/// tier (RetireCheckpoints) and the bucket tier (RetireBucketCheckpoints)
-/// each take one, so local K and bucket K' are tuned independently
-/// (K' >= K keeps the bucket a superset of the local tier).
+/// tier (RetireRun) and the bucket tier (RetireBucketRun) each take one,
+/// so local K and bucket K' are tuned independently (K' >= K keeps the
+/// bucket a superset of the local tier).
 struct GcPolicy {
   /// Keep the checkpoints of the K most recent epochs per loop; 0 disables
   /// retirement entirely (the GC is then a guaranteed no-op: no manifest
@@ -76,9 +80,9 @@ struct GcPolicy {
   std::vector<int64_t> pinned_epochs;
 };
 
-/// One shard's retirement outcome.
-struct GcShardStats {
-  int64_t retired_objects = 0;  ///< objects deleted from this shard
+/// Outcome of one retirement pass, totalled over the run's shards.
+struct GcReport {
+  int64_t retired_objects = 0;  ///< objects deleted
   uint64_t retired_bytes = 0;   ///< their stored (on-disk) bytes
   /// Deletes that failed (flaky store): the object is already unreferenced
   /// by the manifest, so it is a leaked orphan, not a correctness problem.
@@ -90,76 +94,24 @@ struct GcShardStats {
   /// bucket mirror does not hold them yet (not spooled, or the spool
   /// failed). Demotion never makes a record unreadable.
   int64_t skipped_unspooled = 0;
-};
-
-/// Outcome of one retirement pass.
-struct GcReport {
-  std::vector<GcShardStats> shards;  ///< indexed by shard
-  int64_t surviving_records = 0;     ///< manifest records after the pass
-  bool manifest_rewritten = false;   ///< false when nothing retired
+  int64_t surviving_records = 0;    ///< manifest records after the pass
+  bool manifest_rewritten = false;  ///< false when nothing retired
   /// True when the pass demoted (bucket tier attached: local deletes only,
   /// manifest intact) rather than retired outright.
   bool demoted_to_bucket = false;
 
-  int64_t retired_objects() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.retired_objects;
-    return n;
-  }
-  uint64_t retired_bytes() const {
-    uint64_t n = 0;
-    for (const auto& s : shards) n += s.retired_bytes;
-    return n;
-  }
-  int64_t failed_deletes() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.failed_deletes;
-    return n;
-  }
-  int64_t skipped_unspooled() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.skipped_unspooled;
-    return n;
-  }
   /// True when every planned delete landed (orphan-free pass).
-  bool ok() const { return failed_deletes() == 0; }
+  bool ok() const { return failed_deletes == 0; }
 };
 
-/// One shard's orphan-reconciliation outcome.
-struct ReconcileShardStats {
-  int64_t local_orphans = 0;        ///< unreferenced local objects deleted
-  uint64_t local_orphan_bytes = 0;
-  int64_t bucket_orphans = 0;       ///< unreferenced bucket objects deleted
-  uint64_t bucket_orphan_bytes = 0;
-  int64_t failed_deletes = 0;       ///< orphans that survived (still orphans)
-};
-
-/// Outcome of one ReconcileOrphans sweep.
+/// Outcome of one ReconcileRun sweep, totalled over both tiers' shards.
 struct ReconcileReport {
-  std::vector<ReconcileShardStats> shards;  ///< indexed by shard
+  int64_t local_orphans = 0;   ///< unreferenced local objects deleted
+  int64_t bucket_orphans = 0;  ///< unreferenced bucket objects deleted
+  uint64_t orphan_bytes = 0;   ///< their bytes, both tiers
+  int64_t failed_deletes = 0;  ///< orphans that survived (still orphans)
 
-  int64_t local_orphans() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.local_orphans;
-    return n;
-  }
-  int64_t bucket_orphans() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.bucket_orphans;
-    return n;
-  }
-  uint64_t orphan_bytes() const {
-    uint64_t n = 0;
-    for (const auto& s : shards)
-      n += s.local_orphan_bytes + s.bucket_orphan_bytes;
-    return n;
-  }
-  int64_t failed_deletes() const {
-    int64_t n = 0;
-    for (const auto& s : shards) n += s.failed_deletes;
-    return n;
-  }
-  bool ok() const { return failed_deletes() == 0; }
+  bool ok() const { return failed_deletes == 0; }
 };
 
 /// Pure planning: indices into `manifest.records` that `policy` retires,
@@ -171,28 +123,29 @@ struct ReconcileReport {
 std::vector<size_t> PlanRetirement(const Manifest& manifest,
                                    const GcPolicy& policy);
 
-/// Retires checkpoints of the run whose manifest is `*manifest` and whose
-/// objects live in `*store`.
+/// Retires checkpoints of the run at `run_prefix`, opened with OpenRun
+/// (its manifest, and its store with the manifest's shard count and, when
+/// `bucket_prefix` is non-empty, that bucket tier).
 ///
-/// Without a bucket tier: prunes the manifest in place, persists it
-/// atomically at `manifest_path`, then deletes the retired objects shard
-/// by shard. Delete failures do not fail the pass (see
-/// GcReport::failed_deletes); only a manifest persist failure returns
-/// non-OK (nothing is deleted in that case).
+/// Without a bucket tier: prunes the manifest, persists it atomically at
+/// the run's manifest path, then deletes the retired objects shard by
+/// shard. Delete failures do not fail the pass (see
+/// GcReport::failed_deletes); only an open or manifest persist failure
+/// returns non-OK (nothing is deleted in that case).
 ///
-/// With a bucket tier (store->has_bucket()): *demotes* instead — deletes
-/// only the local copies of retired objects whose bucket mirror copy
-/// exists (GcShardStats::skipped_unspooled counts the rest) and leaves the
-/// manifest untouched, since every record stays readable through the
-/// bucket fall-through. Final-tier reclamation is RetireBucketCheckpoints.
+/// With a bucket tier: *demotes* instead — deletes only the local copies
+/// of retired objects whose bucket mirror copy exists
+/// (GcReport::skipped_unspooled counts the rest) and leaves the manifest
+/// untouched, since every record stays readable through the bucket
+/// fall-through. Final-tier reclamation is RetireBucketRun.
 ///
 /// With `policy.keep_last_k == 0` this is a guaranteed no-op either way.
-Result<GcReport> RetireCheckpoints(CheckpointStore* store,
-                                   Manifest* manifest,
-                                   const std::string& manifest_path,
-                                   const GcPolicy& policy);
+Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
+                           const GcPolicy& policy,
+                           const std::string& bucket_prefix = "");
 
-/// Final-tier retirement (requires store->has_bucket()): prunes the
+/// Final-tier retirement of the run at `run_prefix` with the bucket tier
+/// at `bucket_prefix` (an empty prefix is InvalidArgument): prunes the
 /// manifest of records older than the newest K' epochs per loop (pins
 /// honored, same planner as the local tier) and persists it FIRST — the
 /// same ordering contract as local GC — then deletes each retired
@@ -200,36 +153,18 @@ Result<GcReport> RetireCheckpoints(CheckpointStore* store,
 /// per-shard writer locks. Per record: a hard delete failure on either
 /// tier counts as failed_deletes (the orphan sweep reclaims it); both
 /// tiers already gone counts as already_absent; otherwise retired.
-Result<GcReport> RetireBucketCheckpoints(CheckpointStore* store,
-                                         Manifest* manifest,
-                                         const std::string& manifest_path,
-                                         const GcPolicy& policy);
-
-/// Off-hot-path orphan sweep: diffs the manifest against ListPrefix of
-/// every shard (local tier and, when attached, bucket tier) and deletes
-/// unreferenced objects through the per-shard writer locks. Reclaims what
-/// retirement leaks by design on failed deletes or crashes, and what
-/// rehydration resurrects when it races local GC. Must not run
-/// concurrently with a record session (mid-materialize objects are not in
-/// the manifest yet).
-ReconcileReport ReconcileOrphans(CheckpointStore* store,
-                                 const Manifest& manifest);
-
-/// Convenience: opens the run at `run_prefix` (OpenRun: its manifest, and
-/// its store with the manifest's shard count and, when `bucket_prefix` is
-/// non-empty, that bucket tier, which makes the pass a demotion) and
-/// retires.
-Result<GcReport> RetireRun(FileSystem* fs, const std::string& run_prefix,
-                           const GcPolicy& policy,
-                           const std::string& bucket_prefix = "");
-
-/// Convenience wrapper for RetireBucketCheckpoints, mirroring RetireRun.
 Result<GcReport> RetireBucketRun(FileSystem* fs, const std::string& run_prefix,
                                  const std::string& bucket_prefix,
                                  const GcPolicy& policy);
 
-/// Convenience wrapper for ReconcileOrphans, mirroring RetireRun. Empty
-/// `bucket_prefix` sweeps the local tier only.
+/// Off-hot-path orphan sweep of the run at `run_prefix`: diffs its
+/// manifest against ListPrefix of every shard (local tier and, when
+/// `bucket_prefix` is non-empty, bucket tier) and deletes unreferenced
+/// objects through the per-shard writer locks. Reclaims what retirement
+/// leaks by design on failed deletes or crashes, what rehydration
+/// resurrects when it races local GC, and the temp files a crashed write
+/// leaves beside an object in either tier. Must not run concurrently with
+/// a record session (mid-materialize objects are not in the manifest yet).
 Result<ReconcileReport> ReconcileRun(FileSystem* fs,
                                      const std::string& run_prefix,
                                      const std::string& bucket_prefix = "");

@@ -7,20 +7,6 @@ double S3MonthlyCost(uint64_t bytes) {
          kS3DollarsPerGBMonth;
 }
 
-SpoolReport AggregateSpoolReports(const std::vector<SpoolReport>& reports) {
-  SpoolReport total;
-  for (const auto& r : reports) {
-    total.objects += r.objects;
-    total.bytes += r.bytes;
-    total.batches += r.batches;
-    total.retries += r.retries;
-    total.failed_objects += r.failed_objects;
-    if (total.first_error.empty()) total.first_error = r.first_error;
-  }
-  total.monthly_cost_dollars = S3MonthlyCost(total.bytes);
-  return total;
-}
-
 void SpoolObject(FileSystem* fs, const std::string& src,
                  const std::string& dst, SpoolReport* report) {
   ++report->batches;

@@ -20,14 +20,14 @@
 #define FLOR_CHECKPOINT_SPOOL_H_
 
 #include <string>
-#include <vector>
 
 #include "checkpoint/store.h"
 #include "env/filesystem.h"
 
 namespace flor {
 
-/// Outcome of spooling (one shard's, or aggregated).
+/// Outcome of spooling, totalled over every copy into it (a record
+/// run's acks, or one SpoolStore pass).
 struct SpoolReport {
   int64_t objects = 0;         ///< objects successfully copied
   uint64_t bytes = 0;          ///< bytes successfully copied
@@ -39,9 +39,6 @@ struct SpoolReport {
 
   bool ok() const { return failed_objects == 0; }
 };
-
-/// Sums reports (per-shard -> store-wide); keeps the first error seen.
-SpoolReport AggregateSpoolReports(const std::vector<SpoolReport>& reports);
 
 /// S3 standard storage price used throughout the benches ($/GB/month).
 inline constexpr double kS3DollarsPerGBMonth = 0.023;

@@ -137,11 +137,10 @@ Result<Manifest> Manifest::Deserialize(const std::string& data) {
 
 CheckpointStore::CheckpointStore(FileSystem* fs, std::string prefix,
                                  int num_shards)
-    : fs_(fs), prefix_(std::move(prefix)), router_(num_shards) {
-  shards_.reserve(static_cast<size_t>(router_.num_shards()));
-  for (int s = 0; s < router_.num_shards(); ++s)
-    shards_.push_back(std::make_unique<Shard>());
-}
+    : fs_(fs),
+      prefix_(std::move(prefix)),
+      router_(num_shards),
+      shard_mu_(static_cast<size_t>(router_.num_shards())) {}
 
 std::unique_ptr<CheckpointStore> CheckpointStore::Open(
     FileSystem* fs, const std::string& prefix, const TierOptions& tier,
@@ -176,16 +175,13 @@ std::unique_ptr<CheckpointStore> CheckpointStore::Open(
 Status CheckpointStore::PutBytes(const CheckpointKey& key,
                                  const std::string& bytes) {
   const int shard_idx = router_.ShardOf(key);
-  Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(shard_mu_[static_cast<size_t>(shard_idx)]);
   FLOR_RETURN_IF_ERROR(fs_->WriteFile(PathFor(key), bytes));
   // Publish to the bloom filter only after the write landed: a reader that
   // sees the bit set before the object exists would merely probe and miss
   // (a false positive), but the reverse order could skip a real object.
   if (bloom_enabled())
     filters_[static_cast<size_t>(shard_idx)]->Add(key.ToString());
-  ++shard.stats.objects;
-  shard.stats.bytes += bytes.size();
   return Status::OK();
 }
 
@@ -244,8 +240,8 @@ Result<std::string> CheckpointStore::GetBytes(const CheckpointKey& key,
   if (rehydrate_on_fault_) {
     // Write-back under the shard's writer lock, like any other write to
     // the shard. Failure is non-fatal: the read already succeeded.
-    Shard& shard = *shards_[static_cast<size_t>(router_.ShardOf(key))];
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::lock_guard<std::mutex> lock(
+        shard_mu_[static_cast<size_t>(router_.ShardOf(key))]);
     if (fs_->WriteFile(local_path, *remote).ok())
       rehydrated_objects_.fetch_add(1, std::memory_order_relaxed);
     else
@@ -270,8 +266,8 @@ bool CheckpointStore::Exists(const CheckpointKey& key) const {
 }
 
 Status CheckpointStore::DeleteObject(const CheckpointKey& key) {
-  Shard& shard = *shards_[static_cast<size_t>(router_.ShardOf(key))];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(
+      shard_mu_[static_cast<size_t>(router_.ShardOf(key))]);
   return fs_->DeleteFile(PathFor(key));
 }
 
@@ -280,8 +276,7 @@ Status CheckpointStore::DeleteShardPath(int shard, const std::string& path) {
     return Status::InvalidArgument(
         StrCat("shard ", shard, " out of range for ", router_.num_shards(),
                " shard(s)"));
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<std::mutex> lock(shard_mu_[static_cast<size_t>(shard)]);
   return fs_->DeleteFile(path);
 }
 
@@ -290,16 +285,6 @@ uint64_t CheckpointStore::TotalBytes() const {
   // prefix covers every shard (and, at shard count 1, exactly the legacy
   // flat layout).
   return fs_->TotalBytesUnder(prefix_ + "/");
-}
-
-std::vector<ShardWriteStats> CheckpointStore::WriteStatsByShard() const {
-  std::vector<ShardWriteStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.push_back(shard->stats);
-  }
-  return out;
 }
 
 TierStats CheckpointStore::tier_stats() const {

@@ -99,12 +99,6 @@ struct RunPaths {
   std::string CkptPrefix() const { return prefix + "/ckpt"; }
 };
 
-/// Per-shard write accounting (objects/bytes that went through PutBytes).
-struct ShardWriteStats {
-  int64_t objects = 0;
-  uint64_t bytes = 0;
-};
-
 /// Read-side accounting for the bucket tier and the bloom accelerator.
 struct TierStats {
   int64_t bucket_faults = 0;        ///< reads served from the bucket
@@ -148,7 +142,8 @@ struct TierOptions {
 /// concurrent replay workers never contend with each other or with the
 /// background materializer unless they hit the same shard's writer. A
 /// bucket fault-in that re-hydrates the local shard takes that shard's
-/// writer lock, like any other write.
+/// writer lock, like any other write. The store counts reads by tier
+/// (tier_stats) but not writes: a run's manifest records what it wrote.
 class CheckpointStore {
  public:
   /// A local-tier store: no bucket, no bloom filters. Does not own `fs`.
@@ -243,9 +238,6 @@ class CheckpointStore {
     return JoinObjectPath(bucket_prefix_, ShardPrefix(shard));
   }
 
-  /// Snapshot of per-shard write counters, indexed by shard.
-  std::vector<ShardWriteStats> WriteStatsByShard() const;
-
   /// Snapshot of bucket-tier read counters.
   TierStats tier_stats() const;
 
@@ -255,18 +247,13 @@ class CheckpointStore {
   FileSystem* fs() const { return fs_; }
 
  private:
-  /// One shard: its writer lock and write accounting. The lock scopes
-  /// write-side critical sections to a single shard so writers on distinct
-  /// shards proceed in parallel.
-  struct Shard {
-    mutable std::mutex mu;
-    ShardWriteStats stats;
-  };
-
   FileSystem* fs_;
   std::string prefix_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// One writer lock per shard, indexed by shard. Each scopes write-side
+  /// critical sections to its shard so writers on distinct shards proceed
+  /// in parallel.
+  mutable std::vector<std::mutex> shard_mu_;
 
   /// True when the bloom filter rules `key` definitely absent (and counts
   /// the skipped probe); false when filtering is off or the key may exist.

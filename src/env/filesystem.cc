@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -195,8 +196,13 @@ Status PosixFileSystem::WriteFile(const std::string& path,
   const std::string full = Resolve(path);
   std::error_code ec;
   stdfs::create_directories(stdfs::path(full).parent_path(), ec);
-  // Write to a temp file then rename for atomicity.
-  const std::string tmp = full + ".tmp";
+  // Write to a temp file then rename for atomicity. Each call stages in a
+  // temp file of its own: two writers of one path sharing a temp name
+  // would truncate each other's bytes and rename a torn object into place.
+  static std::atomic<uint64_t> next_tmp{0};
+  const std::string tmp = StrCat(full, ".tmp.", ::getpid(), ".",
+                                 next_tmp.fetch_add(1));
+  Status written = Status::OK();
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -205,16 +211,18 @@ Status PosixFileSystem::WriteFile(const std::string& path,
     }
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
     if (!out) {
-      return Status::IOError(
+      written = Status::IOError(
           StrCat("short write: ", full, ": ", std::strerror(errno)));
     }
   }
-  stdfs::rename(tmp, full, ec);
-  if (ec) {
-    return Status::IOError(
+  if (written.ok()) {
+    stdfs::rename(tmp, full, ec);
+    if (!ec) return Status::OK();
+    written = Status::IOError(
         StrCat("rename failed: ", full, ": ", ec.message()));
   }
-  return Status::OK();
+  stdfs::remove(tmp, ec);
+  return written;
 }
 
 Status PosixFileSystem::AppendFile(const std::string& path,

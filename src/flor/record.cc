@@ -8,16 +8,12 @@ namespace flor {
 RecordSession::RecordSession(Env* env, RecordOptions options)
     : env_(env), options_(std::move(options)), paths_(options_.run_prefix),
       adaptive_(options_.adaptive) {
-  // The spool mirror doubles as the store's bucket tier: end-of-run GC
-  // then demotes (deletes local copies, keeps the manifest) instead of
-  // retiring outright, and replay configured with the same bucket prefix
-  // faults demoted checkpoints back in.
+  // The spool mirror is the store's bucket tier: the ack copies each
+  // checkpoint to its BucketPathFor.
   TierOptions tier;
   tier.bucket_prefix = options_.spool_prefix;
   store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), tier,
                                  nullptr, options_.ckpt_shards);
-  if (!options_.spool_prefix.empty())
-    spool_reports_.resize(static_cast<size_t>(store_->num_shards()));
   // The durability ack sizes the checkpoint's manifest record and, with a
   // spool prefix, mirrors it to the bucket (spool-as-you-materialize). It
   // runs after the checkpoint's group-commit slot closes, so the mirror
@@ -27,7 +23,7 @@ RecordSession::RecordSession(Env* env, RecordOptions options)
     acked_bytes_[key.ToString()] = stored_bytes;
     if (options_.spool_prefix.empty()) return;
     SpoolObject(store_->fs(), store_->PathFor(key), store_->BucketPathFor(key),
-                &spool_reports_[static_cast<size_t>(store_->ShardOf(key))]);
+                &spool_report_);
   };
   materializer_ = std::make_unique<Materializer>(env_, options_.materializer);
 }
@@ -65,10 +61,7 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   // Every checkpoint has been acknowledged, with its stored size.
   for (CheckpointRecord& rec : manifest_.records)
     rec.stored_bytes = acked_bytes_[rec.key.ToString()];
-  if (!options_.spool_prefix.empty()) {
-    result.spool_shard_reports = spool_reports_;
-    result.spool_report = AggregateSpoolReports(spool_reports_);
-  }
+  result.spool_report = spool_report_;
 
   // Persist logs + manifest.
   for (ir::Loop* loop : program->AllLoops()) {
@@ -81,19 +74,6 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
       env_->fs()->WriteFile(paths_.Logs(), result.logs.Serialize()));
   FLOR_RETURN_IF_ERROR(
       env_->fs()->WriteFile(paths_.Manifest(), manifest_.Serialize()));
-
-  // Retirement closes the lifecycle: the full manifest is durable above.
-  // With a spool mirror the store has a bucket tier attached, so this pass
-  // *demotes* — local copies of old epochs are deleted, the manifest stays
-  // complete, and replay faults them back in from the bucket. Without one
-  // it prunes outright (atomic manifest rewrite first, shard-local deletes
-  // after), so replay plans only ever see surviving epochs.
-  if (options_.gc.keep_last_k > 0) {
-    FLOR_ASSIGN_OR_RETURN(
-        result.gc_report,
-        RetireCheckpoints(store_.get(), &manifest_, paths_.Manifest(),
-                          options_.gc));
-  }
 
   result.skipblocks = stats_;
   result.manifest = manifest_;

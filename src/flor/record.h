@@ -13,13 +13,12 @@
 // The background lifecycle continues past materialization when configured:
 // with RecordOptions::spool_prefix set, the materializer's durability ack
 // copies each checkpoint to the bucket (spool-as-you-materialize, the
-// paper's background spooler, §6.2; checkpoint/spool.h); with
-// RecordOptions::gc.keep_last_k set, old checkpoints are retired per shard
-// after the run's artifacts are persisted (keep-last-K-per-loop,
-// checkpoint/gc.h). Without a spool mirror the result's manifest reflects
-// the survivors; with one, the mirror is the store's bucket tier, so GC
-// demotes instead — local copies go, the manifest stays complete, and
-// replay configured with the same bucket prefix faults old epochs back in.
+// paper's background spooler, §6.2; checkpoint/spool.h). A record never
+// retires checkpoints: keep-last-K retention is a pass over the finished
+// run (RetireRun in checkpoint/gc.h; the service schedules one after each
+// record), and with the spool prefix as its bucket tier it demotes — local
+// copies go, the manifest stays complete, and replay configured with the
+// same bucket prefix faults old epochs back in.
 
 #ifndef FLOR_FLOR_RECORD_H_
 #define FLOR_FLOR_RECORD_H_
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/gc.h"
 #include "checkpoint/materializer.h"
 #include "checkpoint/spool.h"
 #include "checkpoint/store.h"
@@ -59,17 +57,10 @@ struct RecordOptions {
   /// under s3/run/ckpt/...) by its durability ack, one SpoolObject per
   /// acknowledged checkpoint, on the thread that delivers the ack. The
   /// copies of a group-commit slot land when the slot closes, and the
-  /// last slot's inside the end-of-run drain. Per-shard SpoolReports are
-  /// in RecordResult; a failed copy is counted there and never fails the
-  /// run.
+  /// last slot's inside the end-of-run drain. The copies are totalled in
+  /// RecordResult::spool_report; a failed copy is counted there and never
+  /// fails the run.
   std::string spool_prefix;
-  /// Checkpoint retention, applied after logs + manifest are persisted:
-  /// keep_last_k == 0 (default) keeps everything and leaves the store
-  /// byte-identical; K > 0 retires older epochs per loop, shard-locally
-  /// (checkpoint/gc.h). With spool_prefix set this pass demotes to the
-  /// bucket tier (local deletes only, manifest intact); bucket copies are
-  /// only reclaimed by the separate bucket GC (RetireBucketCheckpoints).
-  GcPolicy gc;
   /// Nominal (paper-scale) raw bytes per checkpoint for the simulated cost
   /// model; 0 = use actual snapshot sizes.
   uint64_t nominal_checkpoint_bytes = 0;
@@ -96,13 +87,9 @@ struct RecordResult {
   /// each. At window 1, slots == joins == syncs (one sync per checkpoint).
   GroupCommitStats group_commit;
   std::vector<AdaptiveDecision> adaptive_trace;
-  /// Per-shard spool outcomes of this run's copies (empty when spooling
-  /// is disabled) and their aggregate.
-  std::vector<SpoolReport> spool_shard_reports;
+  /// Outcome of this run's bucket copies (all-zero when spooling is
+  /// disabled).
   SpoolReport spool_report;
-  /// Retention outcome (all-zero when gc.keep_last_k == 0). When
-  /// checkpoints were retired, `manifest` above reflects the survivors.
-  GcReport gc_report;
 };
 
 /// Executes one program under Flor record. Single-use.
@@ -132,13 +119,12 @@ class RecordSession : public exec::ExecHooks {
   RunPaths paths_;
   std::unique_ptr<CheckpointStore> store_;
   /// What the durability ack writes: each acknowledged checkpoint's stored
-  /// size, by key, and the per-shard outcomes of its bucket copies. Acks
-  /// arrive one at a time (from the materializer's single worker, or the
-  /// training thread) and Run reads these only after the drain. Declared
-  /// before materializer_, whose destructor drains and can still deliver
-  /// acks.
+  /// size, by key, and the outcome of its bucket copy. Acks arrive one at
+  /// a time (from the materializer's single worker, or the training
+  /// thread) and Run reads these only after the drain. Declared before
+  /// materializer_, whose destructor drains and can still deliver acks.
   std::map<std::string, uint64_t> acked_bytes_;
-  std::vector<SpoolReport> spool_reports_;
+  SpoolReport spool_report_;
   std::unique_ptr<Materializer> materializer_;
   AdaptiveController adaptive_;
   Manifest manifest_;

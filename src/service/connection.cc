@@ -297,8 +297,8 @@ void Connection::ScheduleRetirement(const std::string& tenant,
     std::string error;
     if (!report.ok()) {
       error = report.status().ToString();
-    } else if (report->failed_deletes() > 0) {
-      error = StrCat(report->failed_deletes(),
+    } else if (report->failed_deletes > 0) {
+      error = StrCat(report->failed_deletes,
                      " checkpoint delete(s) failed; local orphans remain "
                      "under ",
                      paths.CkptPrefix());

@@ -55,11 +55,10 @@ Result<SessionRecordResult> Session::Record(
   ropts.adaptive = options.adaptive;
   ropts.nominal_checkpoint_bytes = options.nominal_checkpoint_bytes;
   ropts.vanilla_runtime_seconds = options.vanilla_runtime_seconds;
-  // The session mirrors its run to the connection's bucket tier and never
-  // runs GC inline: the background worker retires after the run's
-  // artifacts, its bucket mirror included, are durable.
+  // The session mirrors its run to the connection's bucket tier; the
+  // background worker retires after the run's artifacts, its bucket mirror
+  // included, are durable.
   ropts.spool_prefix = copts.tier.bucket_prefix;
-  ropts.gc = GcPolicy();
 
   double admission_wait_seconds = 0;
   FLOR_RETURN_IF_ERROR(

@@ -286,6 +286,46 @@ TEST_F(PosixFileSystemTest, ListingRacesWritesAndDeletes) {
   EXPECT_EQ(failure, "") << "listing " << listings;
 }
 
+TEST_F(PosixFileSystemTest, ConcurrentWritersOfOnePathNeverTearIt) {
+  // Two replay workers rehydrating one demoted checkpoint write the same
+  // path at once. Each write stages in a temp file of its own, so neither
+  // truncates the bytes the other is about to rename into place: every
+  // write lands, every read sees the whole object, and no temp file stays.
+  PosixFileSystem fs(root());
+  Rng rng = testutil::SeededRng(22);
+  std::string object(size_t{1} << 20, '\0');
+  for (char& c : object) c = static_cast<char>(rng.Uniform(256));
+  const std::string path = "run/ckpt/shard-0001/2_e=3.ckpt";
+  ASSERT_TRUE(fs.WriteFile(path, object).ok());
+
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> writers_done{0};
+  auto writer = [&] {
+    for (int i = 0; i < 100; ++i) {
+      if (!fs.WriteFile(path, object).ok()) failed_writes.fetch_add(1);
+    }
+    writers_done.fetch_add(1);
+  };
+  int reads = 0;
+  int torn_reads = 0;
+  std::thread first(writer);
+  std::thread second(writer);
+  std::thread reader([&] {
+    while (writers_done.load() < 2) {
+      auto got = fs.ReadFile(path);
+      ++reads;
+      if (!got.ok() || *got != object) ++torn_reads;
+    }
+  });
+  first.join();
+  second.join();
+  reader.join();
+
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
+  EXPECT_EQ(fs.ListPrefix("run/"), std::vector<std::string>{path});
+}
+
 TEST(BackgroundQueue, RunsJobsAndDrains) {
   BackgroundQueue queue;
   std::atomic<int> counter{0};

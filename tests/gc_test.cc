@@ -1,8 +1,8 @@
 // Shard-aware checkpoint GC (checkpoint/gc.h): keep-last-K-per-loop
 // planning, manifest-first atomicity, shard-local deletes, pinned replay
 // plans, delete-failure orphans, and the end-to-end record→spool→retire
-// lifecycle through RecordSession — including byte parity of both replay
-// engines on a retired store.
+// lifecycle of a RecordSession followed by RetireRun — including byte
+// parity of both replay engines on a retired store.
 
 #include <gtest/gtest.h>
 
@@ -54,14 +54,12 @@ WorkloadProfile GcProfile(int64_t epochs = 12, int shards = 4) {
 
 /// Records `profile` onto `fs` under "run"; returns the record result.
 RecordResult RecordOnto(FileSystem* fs, const WorkloadProfile& profile,
-                        const std::string& spool_prefix = "",
-                        int64_t keep_last_k = 0) {
+                        const std::string& spool_prefix = "") {
   Env env(std::make_unique<SimClock>(), fs);
   auto instance = MakeWorkloadFactory(profile, kProbeNone)();
   EXPECT_TRUE(instance.ok());
   RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
   opts.spool_prefix = spool_prefix;
-  opts.gc.keep_last_k = keep_last_k;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -185,9 +183,8 @@ TEST(CheckpointGc, KeepLastKRetiresOldEpochsShardLocally) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
   EXPECT_TRUE(report->ok());
-  EXPECT_EQ(report->shards.size(), 4u);
-  EXPECT_GT(report->retired_objects(), 0);
-  EXPECT_GT(report->retired_bytes(), 0u);
+  EXPECT_GT(report->retired_objects, 0);
+  EXPECT_GT(report->retired_bytes, 0u);
 
   auto manifest_bytes = fs.ReadFile("run/manifest.tsv");
   ASSERT_TRUE(manifest_bytes.ok());
@@ -211,14 +208,14 @@ TEST(CheckpointGc, KeepLastKRetiresOldEpochsShardLocally) {
   for (const auto& r : after_manifest->records)
     EXPECT_TRUE(store.Exists(r.key)) << r.key.ToString();
   EXPECT_EQ(fs.ListPrefix("run/ckpt/").size(),
-            objects_before - static_cast<size_t>(report->retired_objects()));
+            objects_before - static_cast<size_t>(report->retired_objects));
 
   // Idempotence: the survivors are already the last K epochs, so a second
   // pass is a no-op.
   auto again = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->manifest_rewritten);
-  EXPECT_EQ(again->retired_objects(), 0);
+  EXPECT_EQ(again->retired_objects, 0);
 }
 
 TEST(CheckpointGc, DisabledRetentionIsByteIdenticalNoOp) {
@@ -230,7 +227,7 @@ TEST(CheckpointGc, DisabledRetentionIsByteIdenticalNoOp) {
   auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->manifest_rewritten);
-  EXPECT_EQ(report->retired_objects(), 0);
+  EXPECT_EQ(report->retired_objects, 0);
   // Shard-1, GC disabled: every run artifact byte-identical, including the
   // legacy-format manifest.
   EXPECT_EQ(SnapshotPrefix(fs, "run/"), before);
@@ -245,7 +242,7 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   policy.keep_last_k = 4;
   auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
-  ASSERT_GT(report->retired_objects(), 0);
+  ASSERT_GT(report->retired_objects, 0);
 
   // Simulated engine on the retired store.
   ClusterPlanOptions copts;
@@ -315,7 +312,7 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
   policy.pinned_epochs = *pinned;
   auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->retired_objects(), 0);
+  EXPECT_GT(report->retired_objects, 0);
 
   // Every checkpoint the plan restores from is still present, for every
   // loop that had it before retention.
@@ -355,13 +352,13 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
   auto report = RetireRun(&fs, "run", policy);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
-  EXPECT_EQ(report->failed_deletes(), 2);
+  EXPECT_EQ(report->failed_deletes, 2);
   EXPECT_FALSE(report->ok());
 
   // The failed deletes leaked orphans: present on disk, absent from the
   // manifest.
   EXPECT_EQ(base.ListPrefix("run/ckpt/").size(),
-            objects_before - static_cast<size_t>(report->retired_objects()));
+            objects_before - static_cast<size_t>(report->retired_objects));
   auto manifest_bytes = base.ReadFile("run/manifest.tsv");
   ASSERT_TRUE(manifest_bytes.ok());
   auto manifest = Manifest::Deserialize(*manifest_bytes);
@@ -387,35 +384,33 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
 }
 
 TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
-  // The full pipeline through RecordSession alone: record + spool-as-you-
-  // materialize + keep-last-K retirement. With the spool mirror attached
-  // as the store's bucket tier, the end-of-run GC *demotes*: local copies
-  // of old epochs are deleted, the manifest stays complete, and replay
-  // faults demoted checkpoints back in from the bucket.
+  // The full pipeline: record + spool-as-you-materialize through
+  // RecordSession, then keep-last-K retirement of the finished run. With
+  // the spool mirror named as the run's bucket tier, the GC *demotes*:
+  // local copies of old epochs are deleted, the manifest stays complete,
+  // and replay faults demoted checkpoints back in from the bucket.
   MemFileSystem fs;
   const WorkloadProfile profile = GcProfile(/*epochs=*/12, /*shards=*/4);
-  const RecordResult rec =
-      RecordOnto(&fs, profile, /*spool_prefix=*/"s3", /*keep_last_k=*/2);
+  const RecordResult rec = RecordOnto(&fs, profile, /*spool_prefix=*/"s3");
+  GcPolicy policy;
+  policy.keep_last_k = 2;
+  auto gc = RetireRun(&fs, "run", policy, "s3");
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
 
-  // Spooling covered every materialized checkpoint, with per-shard
-  // reports summing to the aggregate. Demotion keeps the manifest
-  // complete, so the record count equals the spool count.
-  EXPECT_EQ(rec.spool_shard_reports.size(), 4u);
+  // Spooling covered every materialized checkpoint. Demotion keeps the
+  // manifest complete, so the record count equals the spool count.
   EXPECT_TRUE(rec.spool_report.ok()) << rec.spool_report.first_error;
   EXPECT_EQ(rec.spool_report.objects,
             static_cast<int64_t>(rec.manifest.records.size()));
-  int64_t shard_sum = 0;
-  for (const auto& r : rec.spool_shard_reports) shard_sum += r.objects;
-  EXPECT_EQ(shard_sum, rec.spool_report.objects);
 
   // The GC demoted: local deletes only, no manifest rewrite, and every
-  // demoted object had already been spooled (end-of-run GC runs after the
-  // spool drain).
-  EXPECT_TRUE(rec.gc_report.demoted_to_bucket);
-  EXPECT_FALSE(rec.gc_report.manifest_rewritten);
-  EXPECT_GT(rec.gc_report.retired_objects(), 0);
-  EXPECT_EQ(rec.gc_report.skipped_unspooled(), 0);
-  EXPECT_TRUE(rec.gc_report.ok());
+  // demoted object had already been spooled (the record's drain lands
+  // every copy before it returns).
+  EXPECT_TRUE(gc->demoted_to_bucket);
+  EXPECT_FALSE(gc->manifest_rewritten);
+  EXPECT_GT(gc->retired_objects, 0);
+  EXPECT_EQ(gc->skipped_unspooled, 0);
+  EXPECT_TRUE(gc->ok());
 
   // The bucket is the durable archive: it mirrors every spooled object
   // byte-for-byte, including ones demotion deleted locally.
@@ -437,7 +432,7 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   // is still readable.
   EXPECT_EQ(fs.ListPrefix("run/ckpt/").size(),
             rec.manifest.records.size() -
-                static_cast<size_t>(rec.gc_report.retired_objects()));
+                static_cast<size_t>(gc->retired_objects));
   CheckpointStore local_only(&fs, "run/ckpt", rec.manifest.shard_count);
   std::map<int32_t, std::set<int64_t>> local_epochs;
   for (const auto& r : rec.manifest.records) {

@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,7 +212,7 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   ASSERT_TRUE(gc->demoted_to_bucket);
-  ASSERT_GT(gc->retired_objects(), 0);
+  ASSERT_GT(gc->retired_objects, 0);
 
   // Rehydration off everywhere so the store stays demoted between engines
   // and each one observes the same fault set.
@@ -619,20 +621,45 @@ TEST_F(ProcessReplayTest, ConcurrentReplaysReapOnlyTheirOwnWorkers) {
   const std::string baseline = sequential->merged_logs.Serialize();
 
   constexpr int kRounds = 5;
+  constexpr int kCallers = 2;
+  // A forked child inherits every lock another thread holds at the fork,
+  // the allocator's included, and the ASan runtime's allocator does not
+  // release them in the child. So each caller builds its request before
+  // `ready` and frees nothing before `finished`: a fork only ever meets
+  // the other caller parked on the engine's run lock or at a barrier.
+  const auto arrive_and_wait = [](std::atomic<int>* barrier) {
+    barrier->fetch_add(1);
+    while (barrier->load() < kCallers) std::this_thread::yield();
+  };
   int failed_rounds = 0;
   for (int round = 0; round < kRounds; ++round) {
-    std::vector<Result<exec::ProcessReplayExecutorResult>> results(
-        2, Status::Internal("replay never ran"));
+    std::vector<std::optional<Result<exec::ProcessReplayExecutorResult>>>
+        results(kCallers);
+    std::atomic<int> ready{0};
+    std::atomic<int> finished{0};
     std::vector<std::thread> callers;
-    for (size_t t = 0; t < results.size(); ++t) {
+    callers.reserve(kCallers);
+    for (int t = 0; t < kCallers; ++t) {
       callers.emplace_back([&, t] {
-        results[t] = RunProcesses(&fs, profile, /*partitions=*/4);
+        exec::ProcessReplayExecutorOptions opts;
+        opts.run_prefix = "run";
+        opts.num_workers = 4;
+        opts.init_mode = InitMode::kWeak;
+        exec::ProcessReplayExecutor executor(&fs, opts);
+        const ProgramFactory factory =
+            MakeWorkloadFactory(profile, kProbeInner);
+        arrive_and_wait(&ready);
+        auto result = executor.Run(factory);
+        arrive_and_wait(&finished);
+        results[static_cast<size_t>(t)].emplace(std::move(result));
       });
     }
     for (std::thread& caller : callers) caller.join();
 
     bool round_ok = true;
-    for (const auto& result : results) {
+    for (const auto& slot : results) {
+      ASSERT_TRUE(slot.has_value());
+      const auto& result = *slot;
       if (!result.ok()) {
         round_ok = false;
         ADD_FAILURE() << "round " << round << ": "

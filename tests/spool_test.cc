@@ -1,11 +1,12 @@
 // The spool mirror: SpoolObject / SpoolStore copies, retry and failure
-// paths, per-shard reporting, the concurrent materialize-while-spool
-// interaction with the sharded CheckpointStore, and the record session's
-// ack-driven mirror (each acknowledged checkpoint copied to the bucket by
-// the materializer's durability ack) with the run-level contracts of that
-// ack: a failed background write fails the record, and every manifest
-// record is sized by its ack. This suite carries the `tsan` ctest label —
-// FLOR_SANITIZE=thread ./scripts/check.sh runs it under ThreadSanitizer.
+// paths, one report over a sharded store, the concurrent
+// materialize-while-spool interaction with the sharded CheckpointStore, and
+// the record session's ack-driven mirror (each acknowledged checkpoint
+// copied to the bucket by the materializer's durability ack) with the
+// run-level contracts of that ack: a failed background write fails the
+// record, and every manifest record is sized by its ack. This suite carries
+// the `tsan` ctest label — FLOR_SANITIZE=thread ./scripts/check.sh runs it
+// under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "checkpoint/gc.h"
 #include "checkpoint/materializer.h"
 #include "checkpoint/spool.h"
 #include "checkpoint/store.h"
@@ -38,33 +40,23 @@ uint64_t FillStore(CheckpointStore* store, int n, size_t object_bytes) {
   return store->TotalBytes();
 }
 
-TEST(SpoolMirror, PerShardReportsSumToTotal) {
+TEST(SpoolMirror, ShardedCopiesTotalInOneReport) {
   MemFileSystem fs;
   CheckpointStore store(&fs, "run/ckpt", /*num_shards=*/4);
   const uint64_t local = FillStore(&store, 32, 64);
 
-  std::vector<SpoolReport> per_shard(static_cast<size_t>(store.num_shards()));
-  for (int shard = 0; shard < store.num_shards(); ++shard) {
-    for (const auto& path : fs.ListPrefix(store.ShardPrefix(shard) + "/"))
-      SpoolObject(&fs, path, "s3/" + path,
-                  &per_shard[static_cast<size_t>(shard)]);
-  }
-
-  int64_t objects = 0;
-  uint64_t bytes = 0;
+  SpoolReport total;
   int shards_with_objects = 0;
-  for (const SpoolReport& r : per_shard) {
-    EXPECT_TRUE(r.ok());
-    objects += r.objects;
-    bytes += r.bytes;
-    if (r.objects > 0) ++shards_with_objects;
+  for (int shard = 0; shard < store.num_shards(); ++shard) {
+    const auto paths = fs.ListPrefix(store.ShardPrefix(shard) + "/");
+    if (!paths.empty()) ++shards_with_objects;
+    for (const auto& path : paths)
+      SpoolObject(&fs, path, "s3/" + path, &total);
   }
-  EXPECT_EQ(objects, 32);
-  EXPECT_EQ(bytes, local);
   // CRC32C placement spreads 32 keys over more than one of 4 shards.
   EXPECT_GT(shards_with_objects, 1);
 
-  SpoolReport total = AggregateSpoolReports(per_shard);
+  EXPECT_TRUE(total.ok());
   EXPECT_EQ(total.objects, 32);
   EXPECT_EQ(total.bytes, local);
   EXPECT_DOUBLE_EQ(total.monthly_cost_dollars, S3MonthlyCost(local));
@@ -226,9 +218,8 @@ TEST(SpoolMirror, ConcurrentMaterializeWhileSpooling) {
   // must have landed), and the store now holds both generations.
   EXPECT_TRUE(report.ok()) << report.first_error;
   EXPECT_GE(report.objects, kPre);
-  int64_t store_objects = 0;
-  for (const auto& s : store.WriteStatsByShard()) store_objects += s.objects;
-  EXPECT_EQ(store_objects, kPre + kNew);
+  EXPECT_EQ(fs.ListPrefix("run/ckpt/").size(),
+            static_cast<size_t>(kPre + kNew));
 }
 
 TEST(SpoolMirror, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
@@ -270,15 +261,11 @@ TEST(SpoolMirror, RecordSessionSpoolsAsYouMaterializesOnWallClock) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Every materialized checkpoint was spooled, without any bench-side
-  // spool calls; per-shard reports sum to the aggregate.
-  ASSERT_EQ(result->spool_shard_reports.size(), 4u);
+  // spool calls.
   EXPECT_TRUE(result->spool_report.ok()) << result->spool_report.first_error;
   EXPECT_EQ(result->spool_report.objects,
             static_cast<int64_t>(result->manifest.records.size()));
   EXPECT_GT(result->spool_report.batches, 1);
-  int64_t shard_sum = 0;
-  for (const auto& r : result->spool_shard_reports) shard_sum += r.objects;
-  EXPECT_EQ(shard_sum, result->spool_report.objects);
 
   // The bucket mirrors the store byte-for-byte at the mirrored paths.
   CheckpointStore store(&fs, "run/ckpt", profile.ckpt_shards);
@@ -460,8 +447,7 @@ TEST(GroupCommit, SimNotifyCostIsAmortizedByWindow) {
 /// and acknowledged on the materializer's worker. An empty `spool_prefix`
 /// records without a bucket mirror.
 Result<RecordResult> RecordOnWallClock(FileSystem* fs,
-                                       const std::string& spool_prefix,
-                                       int64_t keep_last_k = 0) {
+                                       const std::string& spool_prefix) {
   Env env(std::make_unique<WallClock>(), fs);
   auto instance = workloads::MakeWorkloadFactory(GroupCommitProfile(),
                                                  workloads::kProbeNone)();
@@ -471,7 +457,6 @@ Result<RecordResult> RecordOnWallClock(FileSystem* fs,
   opts.materializer.strategy = MaterializeStrategy::kFork;
   opts.adaptive.enabled = false;
   opts.spool_prefix = spool_prefix;
-  opts.gc.keep_last_k = keep_last_k;
   RecordSession session(&env, opts);
   exec::Frame frame;
   return session.Run(instance->program.get(), &frame);
@@ -538,8 +523,8 @@ TEST(SpoolMirror, RecordRetriesTransientBucketWritesOnWallClock) {
 
 TEST(SpoolMirror, RecordSurvivesABucketThatRefusesOneKey) {
   // Every bucket write of one key fails. The copy is counted as failed and
-  // the run still succeeds with a complete manifest; end-of-run demotion
-  // (keep-last-1) must then keep that key's only copy local.
+  // the run still succeeds with a complete manifest; demoting the run to
+  // keep-last-1 afterwards must then keep that key's only copy local.
   MemFileSystem base;
   FaultInjectionFileSystem fs(&base);
   CheckpointStore local(&base, "run/ckpt", GroupCommitProfile().ckpt_shards);
@@ -547,7 +532,7 @@ TEST(SpoolMirror, RecordSurvivesABucketThatRefusesOneKey) {
   const std::string bucket_path =
       JoinObjectPath("s3", local.PathFor(poisoned));
   fs.InjectWriteFailures(1000, bucket_path);
-  auto result = RecordOnWallClock(&fs, "s3", /*keep_last_k=*/1);
+  auto result = RecordOnWallClock(&fs, "s3");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_FALSE(result->spool_report.ok());
@@ -561,8 +546,12 @@ TEST(SpoolMirror, RecordSurvivesABucketThatRefusesOneKey) {
   ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
   EXPECT_EQ(persisted->records.size(), 10u);
 
-  EXPECT_TRUE(result->gc_report.demoted_to_bucket);
-  EXPECT_EQ(result->gc_report.skipped_unspooled(), 1);
+  GcPolicy policy;
+  policy.keep_last_k = 1;
+  auto gc = RetireRun(&fs, "run", policy, "s3");
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
+  EXPECT_TRUE(gc->demoted_to_bucket);
+  EXPECT_EQ(gc->skipped_unspooled, 1);
   EXPECT_TRUE(local.Exists(poisoned));
   // Every record stays readable: the poisoned key locally, the demoted
   // ones through the bucket tier.

@@ -53,15 +53,13 @@ WorkloadProfile TieredProfile(int64_t epochs = 12, int shards = 4) {
 }
 
 /// Records `profile` under "run" on `fs`, spooling the bucket mirror to
-/// "s3" (no end-of-run GC unless `keep_last_k` is set).
-RecordResult RecordWithMirror(FileSystem* fs, const WorkloadProfile& profile,
-                              int64_t keep_last_k = 0) {
+/// "s3".
+RecordResult RecordWithMirror(FileSystem* fs, const WorkloadProfile& profile) {
   Env env(std::make_unique<SimClock>(), fs);
   auto instance = MakeWorkloadFactory(profile, kProbeNone)();
   EXPECT_TRUE(instance.ok());
   RecordOptions opts = workloads::DefaultRecordOptions(profile, "run");
   opts.spool_prefix = "s3";
-  opts.gc.keep_last_k = keep_last_k;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);
@@ -182,7 +180,7 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
   auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   ASSERT_TRUE(gc->demoted_to_bucket);
-  ASSERT_GT(gc->retired_objects(), 0);
+  ASSERT_GT(gc->retired_objects, 0);
 
   // Tear every demoted object's bucket copy: whichever one the replay plan
   // faults in must surface Corruption.
@@ -225,7 +223,7 @@ TEST(TieredStore, KZeroWithBucketIsByteIdenticalNoOp) {
   policy.keep_last_k = 0;
   auto report = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->retired_objects(), 0);
+  EXPECT_EQ(report->retired_objects, 0);
   EXPECT_FALSE(report->manifest_rewritten);
   EXPECT_EQ(SnapshotPrefix(fs, ""), before);
 }
@@ -251,8 +249,8 @@ TEST(TieredStore, DemotionSkipsUnspooledObjects) {
   auto report = RetireRun(&fs, "run", policy, "s3-empty");
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->demoted_to_bucket);
-  EXPECT_EQ(report->retired_objects(), 0);
-  EXPECT_GT(report->skipped_unspooled(), 0);
+  EXPECT_EQ(report->retired_objects, 0);
+  EXPECT_GT(report->skipped_unspooled, 0);
   EXPECT_EQ(SnapshotPrefix(fs, "run/ckpt/"), before);
 }
 
@@ -280,7 +278,7 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   auto gc = RetireRun(&fs, "run", policy, "s3");
   ASSERT_TRUE(gc.ok());
   ASSERT_TRUE(gc->demoted_to_bucket);
-  ASSERT_GT(gc->retired_objects(), 0);
+  ASSERT_GT(gc->retired_objects, 0);
 
   copts.tier.bucket_prefix = "s3";
   copts.tier.bucket_rehydrate = false;
@@ -335,10 +333,11 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
 }
 
 TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
-  // Readers fault demoted objects back in (rehydration writes under the
-  // shard writer lock) while a GC thread demotes local copies of the same
-  // store-> Every read must return intact bytes; the worst race outcome is
-  // a resurrected local copy, i.e. an orphan for the sweep.
+  // Readers fault demoted objects back in (rehydration writes under their
+  // store's shard writer lock) while a GC thread demotes local copies of
+  // the same run through a store of its own, as the connection's GC and a
+  // replay do. Every read must return intact bytes; the worst race outcome
+  // is a resurrected local copy, i.e. an orphan for the sweep.
   MemFileSystem fs;
   const WorkloadProfile profile = TieredProfile(/*epochs=*/10, /*shards=*/4);
   const RecordResult rec = RecordWithMirror(&fs, profile);
@@ -347,7 +346,6 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   auto store = CheckpointStore::Open(&fs, "run/ckpt",
                                      testutil::BucketTier("s3"),
                                      &rec.manifest);
-  Manifest manifest = rec.manifest;
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> read_failures{0};
@@ -366,12 +364,10 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   GcPolicy policy;
   policy.keep_last_k = 1;
   for (int round = 0; round < 8; ++round) {
-    auto report =
-        RetireCheckpoints(store.get(), &manifest, "run/manifest.tsv",
-                          policy);
+    auto report = RetireRun(&fs, "run", policy, "s3");
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->demoted_to_bucket);
-    EXPECT_EQ(report->failed_deletes(), 0);
+    EXPECT_EQ(report->failed_deletes, 0);
   }
   stop.store(true);
   for (auto& t : readers) t.join();
@@ -380,10 +376,11 @@ TEST(TieredStore, BucketFaultInRacesConcurrentLocalDemotion) {
   // Reads may have rehydrated demoted objects mid-demotion; the sweep
   // reclaims those resurrected orphans... which here are still referenced
   // by the (intact) manifest, so reconciliation deletes nothing.
-  ReconcileReport sweep = ReconcileOrphans(store.get(), manifest);
-  EXPECT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep.local_orphans(), 0);
-  EXPECT_EQ(sweep.bucket_orphans(), 0);
+  auto sweep = ReconcileRun(&fs, "run", "s3");
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_TRUE(sweep->ok());
+  EXPECT_EQ(sweep->local_orphans, 0);
+  EXPECT_EQ(sweep->bucket_orphans, 0);
 }
 
 TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
@@ -405,33 +402,31 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   auto store = CheckpointStore::Open(&fs, "run/ckpt",
                                      testutil::BucketTier("s3"),
                                      &rec.manifest);
-  Manifest manifest = rec.manifest;
   std::set<int64_t> epochs;
-  for (const auto& r : manifest.records)
+  for (const auto& r : rec.manifest.records)
     if (r.epoch >= 0) epochs.insert(r.epoch);
   const int64_t pinned_epoch = *epochs.begin();
   GcPolicy policy;
   policy.keep_last_k = 1;
   policy.pinned_epochs = {pinned_epoch};
 
-  auto report =
-      RetireBucketCheckpoints(store.get(), &manifest, "run/manifest.tsv",
-                              policy);
+  auto report = RetireBucketRun(&fs, "run", "s3", policy);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->manifest_rewritten);
   EXPECT_FALSE(report->demoted_to_bucket);
   EXPECT_TRUE(report->ok());
-  EXPECT_GT(report->retired_objects(), 0);
-  EXPECT_LT(manifest.records.size(), records_before);
+  EXPECT_GT(report->retired_objects, 0);
+  EXPECT_LT(static_cast<size_t>(report->surviving_records), records_before);
 
-  // The persisted manifest matches the in-memory prune, every surviving
+  // The persisted manifest holds the pass's survivors, every surviving
   // record is readable through the tiers, every retired record is gone
   // from both, and the pinned epoch survived.
   auto persisted_bytes = fs.ReadFile("run/manifest.tsv");
   ASSERT_TRUE(persisted_bytes.ok());
   auto persisted = Manifest::Deserialize(*persisted_bytes);
   ASSERT_TRUE(persisted.ok());
-  ASSERT_EQ(persisted->records.size(), manifest.records.size());
+  ASSERT_EQ(static_cast<int64_t>(persisted->records.size()),
+            report->surviving_records);
   std::set<std::string> surviving;
   bool pinned_survived = false;
   for (const auto& r : persisted->records) {
@@ -447,12 +442,10 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
         << r.key.ToString();
   }
 
-  // Requires the bucket tier: a plain store is rejected.
-  CheckpointStore no_bucket(&fs, "run/ckpt", rec.manifest.shard_count);
-  Manifest m2 = *persisted;
-  auto bad = RetireBucketCheckpoints(&no_bucket, &m2, "run/manifest.tsv",
-                                     policy);
-  EXPECT_FALSE(bad.ok());
+  // Requires the bucket tier: a pass without one is rejected.
+  auto bad = RetireBucketRun(&fs, "run", "", policy);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+      << bad.status().ToString();
 
   // A manifest-persist failure retires nothing from either tier.
   MemFileSystem base2;
@@ -467,7 +460,7 @@ TEST(TieredStore, BucketRetirementIsManifestFirstAndHonorsPins) {
   EXPECT_EQ(SnapshotPrefix(base2, ""), before_fail);
 }
 
-TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
+TEST(TieredStore, ReconcileRunReclaimsBothTiers) {
   MemFileSystem fs;
   const WorkloadProfile profile = TieredProfile(/*epochs=*/10, /*shards=*/4);
   const RecordResult rec = RecordWithMirror(&fs, profile);
@@ -480,18 +473,17 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   // from the bucket with every delete failing — the manifest prune lands,
   // all the objects stay behind as unreferenced bytes.
   FaultInjectionFileSystem faulty(&fs);
-  auto faulty_store = CheckpointStore::Open(
-      &faulty, "run/ckpt", testutil::BucketTier("s3"), &rec.manifest);
-  Manifest manifest = rec.manifest;
   faulty.InjectDeleteFailures(1 << 20);
   GcPolicy policy;
   policy.keep_last_k = 2;
-  auto leaked = RetireBucketCheckpoints(faulty_store.get(), &manifest,
-                                        "run/manifest.tsv", policy);
+  auto leaked = RetireBucketRun(&faulty, "run", "s3", policy);
   ASSERT_TRUE(leaked.ok()) << leaked.status().ToString();
   EXPECT_TRUE(leaked->manifest_rewritten);
-  EXPECT_GT(leaked->failed_deletes(), 0);
+  EXPECT_GT(leaked->failed_deletes, 0);
   faulty.InjectDeleteFailures(0);
+  auto pruned = ReadManifest(&fs, "run");
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  const Manifest& manifest = *pruned;
 
   const int64_t expected_local = [&] {
     int64_t n = 0;
@@ -505,12 +497,12 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
     return n;
   }();
 
-  ReconcileReport sweep = ReconcileOrphans(store.get(), manifest);
-  EXPECT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep.shards.size(), 4u);
-  EXPECT_EQ(sweep.local_orphans(), expected_local);
-  EXPECT_GT(sweep.bucket_orphans(), 0);
-  EXPECT_GT(sweep.orphan_bytes(), 0u);
+  auto sweep = ReconcileRun(&fs, "run", "s3");
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_TRUE(sweep->ok());
+  EXPECT_EQ(sweep->local_orphans, expected_local);
+  EXPECT_GT(sweep->bucket_orphans, 0);
+  EXPECT_GT(sweep->orphan_bytes, 0u);
 
   // Post-sweep: both tiers hold exactly the referenced objects, and the
   // run still replays green from the pruned manifest.
@@ -522,9 +514,10 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
     EXPECT_TRUE(fs.Exists(store->BucketPathFor(r.key)))
         << r.key.ToString();
   }
-  ReconcileReport idempotent = ReconcileOrphans(store.get(), manifest);
-  EXPECT_EQ(idempotent.local_orphans(), 0);
-  EXPECT_EQ(idempotent.bucket_orphans(), 0);
+  auto idempotent = ReconcileRun(&fs, "run", "s3");
+  ASSERT_TRUE(idempotent.ok()) << idempotent.status().ToString();
+  EXPECT_EQ(idempotent->local_orphans, 0);
+  EXPECT_EQ(idempotent->bucket_orphans, 0);
 
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
