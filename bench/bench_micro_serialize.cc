@@ -1,13 +1,17 @@
 // Micro benchmarks (google-benchmark) for the serialization substrate:
 // tensor encode/decode, the RLE codec on float and block-constant
-// payloads, checksummed frames, and full checkpoint round trips. These are
-// the real-time costs behind the §5.1 serialization-vs-I/O discussion.
+// payloads, checksummed frames, full checkpoint round trips, and a
+// replay-sized restore into a live model. These are the real-time costs
+// behind the §5.1 serialization-vs-I/O discussion and the restore latency
+// Ri of §5.4.
 
 #include <benchmark/benchmark.h>
 
 #include "checkpoint/checkpoint.h"
 #include "common/random.h"
 #include "exec/log_stream.h"
+#include "nn/layers.h"
+#include "nn/optimizer.h"
 #include "serialize/compress.h"
 #include "serialize/frame.h"
 #include "tensor/ops.h"
@@ -98,6 +102,37 @@ void BM_CheckpointEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckpointEncodeDecode)->Arg(1 << 12)->Arg(1 << 16);
+
+/// One SkipBlock restore of the replay_partial workload's shape: an MLP
+/// 512→1024→1024→10 and its SGD momentum buffers (12.7 MB raw, stored raw
+/// because trained floats do not shrink under RLE), restored from
+/// in-memory bytes straight into the live model and optimizer. Covers the
+/// CRC, the codec header, decoding and the copy into live storage; not the
+/// read.
+void BM_RestoreCheckpoint(benchmark::State& state) {
+  Rng rng(1234);
+  auto net = nn::BuildMlp("net", {512, 1024, 1024, 10}, &rng);
+  nn::Sgd sgd(net.get(), 0.01f, 0.9f);
+  for (Tensor* t : sgd.StateTensors()) ops::RandNormal(t, &rng);
+  ir::Value net_v = ir::Value::ModuleRef(net.get());
+  ir::Value opt_v = ir::Value::OptimizerRef(&sgd);
+  NamedSnapshots snaps;
+  snaps.emplace_back("net", ir::SnapshotValue(net_v));
+  snaps.emplace_back("optimizer", ir::SnapshotValue(opt_v));
+  const std::string bytes = EncodeCheckpoint(snaps);
+  const LiveValueFn live =
+      [&](const std::string& name) -> Result<ir::Value*> {
+    return name == "net" ? &net_v : &opt_v;
+  };
+  for (auto _ : state) {
+    Status s = RestoreCheckpoint(bytes, live);
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_RestoreCheckpoint)->Unit(benchmark::kMillisecond);
 
 /// A record-run-shaped log stream: per-batch loss lines plus per-epoch
 /// metrics, contexts like "e=17/i=3", occasional escapes in the text.

@@ -108,6 +108,20 @@ if grep -rn '#include "checkpoint/gc.h"' src/ \
   exit 1
 fi
 
+echo "== restore lint =="
+# A SkipBlock restore reads a checkpoint once and decodes it straight into
+# the live frame (CheckpointStore::GetBytes, then RestoreCheckpoint). Only
+# src/checkpoint/ may decode a checkpoint into owned snapshots
+# (DecodeCheckpoint, CheckpointStore::Get), so replay never restores
+# through the copying path.
+if grep -rnE 'DecodeCheckpoint *\(|[Ss]tore_?(\(\))?(->|\.)Get *\(' src/ \
+     | grep -vE '^src/checkpoint/'; then
+  echo "error: DecodeCheckpoint or CheckpointStore::Get called in src/" >&2
+  echo "outside src/checkpoint/ — restore with RestoreCheckpoint" >&2
+  echo "(src/checkpoint/checkpoint.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

@@ -76,7 +76,24 @@ void EncodeSnapshot(std::string* dst, const ir::ValueSnapshot& snap) {
   }
 }
 
-Result<ir::ValueSnapshot> DecodeSnapshot(Decoder* dec) {
+namespace {
+
+/// Decodes the i-th tensor of a module or optimizer snapshot straight into
+/// (*targets)[i] while the snapshot still matches its live object. From
+/// the first tensor that does not (name, dtype or shape), `*targets` is
+/// cleared and the rest decode into storage of their own, so RestoreValue
+/// rejects the value with nothing after the mismatch written.
+Result<Tensor> DecodeLiveTensor(Decoder* dec, std::vector<Tensor*>* targets,
+                                uint64_t i) {
+  Tensor* into = targets->empty() ? nullptr : (*targets)[i];
+  FLOR_ASSIGN_OR_RETURN(Tensor t, DecodeTensor(dec, into));
+  if (into == nullptr || !t.SharesStorageWith(*into)) targets->clear();
+  return t;
+}
+
+}  // namespace
+
+Result<ir::ValueSnapshot> DecodeSnapshot(Decoder* dec, ir::Value* live) {
   uint8_t kind_byte;
   FLOR_RETURN_IF_ERROR(dec->GetRaw(&kind_byte, 1));
   if (kind_byte > static_cast<uint8_t>(ir::ValueKind::kRng))
@@ -108,10 +125,17 @@ Result<ir::ValueSnapshot> DecodeSnapshot(Decoder* dec) {
     case ir::ValueKind::kModule: {
       uint64_t n;
       FLOR_RETURN_IF_ERROR(dec->GetVarint64(&n));
+      std::vector<nn::Parameter*> params;
+      if (live != nullptr && live->kind() == ir::ValueKind::kModule)
+        params = live->AsModule()->Parameters();
+      std::vector<Tensor*> targets;
+      if (params.size() == n)
+        for (nn::Parameter* p : params) targets.push_back(&p->value);
       for (uint64_t i = 0; i < n; ++i) {
         std::string name;
         FLOR_RETURN_IF_ERROR(dec->GetLengthPrefixed(&name));
-        FLOR_ASSIGN_OR_RETURN(Tensor t, DecodeTensor(dec));
+        if (!targets.empty() && params[i]->name != name) targets.clear();
+        FLOR_ASSIGN_OR_RETURN(Tensor t, DecodeLiveTensor(dec, &targets, i));
         snap.params.emplace_back(std::move(name), std::move(t));
       }
       break;
@@ -122,8 +146,13 @@ Result<ir::ValueSnapshot> DecodeSnapshot(Decoder* dec) {
       FLOR_RETURN_IF_ERROR(dec->GetSignedVarint64(&snap.opt_steps));
       uint64_t n;
       FLOR_RETURN_IF_ERROR(dec->GetVarint64(&n));
+      std::vector<Tensor*> targets;
+      if (live != nullptr && live->kind() == ir::ValueKind::kOptimizer &&
+          live->AsOptimizer()->Kind() == snap.opt_kind)
+        targets = live->AsOptimizer()->StateTensors();
+      if (targets.size() != n) targets.clear();
       for (uint64_t i = 0; i < n; ++i) {
-        FLOR_ASSIGN_OR_RETURN(Tensor t, DecodeTensor(dec));
+        FLOR_ASSIGN_OR_RETURN(Tensor t, DecodeLiveTensor(dec, &targets, i));
         snap.opt_state.push_back(std::move(t));
       }
       break;
@@ -154,29 +183,63 @@ std::string EncodeCheckpoint(const NamedSnapshots& snaps) {
   return out;
 }
 
-Result<NamedSnapshots> DecodeCheckpoint(const std::string& bytes) {
+namespace {
+
+/// Checks the frame and opens the codec of a checkpoint object, returning
+/// its payload: a view into `bytes` for a raw body, or into `*rle_out` for
+/// an RLE body.
+Result<std::string_view> CheckpointPayload(std::string_view bytes,
+                                           std::string* rle_out) {
   FrameReader reader(bytes);
-  std::string compressed;
+  std::string_view compressed;
   const Status first = reader.Next(&compressed);
   // An empty object is a torn write, not a missing key.
   if (first.IsNotFound()) return Status::Corruption("empty checkpoint object");
   FLOR_RETURN_IF_ERROR(first);
   if (!reader.done())
     return Status::Corruption("trailing data after checkpoint frame");
-  FLOR_ASSIGN_OR_RETURN(std::string payload, Decompress(compressed));
-  Decoder dec(payload);
+  return DecompressView(compressed, rle_out);
+}
+
+/// Walks the payload's (name, snapshot) entries: `visit` decodes each
+/// entry's snapshot from `dec` after its name.
+template <typename Visit>
+Status ForEachEntry(std::string_view bytes, Visit&& visit) {
+  std::string rle_out;
+  FLOR_ASSIGN_OR_RETURN(std::string_view payload,
+                        CheckpointPayload(bytes, &rle_out));
+  Decoder dec(payload.data(), payload.size());
   uint64_t n;
   FLOR_RETURN_IF_ERROR(dec.GetVarint64(&n));
-  NamedSnapshots out;
   for (uint64_t i = 0; i < n; ++i) {
     std::string name;
     FLOR_RETURN_IF_ERROR(dec.GetLengthPrefixed(&name));
-    FLOR_ASSIGN_OR_RETURN(ir::ValueSnapshot snap, DecodeSnapshot(&dec));
-    out.emplace_back(std::move(name), std::move(snap));
+    FLOR_RETURN_IF_ERROR(visit(std::move(name), &dec));
   }
   if (!dec.done())
     return Status::Corruption("trailing bytes in checkpoint payload");
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<NamedSnapshots> DecodeCheckpoint(const std::string& bytes) {
+  NamedSnapshots out;
+  FLOR_RETURN_IF_ERROR(
+      ForEachEntry(bytes, [&out](std::string name, Decoder* dec) -> Status {
+        FLOR_ASSIGN_OR_RETURN(ir::ValueSnapshot snap, DecodeSnapshot(dec));
+        out.emplace_back(std::move(name), std::move(snap));
+        return Status::OK();
+      }));
   return out;
+}
+
+Status RestoreCheckpoint(std::string_view bytes, const LiveValueFn& live) {
+  return ForEachEntry(bytes, [&live](std::string name, Decoder* dec) -> Status {
+    FLOR_ASSIGN_OR_RETURN(ir::Value* target, live(name));
+    FLOR_ASSIGN_OR_RETURN(ir::ValueSnapshot snap, DecodeSnapshot(dec, target));
+    return ir::RestoreValue(std::move(snap), target);
+  });
 }
 
 }  // namespace flor

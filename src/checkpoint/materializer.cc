@@ -34,11 +34,11 @@ Materializer::Materializer(Env* env, MaterializerOptions options)
 Materializer::~Materializer() { Drain(); }
 
 void Materializer::NotifyDurable(const CheckpointKey& key,
-                                 uint64_t stored_bytes) {
-  std::vector<std::pair<CheckpointKey, uint64_t>> closed;
+                                 std::string bytes) {
+  std::vector<std::pair<CheckpointKey, std::string>> closed;
   {
     std::lock_guard<std::mutex> lock(gc_mu_);
-    gc_slot_.emplace_back(key, stored_bytes);
+    gc_slot_.emplace_back(key, std::move(bytes));
     ++gc_stats_.joins;
     if (static_cast<int>(gc_slot_.size()) < options_.group_commit_window)
       return;
@@ -56,7 +56,7 @@ void Materializer::NotifyDurable(const CheckpointKey& key,
 }
 
 void Materializer::FlushGroupCommitSlot() {
-  std::vector<std::pair<CheckpointKey, uint64_t>> closed;
+  std::vector<std::pair<CheckpointKey, std::string>> closed;
   {
     std::lock_guard<std::mutex> lock(gc_mu_);
     if (gc_slot_.empty()) return;
@@ -157,7 +157,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
     // time (cost model path).
     std::string bytes = EncodeCheckpoint(snaps);
     FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
-    NotifyDurable(key, bytes.size());
+    NotifyDurable(key, std::move(bytes));
 
     double bg_s = 0;
     auto [main_s, stall_s] = AccountSim(nominal, &bg_s);
@@ -171,7 +171,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
     if (options_.strategy == MaterializeStrategy::kBaseline) {
       std::string bytes = EncodeCheckpoint(snaps);
       FLOR_RETURN_IF_ERROR(store->PutBytes(key, bytes));
-      NotifyDurable(key, bytes.size());
+      NotifyDurable(key, std::move(bytes));
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
       receipt.background_seconds = 0;
     } else {
@@ -189,17 +189,15 @@ Result<MaterializeReceipt> Materializer::Materialize(
         std::string bytes = EncodeCheckpoint(*shared);
         shared.reset();
         const Status s = store->PutBytes(key, bytes);
-        const uint64_t stored_bytes = bytes.size();
-        // Free the encoded copy before the ack, which may read the object
-        // back to mirror it.
-        std::string().swap(bytes);
         if (!s.ok()) {
           // Unacknowledged: Drain reports it, so the run fails instead of
           // indexing a checkpoint that never landed.
           if (background_status_.ok()) background_status_ = s;
           return;
         }
-        NotifyDurable(key, stored_bytes);
+        // The slot keeps the encoded bytes for the ack, which mirrors the
+        // checkpoint from them instead of reading the object back.
+        NotifyDurable(key, std::move(bytes));
       });
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
       receipt.background_seconds =

@@ -134,14 +134,17 @@ struct MaterializerOptions {
   /// a partial slot, so no acked checkpoint's notification is ever lost.
   int group_commit_window = 1;
   /// The durability ack: invoked once per checkpoint whose bytes are in
-  /// the store (PutBytes returned OK), with the stored size, after its
-  /// group-commit slot closes. It runs inline on the training thread under
-  /// a simulated clock or the Baseline strategy, on the background worker
-  /// otherwise (after the job freed its encoded buffer), and never for a
-  /// failed write. It must not call back into the materializer. The record
+  /// the store (PutBytes returned OK), after its group-commit slot closes,
+  /// with the encoded bytes that were stored (their size is the stored
+  /// size). The slot holds each checkpoint's encoded buffer until its ack
+  /// fires, so a window of W holds at most W buffers. The ack runs inline
+  /// on the training thread under a simulated clock or the Baseline
+  /// strategy, on the background worker otherwise, and never for a failed
+  /// write. It must not call back into the materializer. The record
   /// session takes each checkpoint's stored size from it and, with a
-  /// spool prefix, mirrors the checkpoint to the bucket inside it.
-  std::function<void(const CheckpointKey& key, uint64_t stored_bytes)>
+  /// spool prefix, writes the bucket copy from those bytes, so the record
+  /// path reads nothing back.
+  std::function<void(const CheckpointKey& key, const std::string& bytes)>
       on_durable;
 };
 
@@ -185,13 +188,14 @@ class Materializer {
   std::pair<double, double> AccountSim(uint64_t nominal_bytes,
                                        double* bg_seconds);
 
-  /// Group-commit entry point for one durably stored checkpoint: joins the
-  /// open slot and, when the slot reaches group_commit_window, delivers the
-  /// slot's on_durable notifications in store order (outside the slot lock,
-  /// so a slow delivery, such as a bucket copy, never holds it). Called
-  /// inline on the training thread (sim / Baseline) or on the background
-  /// worker (wall mode).
-  void NotifyDurable(const CheckpointKey& key, uint64_t stored_bytes);
+  /// Group-commit entry point for one durably stored checkpoint and its
+  /// encoded bytes: joins the open slot and, when the slot reaches
+  /// group_commit_window, delivers the slot's on_durable notifications in
+  /// store order (outside the slot lock, so a slow delivery, such as a
+  /// bucket copy, never holds it) and frees their buffers. Called inline
+  /// on the training thread (sim / Baseline) or on the background worker
+  /// (wall mode).
+  void NotifyDurable(const CheckpointKey& key, std::string bytes);
 
   /// Delivers a partial slot at end of run (one more amortized sync when
   /// non-empty). Drain() calls this after the queue join, preserving the
@@ -202,9 +206,10 @@ class Materializer {
   Env* env_;
   MaterializerOptions options_;
 
-  /// Open group-commit slot (keys + sizes in store order) and its stats.
+  /// Open group-commit slot (keys + encoded bytes in store order) and its
+  /// stats.
   mutable std::mutex gc_mu_;
-  std::vector<std::pair<CheckpointKey, uint64_t>> gc_slot_;
+  std::vector<std::pair<CheckpointKey, std::string>> gc_slot_;
   GroupCommitStats gc_stats_;
 
   // Sim-mode background ledger: completion times (seconds) of in-flight

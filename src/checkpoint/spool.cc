@@ -7,26 +7,42 @@ double S3MonthlyCost(uint64_t bytes) {
          kS3DollarsPerGBMonth;
 }
 
+namespace {
+
+void CountFailure(const Status& status, SpoolReport* report) {
+  ++report->failed_objects;
+  if (report->first_error.empty()) report->first_error = status.ToString();
+}
+
+}  // namespace
+
+void SpoolBytes(FileSystem* fs, const std::string& bytes,
+                const std::string& dst, SpoolReport* report) {
+  ++report->batches;
+  Status last;
+  for (int attempt = 0; attempt < kSpoolMaxAttempts; ++attempt) {
+    // One atomic WriteFile per attempt: a retry replaces nothing partial.
+    last = fs->WriteFile(dst, bytes);
+    if (last.ok()) {
+      ++report->objects;
+      report->bytes += bytes.size();
+      report->monthly_cost_dollars = S3MonthlyCost(report->bytes);
+      return;
+    }
+    if (attempt + 1 < kSpoolMaxAttempts) ++report->retries;
+  }
+  CountFailure(last, report);
+}
+
 void SpoolObject(FileSystem* fs, const std::string& src,
                  const std::string& dst, SpoolReport* report) {
-  ++report->batches;
   auto data = fs->ReadFile(src);
-  Status last = data.status();
-  if (data.ok()) {
-    for (int attempt = 0; attempt < kSpoolMaxAttempts; ++attempt) {
-      // One atomic WriteFile per attempt: a retry replaces nothing partial.
-      last = fs->WriteFile(dst, *data);
-      if (last.ok()) {
-        ++report->objects;
-        report->bytes += data->size();
-        report->monthly_cost_dollars = S3MonthlyCost(report->bytes);
-        return;
-      }
-      if (attempt + 1 < kSpoolMaxAttempts) ++report->retries;
-    }
+  if (!data.ok()) {
+    ++report->batches;
+    CountFailure(data.status(), report);
+    return;
   }
-  ++report->failed_objects;
-  if (report->first_error.empty()) report->first_error = last.ToString();
+  SpoolBytes(fs, *data, dst, report);
 }
 
 SpoolReport SpoolStore(const CheckpointStore& store,

@@ -7,14 +7,16 @@
 // prefix on the same FileSystem (the MemFileSystem doubles as the simulated
 // bucket) and prices the result at S3 standard-storage rates.
 //
-// SpoolObject is the one copy: a record session calls it from the
-// materializer's durability ack, once per acknowledged checkpoint, so the
-// copy runs on whichever thread delivers the ack (the materializer's
-// worker, or the training thread) and the mirror only ever holds
-// acknowledged checkpoints. SpoolStore mirrors a whole store with the same
-// copy in a synchronous loop. Every object lands with one atomic WriteFile,
-// so a failed or killed spool never un-spools objects that already copied:
-// shard-local progress is monotone.
+// SpoolBytes is the one bucket write: a record session calls it from the
+// materializer's durability ack, once per acknowledged checkpoint, with
+// the encoded bytes the ack carries, so the copy runs on whichever thread
+// delivers the ack (the materializer's worker, or the training thread),
+// reads nothing back, and the mirror only ever holds acknowledged
+// checkpoints. SpoolObject reads an object and writes it the same way;
+// SpoolStore mirrors a whole store with it in a synchronous loop. Every
+// object lands with one atomic WriteFile, so a failed or killed spool
+// never un-spools objects that already copied: shard-local progress is
+// monotone.
 
 #ifndef FLOR_CHECKPOINT_SPOOL_H_
 #define FLOR_CHECKPOINT_SPOOL_H_
@@ -49,11 +51,16 @@ double S3MonthlyCost(uint64_t bytes);
 /// Bucket write attempts per object before it is abandoned.
 inline constexpr int kSpoolMaxAttempts = 3;
 
-/// Copies the object at `src` to `dst` on `fs`: one read, then one atomic
-/// WriteFile, attempted up to kSpoolMaxAttempts times. The outcome is added
-/// to `*report` (a missing source or an exhausted write counts in
-/// failed_objects and first_error) rather than returned: partial progress
-/// is real and already priced. Not thread-safe on `*report`.
+/// Writes `bytes` to `dst` on `fs` with one atomic WriteFile, attempted up
+/// to kSpoolMaxAttempts times. The outcome is added to `*report` (an
+/// exhausted write counts in failed_objects and first_error) rather than
+/// returned: partial progress is real and already priced. Not thread-safe
+/// on `*report`.
+void SpoolBytes(FileSystem* fs, const std::string& bytes,
+                const std::string& dst, SpoolReport* report);
+
+/// Copies the object at `src` to `dst` on `fs`: one read, then SpoolBytes.
+/// A missing or unreadable source counts as a failed object.
 void SpoolObject(FileSystem* fs, const std::string& src,
                  const std::string& dst, SpoolReport* report);
 

@@ -191,7 +191,9 @@ class CheckpointStore {
   Result<std::string> GetBytes(const CheckpointKey& key,
                                bool* from_bucket = nullptr) const;
 
-  /// Decoded convenience read (same tier fall-through as GetBytes).
+  /// Decoded convenience read (same tier fall-through as GetBytes). Under
+  /// src/, only src/checkpoint/ calls it (scripts/check.sh lints this):
+  /// replay restores GetBytes' buffer with RestoreCheckpoint.
   Result<NamedSnapshots> Get(const CheckpointKey& key,
                              bool* from_bucket = nullptr) const;
 

@@ -210,6 +210,9 @@ Status PosixFileSystem::WriteFile(const std::string& path,
                                     std::strerror(errno)));
     }
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    // The stream holds a short write in its buffer until close flushes
+    // it, so only a checked close proves every byte reached the file.
+    out.close();
     if (!out) {
       written = Status::IOError(
           StrCat("short write: ", full, ": ", std::strerror(errno)));
@@ -230,17 +233,25 @@ Status PosixFileSystem::AppendFile(const std::string& path,
   const std::string full = Resolve(path);
   std::error_code ec;
   stdfs::create_directories(stdfs::path(full).parent_path(), ec);
+  std::error_code missing;
+  const uintmax_t before = stdfs::file_size(full, missing);
   std::ofstream out(full, std::ios::binary | std::ios::app);
   if (!out) {
     return Status::IOError(StrCat("cannot open for append: ", full, ": ",
                                   std::strerror(errno)));
   }
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) {
-    return Status::IOError(
-        StrCat("short append: ", full, ": ", std::strerror(errno)));
-  }
-  return Status::OK();
+  // As in WriteFile, a short append may sit in the buffer until close.
+  out.close();
+  if (out) return Status::OK();
+  const int err = errno;
+  // Roll the failed append back: the file holds whole appends only.
+  if (missing)
+    stdfs::remove(full, ec);
+  else
+    stdfs::resize_file(full, before, ec);
+  return Status::IOError(
+      StrCat("short append: ", full, ": ", std::strerror(err)));
 }
 
 Result<std::string> PosixFileSystem::ReadFile(const std::string& path) const {

@@ -138,7 +138,11 @@ class FaultInjectionFileSystem : public FileSystem {
 };
 
 /// Real filesystem rooted at a directory. Creates parent directories on
-/// demand. ReadFile sizes one buffer from fstat on the open file and fills
+/// demand. WriteFile stages each call in a temp file of its own and
+/// renames it into place only after the stream's close, the final flush
+/// included, succeeded; a failed AppendFile truncates the object back to
+/// its size before the call. ReadFile sizes one buffer from fstat on the
+/// open file and fills
 /// it with one read loop. ListPrefix walks only the directory its prefix
 /// names, so a missing directory lists nothing; objects written or deleted
 /// during the walk may or may not be listed, and one present throughout

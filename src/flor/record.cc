@@ -15,15 +15,16 @@ RecordSession::RecordSession(Env* env, RecordOptions options)
   store_ = CheckpointStore::Open(env_->fs(), paths_.CkptPrefix(), tier,
                                  nullptr, options_.ckpt_shards);
   // The durability ack sizes the checkpoint's manifest record and, with a
-  // spool prefix, mirrors it to the bucket (spool-as-you-materialize). It
-  // runs after the checkpoint's group-commit slot closes, so the mirror
-  // only ever holds acknowledged checkpoints.
+  // spool prefix, writes its bucket copy from the encoded bytes it carries
+  // (spool-as-you-materialize). It runs after the checkpoint's
+  // group-commit slot closes, so the mirror only ever holds acknowledged
+  // checkpoints.
   options_.materializer.on_durable = [this](const CheckpointKey& key,
-                                            uint64_t stored_bytes) {
-    acked_bytes_[key.ToString()] = stored_bytes;
+                                            const std::string& bytes) {
+    acked_bytes_[key.ToString()] = bytes.size();
     if (options_.spool_prefix.empty()) return;
-    SpoolObject(store_->fs(), store_->PathFor(key), store_->BucketPathFor(key),
-                &spool_report_);
+    SpoolBytes(store_->fs(), bytes, store_->BucketPathFor(key),
+               &spool_report_);
   };
   materializer_ = std::make_unique<Materializer>(env_, options_.materializer);
 }

@@ -54,8 +54,9 @@ struct RecordOptions {
   AdaptiveOptions adaptive;
   /// Non-empty enables spool-as-you-materialize: each checkpoint is copied
   /// to "<spool_prefix>/<object path>" (prefix "s3" mirrors run/ckpt/...
-  /// under s3/run/ckpt/...) by its durability ack, one SpoolObject per
-  /// acknowledged checkpoint, on the thread that delivers the ack. The
+  /// under s3/run/ckpt/...) by its durability ack, one SpoolBytes of the
+  /// encoded bytes per acknowledged checkpoint, on the thread that
+  /// delivers the ack, with no read of the local object. The
   /// copies of a group-commit slot land when the slot closes, and the
   /// last slot's inside the end-of-run drain. The copies are totalled in
   /// RecordResult::spool_report; a failed copy is counted there and never

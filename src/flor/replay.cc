@@ -82,17 +82,18 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
   FLOR_CHECK(result_ != nullptr)
       << "RestoreSkipBlock outside a live ReplaySession::Run";
   bool from_bucket = false;
-  FLOR_ASSIGN_OR_RETURN(NamedSnapshots snaps,
-                        run_.store->Get(key, &from_bucket));
+  FLOR_ASSIGN_OR_RETURN(std::string bytes,
+                        run_.store->GetBytes(key, &from_bucket));
+  FLOR_RETURN_IF_ERROR(RestoreCheckpoint(
+      bytes, [&](const std::string& name) -> Result<ir::Value*> {
+        if (!frame->Has(name)) {
+          return Status::ReplayAnomaly(
+              StrCat("checkpoint of L", loop->id(), " restores variable '",
+                     name, "' which is unbound on replay"));
+        }
+        return frame->Mutable(name);
+      }));
   if (from_bucket) ++result_->bucket_faults;
-  for (const auto& [name, snap] : snaps) {
-    if (!frame->Has(name)) {
-      return Status::ReplayAnomaly(
-          StrCat("checkpoint of L", loop->id(), " restores variable '", name,
-                 "' which is unbound on replay"));
-    }
-    FLOR_RETURN_IF_ERROR(RestoreValue(snap, frame->Mutable(name)));
-  }
 
   // Charge the restore latency (Ri) under a simulated clock and refine c.
   // A bucket-served restore pays the slower bucket read throughput.

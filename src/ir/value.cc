@@ -278,7 +278,7 @@ ValueSnapshot SnapshotValue(const Value& v) {
   return snap;
 }
 
-Status RestoreValue(const ValueSnapshot& snap, Value* live) {
+Status RestoreValue(ValueSnapshot&& snap, Value* live) {
   if (snap.kind != live->kind() &&
       !(live->is_none() &&
         (snap.kind == ValueKind::kInt || snap.kind == ValueKind::kFloat ||
@@ -303,24 +303,27 @@ Status RestoreValue(const ValueSnapshot& snap, Value* live) {
       *live = Value::Bool(snap.bool_v);
       return Status::OK();
     case ValueKind::kStr:
-      *live = Value::Str(snap.str_v);
+      *live = Value::Str(std::move(snap.str_v));
       return Status::OK();
     case ValueKind::kTensor:
-      *live = Value::FromTensor(snap.tensor_v.Clone());
+      *live = Value::FromTensor(std::move(snap.tensor_v));
       return Status::OK();
     case ValueKind::kModule: {
       auto params = live->AsModule()->Parameters();
       if (params.size() != snap.params.size())
         return Status::Corruption("module parameter count mismatch");
       for (size_t i = 0; i < params.size(); ++i) {
+        const Tensor& t = snap.params[i].second;
         if (params[i]->name != snap.params[i].first)
           return Status::Corruption("module parameter name mismatch: " +
                                     params[i]->name);
-        if (params[i]->value.shape() != snap.params[i].second.shape())
-          return Status::Corruption("module parameter shape mismatch: " +
-                                    params[i]->name);
-        params[i]->value = snap.params[i].second.Clone();
+        if (params[i]->value.dtype() != t.dtype() ||
+            params[i]->value.shape() != t.shape())
+          return Status::Corruption(
+              "module parameter dtype or shape mismatch: " + params[i]->name);
       }
+      for (size_t i = 0; i < params.size(); ++i)
+        params[i]->value = std::move(snap.params[i].second);
       return Status::OK();
     }
     case ValueKind::kOptimizer: {
@@ -331,10 +334,12 @@ Status RestoreValue(const ValueSnapshot& snap, Value* live) {
       if (tensors.size() != snap.opt_state.size())
         return Status::Corruption("optimizer state count mismatch");
       for (size_t i = 0; i < tensors.size(); ++i) {
-        if (tensors[i]->shape() != snap.opt_state[i].shape())
-          return Status::Corruption("optimizer state shape mismatch");
-        *tensors[i] = snap.opt_state[i].Clone();
+        if (tensors[i]->dtype() != snap.opt_state[i].dtype() ||
+            tensors[i]->shape() != snap.opt_state[i].shape())
+          return Status::Corruption("optimizer state dtype or shape mismatch");
       }
+      for (size_t i = 0; i < tensors.size(); ++i)
+        *tensors[i] = std::move(snap.opt_state[i]);
       opt->set_lr(snap.opt_lr);
       opt->set_step_count(snap.opt_steps);
       return Status::OK();

@@ -10,7 +10,10 @@
 // stores. Taking a snapshot is a memcpy-bound operation performed on the
 // main thread (the analog of fork()'s copy-on-write page copies, §5.1);
 // serializing a snapshot to bytes happens later, in the background
-// materializer.
+// materializer. Restoring goes the other way without a copy of its own:
+// module parameters and optimizer state are decoded straight into the
+// live tensors (as torch's load_state_dict copies into live parameters),
+// and every other value is moved out of the decoded snapshot.
 
 #ifndef FLOR_IR_VALUE_H_
 #define FLOR_IR_VALUE_H_
@@ -140,11 +143,16 @@ struct ValueSnapshot {
 /// data/loader.h).
 ValueSnapshot SnapshotValue(const Value& v);
 
-/// Restores `snap` into `live`. For reference kinds, `live` must reference
-/// an object of compatible structure (same parameter shapes etc.): replay
-/// re-runs the program preamble, so structures always match unless the user
-/// edited non-log code — which the version diff rejects up front.
-Status RestoreValue(const ValueSnapshot& snap, Value* live);
+/// Restores `snap` into `live`, moving its tensors into place. For
+/// reference kinds, `live` must reference an object of compatible structure
+/// (same parameter names, dtypes and shapes etc.): replay re-runs the
+/// program preamble, so structures always match unless the user edited
+/// non-log code — which the version diff rejects up front. A module
+/// parameter or optimizer state tensor that DecodeSnapshot already wrote
+/// into the live storage keeps that storage; a plain tensor variable is
+/// rebound to the snapshot's tensor, never written through, so another
+/// Value that shared the old tensor keeps the old contents.
+Status RestoreValue(ValueSnapshot&& snap, Value* live);
 
 }  // namespace ir
 }  // namespace flor

@@ -47,29 +47,29 @@ std::string RleCompress(const std::string& in) {
 // A 2-byte run token emits at most kMaxRun bytes; literals expand nothing.
 constexpr size_t kMaxRun = 129;
 
-Result<std::string> RleDecompress(std::string_view in, size_t expected) {
+Status RleDecompress(std::string_view in, size_t expected, std::string* out) {
   // The size varint is untrusted: reject what the body cannot decode to
   // before reserving for it.
   if (expected > in.size() * kMaxRun / 2)
     return Status::Corruption("RLE declared size exceeds its body");
-  std::string out;
-  out.reserve(expected);
+  out->clear();
+  out->reserve(expected);
   size_t i = 0;
   while (i < in.size()) {
     uint8_t control = static_cast<uint8_t>(in[i++]);
     if (control < 0x80) {
       size_t len = control + 1;
       if (i + len > in.size()) return Status::Corruption("RLE literal overrun");
-      out.append(in, i, len);
+      out->append(in, i, len);
       i += len;
     } else {
       if (i >= in.size()) return Status::Corruption("RLE run overrun");
       size_t len = (control - 0x80) + 2;
-      out.append(len, in[i++]);
+      out->append(len, in[i++]);
     }
   }
-  if (out.size() != expected) return Status::Corruption("RLE size mismatch");
-  return out;
+  if (out->size() != expected) return Status::Corruption("RLE size mismatch");
+  return Status::OK();
 }
 
 }  // namespace
@@ -86,7 +86,8 @@ std::string Compress(const std::string& input, Codec codec) {
   return out;
 }
 
-Result<std::string> Decompress(const std::string& input) {
+Result<std::string_view> DecompressView(std::string_view input,
+                                        std::string* rle_out) {
   if (input.empty()) return Status::Corruption("empty compressed blob");
   Decoder dec(input.data() + 1, input.size() - 1);
   uint64_t expected;
@@ -97,13 +98,22 @@ Result<std::string> Decompress(const std::string& input) {
     case Codec::kNone:
       if (body.size() != expected)
         return Status::Corruption("raw blob size mismatch");
-      return std::string(body);
+      return body;
     case Codec::kRle:
-      return RleDecompress(body, expected);
+      FLOR_RETURN_IF_ERROR(RleDecompress(body, expected, rle_out));
+      return std::string_view(*rle_out);
     case Codec::kLz:
       return Status::Corruption("LZ blob: the LZ codec is retired");
   }
   return Status::Corruption("unknown codec byte");
+}
+
+Result<std::string> Decompress(const std::string& input) {
+  std::string rle_out;
+  FLOR_ASSIGN_OR_RETURN(std::string_view body,
+                        DecompressView(input, &rle_out));
+  if (static_cast<Codec>(input[0]) == Codec::kRle) return rle_out;
+  return std::string(body);
 }
 
 Result<Codec> PeekCodec(const std::string& input) {

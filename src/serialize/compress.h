@@ -8,6 +8,8 @@
 //   * kNone — the bytes as given, used whenever RLE would not shrink them
 //             (float checkpoints trained from scratch).
 // The codec byte is stored with the block, so readers self-describe.
+// DecompressView is the restore path's reader: a raw body is decoded where
+// it lies, and only an RLE body is expanded into a buffer of its own.
 //
 // kLz (tag 2) is the retired LZSS codec: Compress encodes a kLz request
 // with RLE, and Decompress rejects a tag-2 blob as Corruption. The
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -35,8 +38,15 @@ enum class Codec : uint8_t {
 /// shrink the input, or `codec` is kNone, stores raw with kNone.
 std::string Compress(const std::string& input, Codec codec);
 
-/// Inverse of Compress. Fails with Corruption on malformed input, an
-/// unknown codec byte, or a tag-2 (retired LZ) blob.
+/// Inverse of Compress without copying a raw body: returns a view of
+/// `input`'s body for a kNone blob, or fills `*rle_out` and returns a view
+/// of it for a kRle blob. The view is valid while both `input` and
+/// `*rle_out` are. Fails with Corruption on malformed input, an unknown
+/// codec byte, or a tag-2 (retired LZ) blob.
+Result<std::string_view> DecompressView(std::string_view input,
+                                        std::string* rle_out);
+
+/// Copying form of DecompressView (same errors).
 Result<std::string> Decompress(const std::string& input);
 
 /// Codec tag of a compressed blob (after the fallback-to-raw heuristic).

@@ -11,7 +11,7 @@ void AppendFrame(std::string* dst, const std::string& payload) {
   dst->append(payload);
 }
 
-Status FrameReader::Next(std::string* out) {
+Status FrameReader::Next(std::string_view* out) {
   if (done()) return Status::NotFound("end of frames");
   Decoder dec(data_.data() + pos_, data_.size() - pos_);
   uint32_t crc;
@@ -24,8 +24,15 @@ Status FrameReader::Next(std::string* out) {
   const char* payload = data_.data() + pos_ + header;
   if (Crc32c(payload, len) != crc)
     return Status::Corruption("frame checksum mismatch");
-  out->assign(payload, len);
+  *out = std::string_view(payload, len);
   pos_ += header + len;
+  return Status::OK();
+}
+
+Status FrameReader::Next(std::string* out) {
+  std::string_view payload;
+  FLOR_RETURN_IF_ERROR(Next(&payload));
+  out->assign(payload);
   return Status::OK();
 }
 

@@ -24,7 +24,7 @@ void EncodeTensor(std::string* dst, const Tensor& t) {
   }
 }
 
-Result<Tensor> DecodeTensor(Decoder* dec) {
+Result<Tensor> DecodeTensor(Decoder* dec, Tensor* into) {
   uint8_t dtype_byte;
   FLOR_RETURN_IF_ERROR(dec->GetRaw(&dtype_byte, 1));
   if (dtype_byte > static_cast<uint8_t>(DType::kI64))
@@ -55,6 +55,13 @@ Result<Tensor> DecodeTensor(Decoder* dec) {
   if (numel > dec->remaining() / DTypeSize(dtype))
     return Status::Corruption("tensor data truncated");
   const size_t bytes = numel * DTypeSize(dtype);
+  if (into != nullptr && into->dtype() == dtype &&
+      into->shape().dims() == dims) {
+    void* dst = dtype == DType::kF32 ? static_cast<void*>(into->f32())
+                                     : static_cast<void*>(into->i64());
+    FLOR_RETURN_IF_ERROR(dec->GetRaw(dst, bytes));
+    return *into;
+  }
   Shape shape(std::move(dims));
   if (dtype == DType::kF32) {
     std::vector<float> data(numel);

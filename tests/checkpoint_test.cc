@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "checkpoint/materializer.h"
 #include "checkpoint/spool.h"
 #include "common/strings.h"
@@ -13,6 +15,7 @@
 #include "serialize/frame.h"
 #include "sim/cost_model.h"
 #include "tensor/ops.h"
+#include "tensor/serialize.h"
 #include "test_util.h"
 
 namespace flor {
@@ -103,6 +106,179 @@ TEST(Checkpoint, HostilePayloadWithValidCrcIsCorruption) {
     auto got = DecodeCheckpoint(object);
     ASSERT_FALSE(got.ok());
     EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
+}
+
+/// Live replay state: a small MLP, its SGD-momentum optimizer and plain
+/// values, bound by name the way a replay frame binds them.
+struct LiveModel {
+  explicit LiveModel(uint64_t salt)
+      : rng(testutil::SeededRng(salt)),
+        net(nn::BuildMlp("mlp", {4, 6, 2}, &rng)),
+        sgd(net.get(), 0.1f, 0.9f) {
+    vars["net"] = ir::Value::ModuleRef(net.get());
+    vars["opt"] = ir::Value::OptimizerRef(&sgd);
+    vars["count"] = ir::Value::Int(1);
+    vars["weights"] = ir::Value::FromTensor(Tensor(Shape{16}));
+    vars["name"] = ir::Value::Str("live");
+  }
+
+  /// Trains one step so the optimizer state is nonzero.
+  void Step() {
+    for (nn::Parameter* p : net->Parameters()) ops::Fill(&p->grad, 0.25f);
+    ASSERT_TRUE(sgd.Step().ok());
+  }
+
+  LiveValueFn Lookup() {
+    return [this](const std::string& name) -> Result<ir::Value*> {
+      auto it = vars.find(name);
+      if (it == vars.end()) return Status::NotFound("unbound: " + name);
+      return &it->second;
+    };
+  }
+
+  /// Snapshots every bound variable, in name order.
+  NamedSnapshots Snapshots() const {
+    NamedSnapshots snaps;
+    for (const auto& [name, v] : vars)
+      snaps.emplace_back(name, ir::SnapshotValue(v));
+    return snaps;
+  }
+
+  /// Hash of the model, the optimizer and every plain value.
+  uint64_t Fingerprint() {
+    uint64_t h = net->StateFingerprint() ^ Mix64(sgd.StateFingerprint());
+    for (const auto& [name, v] : vars) h = Mix64(h ^ v.Fingerprint());
+    return h;
+  }
+
+  Rng rng;
+  std::unique_ptr<nn::Sequential> net;
+  nn::Sgd sgd;
+  std::map<std::string, ir::Value> vars;
+};
+
+TEST(Checkpoint, RestoreWritesParametersAndOptimizerStateInPlace) {
+  LiveModel src(31);
+  src.Step();
+  src.vars["count"] = ir::Value::Int(42);
+  Tensor recorded(Shape{16});
+  Rng rng = testutil::SeededRng(32);
+  ops::RandNormal(&recorded, &rng);
+  src.vars["weights"] = ir::Value::FromTensor(recorded);
+  const std::string bytes = EncodeCheckpoint(src.Snapshots());
+
+  LiveModel dst(33);
+  std::vector<const float*> storage;
+  for (nn::Parameter* p : dst.net->Parameters()) storage.push_back(p->value.f32());
+  for (Tensor* t : dst.sgd.StateTensors()) storage.push_back(t->f32());
+  const Tensor old_weights = dst.vars["weights"].AsTensor();
+  const ir::Value alias = dst.vars["weights"];
+  const uint64_t old_fingerprint = alias.Fingerprint();
+
+  ASSERT_TRUE(RestoreCheckpoint(bytes, dst.Lookup()).ok());
+
+  // Parameters and optimizer state keep their storage and hold the
+  // checkpoint's bytes.
+  auto src_params = src.net->Parameters();
+  auto dst_params = dst.net->Parameters();
+  auto src_state = src.sgd.StateTensors();
+  auto dst_state = dst.sgd.StateTensors();
+  ASSERT_EQ(storage.size(), dst_params.size() + dst_state.size());
+  for (size_t i = 0; i < dst_params.size(); ++i) {
+    EXPECT_EQ(dst_params[i]->value.f32(), storage[i]) << dst_params[i]->name;
+    EXPECT_TRUE(dst_params[i]->value.Equals(src_params[i]->value))
+        << dst_params[i]->name;
+  }
+  for (size_t i = 0; i < dst_state.size(); ++i) {
+    EXPECT_EQ(dst_state[i]->f32(), storage[dst_params.size() + i]);
+    EXPECT_TRUE(dst_state[i]->Equals(*src_state[i]));
+  }
+  EXPECT_EQ(dst.sgd.step_count(), 1);
+  EXPECT_EQ(dst.vars["count"].AsInt(), 42);
+
+  // A plain tensor variable is rebound, not written through: a Value that
+  // shared the old tensor keeps the old contents.
+  EXPECT_TRUE(dst.vars["weights"].AsTensor().Equals(recorded));
+  EXPECT_FALSE(dst.vars["weights"].AsTensor().SharesStorageWith(old_weights));
+  EXPECT_EQ(alias.Fingerprint(), old_fingerprint);
+  EXPECT_EQ(dst.Fingerprint(), src.Fingerprint());
+}
+
+/// Encodes a one-variable checkpoint "net" holding `net`'s parameters,
+/// except that parameter 0's tensor header declares `dims0` and is
+/// followed by `data0_bytes` bytes of data.
+std::string ModuleCheckpointWithFirstDims(nn::Module* net,
+                                          const std::vector<int64_t>& dims0,
+                                          size_t data0_bytes) {
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutLengthPrefixed(&payload, "net");
+  payload.push_back(static_cast<char>(ir::ValueKind::kModule));
+  auto params = net->Parameters();
+  PutVarint64(&payload, params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    PutLengthPrefixed(&payload, params[i]->name);
+    if (i > 0) {
+      EncodeTensor(&payload, params[i]->value);
+      continue;
+    }
+    payload.push_back(static_cast<char>(DType::kF32));
+    PutVarint64(&payload, dims0.size());
+    for (int64_t d : dims0) PutVarint64(&payload, static_cast<uint64_t>(d));
+    payload.append(data0_bytes, '\x01');
+  }
+  std::string object;
+  AppendFrame(&object, Compress(payload, Codec::kRle));
+  return object;
+}
+
+TEST(Checkpoint, HostileBytesThroughRestoreCopyNothing) {
+  // Every corruption of a model checkpoint and every hostile payload with
+  // a valid CRC fails with Corruption through the in-place restore, and
+  // the CRC, codec and tensor-header checks reject each before any byte
+  // reaches the live model.
+  LiveModel src(34);
+  src.Step();
+  const std::string encoded = EncodeCheckpoint(src.Snapshots());
+  LiveModel live(35);
+  const uint64_t untouched = live.Fingerprint();
+  testutil::ExpectCorruptionsRejected(
+      encoded, /*salt=*/97, /*splices=*/200,
+      [&live](const std::string& bytes) {
+        return RestoreCheckpoint(bytes, live.Lookup());
+      });
+  EXPECT_EQ(live.Fingerprint(), untouched);
+
+  std::vector<std::pair<std::string, std::string>> hostile;
+  std::string tensor_snapshot;
+  PutVarint64(&tensor_snapshot, 1);
+  PutLengthPrefixed(&tensor_snapshot, "weights");
+  tensor_snapshot.push_back(static_cast<char>(ir::ValueKind::kTensor));
+  tensor_snapshot.push_back(static_cast<char>(DType::kF32));
+  PutVarint64(&tensor_snapshot, 1);
+  PutVarint64(&tensor_snapshot, uint64_t{1} << 62);
+  hostile.emplace_back("huge tensor dims", "");
+  AppendFrame(&hostile.back().second, Compress(tensor_snapshot, Codec::kRle));
+  std::string huge_rle(1, static_cast<char>(Codec::kRle));
+  PutVarint64(&huge_rle, uint64_t{1} << 62);
+  huge_rle.append("\xff\x00", 2);
+  hostile.emplace_back("huge RLE size", "");
+  AppendFrame(&hostile.back().second, huge_rle);
+  // The first weight [6, 4] declared [4, 6]: the same byte count, other
+  // dims. The parameters after it hold `src`'s values, which would change
+  // the live model if they were written.
+  hostile.emplace_back("other dims",
+                       ModuleCheckpointWithFirstDims(src.net.get(), {4, 6},
+                                                     24 * sizeof(float)));
+  // [60, 4] declares 960 bytes; far fewer remain in the payload.
+  hostile.emplace_back("more bytes than remain",
+                       ModuleCheckpointWithFirstDims(src.net.get(), {60, 4},
+                                                     24 * sizeof(float)));
+  for (const auto& [what, object] : hostile) {
+    const Status s = RestoreCheckpoint(object, live.Lookup());
+    EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+    EXPECT_EQ(live.Fingerprint(), untouched) << what;
   }
 }
 

@@ -4,6 +4,10 @@
 // label (including the thread-sanitizer pass in check.sh).
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -324,6 +328,40 @@ TEST_F(PosixFileSystemTest, ConcurrentWritersOfOnePathNeverTearIt) {
   EXPECT_EQ(failed_writes.load(), 0);
   EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
   EXPECT_EQ(fs.ListPrefix("run/"), std::vector<std::string>{path});
+}
+
+TEST_F(PosixFileSystemTest, FailedFinalFlushAcknowledgesNothing) {
+  // An 800-byte write sits in the stream's buffer until close flushes it.
+  // A child process capped at 100-byte files (SIGXFSZ ignored, so the
+  // write fails with EFBIG) must see both calls fail, and leave neither a
+  // torn object nor a temp file behind.
+  PosixFileSystem fs(root());
+  const std::string data(800, 'x');
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    struct rlimit cap = {100, 100};
+    ::signal(SIGXFSZ, SIG_IGN);
+    if (::setrlimit(RLIMIT_FSIZE, &cap) != 0) ::_exit(8);
+    int bad = 0;
+    if (fs.WriteFile("run/manifest.tsv", data).code() != StatusCode::kIOError)
+      bad |= 1;
+    if (fs.AppendFile("run/logs.tsv", data).code() != StatusCode::kIOError)
+      bad |= 2;
+    ::_exit(bad);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status) & 1, 0) << "WriteFile did not fail";
+  EXPECT_EQ(WEXITSTATUS(status) & 2, 0) << "AppendFile did not fail";
+  EXPECT_NE(WEXITSTATUS(status), 8) << "setrlimit failed";
+  std::vector<std::string> left;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root())) {
+    if (entry.is_regular_file()) left.push_back(entry.path().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{});
 }
 
 TEST(BackgroundQueue, RunsJobsAndDrains) {

@@ -42,7 +42,7 @@ TEST(Value, ToStringForms) {
 TEST(Snapshot, ScalarRoundTrip) {
   Value live = Value::Int(1);
   ValueSnapshot snap = SnapshotValue(Value::Int(42));
-  ASSERT_TRUE(RestoreValue(snap, &live).ok());
+  ASSERT_TRUE(RestoreValue(std::move(snap), &live).ok());
   EXPECT_EQ(live.AsInt(), 42);
 }
 
@@ -52,7 +52,7 @@ TEST(Snapshot, TensorIsDeepCopy) {
   ValueSnapshot snap = SnapshotValue(v);
   t.f32()[0] = 99;  // mutate after snapshot
   Value live = Value::FromTensor(Tensor(Shape{3}));
-  ASSERT_TRUE(RestoreValue(snap, &live).ok());
+  ASSERT_TRUE(RestoreValue(std::move(snap), &live).ok());
   EXPECT_EQ(live.AsTensor().at(0), 1.0f);
 }
 
@@ -64,7 +64,7 @@ TEST(Snapshot, ModuleRestoreInPlace) {
   const uint64_t saved_fp = fc.StateFingerprint();
   ops::Fill(&fc.weight().value, 0.0f);  // clobber
   EXPECT_NE(fc.StateFingerprint(), saved_fp);
-  ASSERT_TRUE(RestoreValue(snap, &v).ok());
+  ASSERT_TRUE(RestoreValue(std::move(snap), &v).ok());
   EXPECT_EQ(fc.StateFingerprint(), saved_fp);
 }
 
@@ -80,7 +80,7 @@ TEST(Snapshot, OptimizerRestoreIncludesMomentsAndLr) {
   ASSERT_TRUE(adam.Step().ok());
   adam.set_lr(0.5f);
   EXPECT_NE(adam.StateFingerprint(), saved);
-  ASSERT_TRUE(RestoreValue(snap, &v).ok());
+  ASSERT_TRUE(RestoreValue(std::move(snap), &v).ok());
   EXPECT_EQ(adam.StateFingerprint(), saved);
   EXPECT_EQ(adam.step_count(), 1);
 }
@@ -91,7 +91,7 @@ TEST(Snapshot, RngStateRoundTrip) {
   Value v = Value::RngRef(&rng);
   ValueSnapshot snap = SnapshotValue(v);
   const uint64_t next = rng.Next();  // advance past snapshot
-  ASSERT_TRUE(RestoreValue(snap, &v).ok());
+  ASSERT_TRUE(RestoreValue(std::move(snap), &v).ok());
   EXPECT_EQ(rng.Next(), next);  // stream rewound
 }
 
@@ -100,7 +100,7 @@ TEST(Snapshot, KindMismatchRejected) {
   Rng rng = testutil::SeededRng(5);
   nn::Linear fc("fc", 2, 2, &rng);
   Value live = Value::ModuleRef(&fc);
-  EXPECT_TRUE(RestoreValue(snap, &live).IsCorruption());
+  EXPECT_TRUE(RestoreValue(std::move(snap), &live).IsCorruption());
 }
 
 TEST(Snapshot, ApproxBytesScalesWithState) {

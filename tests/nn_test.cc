@@ -1,7 +1,6 @@
 // Unit tests: layers (incl. gradient checks), losses, optimizers,
 // schedulers, and model state round trips through the checkpoint path
-// (ir::SnapshotValue -> EncodeCheckpoint -> DecodeCheckpoint ->
-// ir::RestoreValue).
+// (ir::SnapshotValue -> EncodeCheckpoint -> RestoreCheckpoint).
 
 #include <gtest/gtest.h>
 
@@ -315,14 +314,14 @@ TEST(Scheduler, CyclicOscillates) {
 }
 
 /// Carries `from`'s state through the checkpoint path — snapshot, encode,
-/// decode — and restores it into the object `into` references, the way
-/// replay restores a SkipBlock.
+/// then RestoreCheckpoint straight into the object `into` references, the
+/// way replay restores a SkipBlock.
 Status RestoreThroughCheckpoint(const ir::Value& from, ir::Value into) {
   NamedSnapshots snaps;
   snaps.emplace_back("state", ir::SnapshotValue(from));
-  FLOR_ASSIGN_OR_RETURN(NamedSnapshots decoded,
-                        DecodeCheckpoint(EncodeCheckpoint(snaps)));
-  return ir::RestoreValue(decoded.front().second, &into);
+  return RestoreCheckpoint(
+      EncodeCheckpoint(snaps),
+      [&into](const std::string&) -> Result<ir::Value*> { return &into; });
 }
 
 TEST(Serialize, ModuleStateRoundTrip) {

@@ -387,8 +387,9 @@ TEST(GroupCommit, SlotAccountingAndDeliveryOrder) {
   opts.strategy = MaterializeStrategy::kFork;
   opts.group_commit_window = 3;
   std::vector<std::string> delivered;
-  opts.on_durable = [&delivered](const CheckpointKey& key, uint64_t bytes) {
-    EXPECT_GT(bytes, 0u);
+  opts.on_durable = [&delivered](const CheckpointKey& key,
+                                 const std::string& bytes) {
+    EXPECT_GT(bytes.size(), 0u);
     delivered.push_back(key.ToString());
   };
   Materializer mat(env.get(), opts);
@@ -519,6 +520,31 @@ TEST(SpoolMirror, RecordRetriesTransientBucketWritesOnWallClock) {
   }
   EXPECT_EQ(base.TotalBytesUnder("s3/run/ckpt/"),
             base.TotalBytesUnder("run/ckpt/"));
+}
+
+TEST(SpoolMirror, RecordMirrorsFromTheAckedBytesWithoutReadingBack) {
+  // The durability ack carries each checkpoint's encoded bytes, and the
+  // bucket copy is written from them: the record reads no object back,
+  // and each bucket copy equals its local object byte for byte.
+  MemFileSystem base;
+  testutil::CountingFileSystem fs(&base);
+  auto result = RecordOnWallClock(&fs, "s3");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(fs.total_reads(), 0);
+  EXPECT_TRUE(result->spool_report.ok()) << result->spool_report.first_error;
+  EXPECT_EQ(result->spool_report.objects,
+            static_cast<int64_t>(result->manifest.records.size()));
+  EXPECT_EQ(result->spool_report.bytes, result->manifest.TotalStoredBytes());
+
+  CheckpointStore store(&base, "run/ckpt", result->manifest.shard_count);
+  for (const auto& rec : result->manifest.records) {
+    const std::string local = store.PathFor(rec.key);
+    auto local_data = base.ReadFile(local);
+    auto bucket_data = base.ReadFile("s3/" + local);
+    ASSERT_TRUE(local_data.ok()) << local;
+    ASSERT_TRUE(bucket_data.ok()) << "s3/" << local;
+    EXPECT_EQ(*bucket_data, *local_data) << local;
+  }
 }
 
 TEST(SpoolMirror, RecordSurvivesABucketThatRefusesOneKey) {
