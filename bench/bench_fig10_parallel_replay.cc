@@ -1,6 +1,7 @@
 // Figure 10 — parallel replay time of entire model training jobs, as a
 // fraction of a vanilla re-execution, on 4 GPUs (one P3.8xLarge), for weak
-// and strong initialization.
+// and strong initialization, and for the default request (auto: weak where
+// it is exact, strong otherwise).
 //
 // The hindsight probe sits in the inner training loop, so nothing can be
 // skipped: this measures pure hindsight parallelism. Expected shape: the
@@ -38,8 +39,8 @@ int main() {
   std::printf("Figure 10: Parallel replay time as fraction of a vanilla "
               "re-execution (4 GPUs).\n\n");
   std::printf("-- simulated engine (per-worker simulated clocks) --\n");
-  std::printf("%-5s %12s %12s %10s %10s %6s\n", "Name", "vanilla",
-              "weak", "strong", "fraction", "parts");
+  std::printf("%-5s %12s %12s %10s %10s %10s %6s\n", "Name", "vanilla",
+              "weak", "strong", "auto", "fraction", "parts");
   bench::Hr();
 
   for (const auto& profile : bench::BenchWorkloads()) {
@@ -53,14 +54,17 @@ int main() {
     auto factory =
         workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
 
-    double latencies[2] = {0, 0};
+    const InitMode requested[3] = {InitMode::kWeak, InitMode::kStrong,
+                                   InitMode::kAuto};
+    double latencies[3] = {0, 0, 0};
     int64_t segments = 0;
-    InitMode effective[2] = {InitMode::kWeak, InitMode::kStrong};
-    for (int m = 0; m < 2; ++m) {
+    InitMode effective[3] = {};
+    std::string merged[3];
+    for (int m = 0; m < 3; ++m) {
       ClusterPlanOptions copts;
       copts.run_prefix = "run";
       copts.num_workers = 4;
-      copts.init_mode = m == 0 ? InitMode::kWeak : InitMode::kStrong;
+      copts.init_mode = requested[m];
       copts.costs = sim::PaperPlatformCosts();
       auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
       FLOR_CHECK(result.ok()) << result.status().ToString();
@@ -72,12 +76,16 @@ int main() {
       latencies[m] = result->latency_seconds;
       segments = result->partition_segments;
       effective[m] = result->effective_init;
+      merged[m] = result->merged_logs.Serialize();
     }
+    FLOR_CHECK(merged[2] == merged[1])
+        << profile.name << ": auto init's merged logs differ from strong's";
 
-    std::printf("%-5s %12s %12s %10s %10s %6lld%s\n", profile.name.c_str(),
-                HumanSeconds(vanilla).c_str(),
+    std::printf("%-5s %12s %12s %10s %10s %10s %6lld%s\n",
+                profile.name.c_str(), HumanSeconds(vanilla).c_str(),
                 HumanSeconds(latencies[0]).c_str(),
                 HumanSeconds(latencies[1]).c_str(),
+                HumanSeconds(latencies[2]).c_str(),
                 Pct(latencies[0] / vanilla).c_str(),
                 static_cast<long long>(segments),
                 effective[1] == InitMode::kWeak ? " (weak-only)" : "");
@@ -87,6 +95,8 @@ int main() {
         .Field("vanilla_seconds", vanilla)
         .Field("weak_seconds", latencies[0])
         .Field("strong_seconds", latencies[1])
+        .Field("auto_seconds", latencies[2])
+        .Field("auto_init", InitModeName(effective[2]))
         .Field("fraction_of_vanilla", latencies[0] / vanilla)
         .Field("partition_segments", segments)
         .Field("strong_fell_back_to_weak",
@@ -96,7 +106,8 @@ int main() {
   std::printf("ideal on 4 GPUs: 25.00%%. Paper shape: dense workloads "
               "near-ideal; RTE/CoLA\nlimited by their few checkpoint "
               "partitions (paper: 2/6 = 33%%); weak vs strong\n"
-              "difference negligible.\n");
+              "difference negligible. auto plans weak init where it is "
+              "exact, and its merged\nlogs equal strong's.\n");
 
   // ------------------------------------------------------- real engine --
   const workloads::WorkloadProfile real_profile = bench::ExecutorWorkload();

@@ -1,12 +1,17 @@
 // Micro benchmarks (google-benchmark) for the static machinery: side-effect
-// analysis / instrumentation, program rendering, and version diffing — the
-// costs Flor pays once per record or replay launch (§5.2).
+// analysis / instrumentation, program rendering, version diffing, and the
+// weak-init exactness pass with the init-mode resolution — the costs Flor
+// pays once per record or replay launch (§5.2, §5.4.2).
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/weak_init.h"
 #include "flor/instrument.h"
+#include "flor/partition.h"
 #include "ir/builder.h"
 #include "ir/diff.h"
+#include "workloads/programs.h"
+#include "workloads/profiles.h"
 
 namespace flor {
 namespace {
@@ -67,6 +72,38 @@ void BM_DiffForProbes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiffForProbes)->Arg(8)->Arg(64)->Arg(256);
+
+// The weak-init exactness pass plus the init-mode resolution of a default
+// request, as every replay plan runs them: on the workload program with a
+// probe outside the training loop (the replay_partial program), its
+// training loop's checkpointed names and 6 densely checkpointed epochs.
+void BM_ResolveInitMode(benchmark::State& state) {
+  auto profile = workloads::WorkloadByName("Cifr");
+  if (!profile.ok()) {
+    state.SkipWithError(profile.status().ToString().c_str());
+    return;
+  }
+  auto instance =
+      workloads::MakeWorkloadFactory(*profile, workloads::kProbeOuter)();
+  if (!instance.ok()) {
+    state.SkipWithError(instance.status().ToString().c_str());
+    return;
+  }
+  ir::Program* program = instance->program.get();
+  InstrumentProgram(program);
+  const std::map<int32_t, std::vector<std::string>> names{
+      {SkippableEpochLoops(program).front()->id(),
+       {"net", "optimizer", "scheduler"}}};
+  const std::vector<int64_t> boundaries{0, 1, 2, 3, 4, 5};
+  for (auto _ : state) {
+    const bool exact =
+        analysis::AnalyzeWeakInit(*program->MainLoop(), names).exact;
+    InitMode mode = ResolveInitMode(InitMode::kAuto, exact,
+                                    DenseCheckpoints(6, boundaries));
+    benchmark::DoNotOptimize(mode);
+  }
+}
+BENCHMARK(BM_ResolveInitMode);
 
 }  // namespace
 }  // namespace flor

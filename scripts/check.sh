@@ -122,6 +122,21 @@ if grep -rnE 'DecodeCheckpoint *\(|[Ss]tore_?(\(\))?(->|\.)Get *\(' src/ \
   exit 1
 fi
 
+echo "== plan lint =="
+# A replay is planned in one place: PlanPartitions (src/flor/replay_plan.h)
+# resolves the init mode and partitions the main loop, and
+# PlanActiveWorkers, PlannedRestoreEpochs and every worker's ReplaySession
+# call it, so the plan, the GC pins and the workers agree. Under src/, only
+# the partitioner (which declares and defines them) and that planner may
+# call PartitionMainLoop or PlanSampledEpochs.
+if grep -rnE '\b(PartitionMainLoop|PlanSampledEpochs) *\(' src/ \
+     | grep -vE '^src/flor/(partition\.(h|cc)|replay_plan\.cc):'; then
+  echo "error: PartitionMainLoop or PlanSampledEpochs called in src/" >&2
+  echo "outside src/flor/replay_plan.cc — plan with PlanPartitions" >&2
+  echo "(src/flor/replay_plan.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

@@ -63,6 +63,11 @@ std::string Manifest::Serialize() const {
   if (sharded) out += StrCat("shards\t", shard_count, "\n");
   for (const auto& [loop_id, n] : loop_executions)
     out += StrCat("loop_exec\t", loop_id, "\t", n, "\n");
+  for (const auto& [loop_id, names] : checkpoint_names) {
+    out += StrCat("ckpt_names\t", loop_id);
+    for (const auto& name : names) out += StrCat("\t", name);
+    out += "\n";
+  }
   for (const auto& rec : records) {
     out += StrCat("ckpt\t", rec.key.loop_id, "\t", rec.key.ctx, "\t",
                   rec.epoch, "\t", rec.raw_bytes, "\t", rec.stored_bytes,
@@ -99,6 +104,16 @@ Result<Manifest> Manifest::Deserialize(const std::string& data) {
       int64_t n = 0;
       ok = ParseI32(fields[1], &loop_id) && ParseI64(fields[2], &n);
       if (ok) m.loop_executions[loop_id] = n;
+    } else if (tag == "ckpt_names" && fields.size() >= 2) {
+      // One line per loop, and no empty name: a line cut at a separator
+      // must not parse as a shorter list.
+      int32_t loop_id = 0;
+      ok = ParseI32(fields[1], &loop_id) &&
+           !m.checkpoint_names.count(loop_id);
+      for (size_t i = 2; ok && i < fields.size(); ++i) ok = !fields[i].empty();
+      if (ok) {
+        m.checkpoint_names[loop_id].assign(fields.begin() + 2, fields.end());
+      }
     } else if (tag == "ckpt" &&
                (fields.size() == 8 || fields.size() == 9)) {
       // 8 fields: pre-sharding format (shard implicitly 0); 9 fields adds

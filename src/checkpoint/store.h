@@ -9,8 +9,9 @@
 // replaying. A store's read tier (bucket fall-through, bloom filters) is
 // fixed when it is built (CheckpointStore::Open). The manifest is the
 // record-session index replay needs: which loop executions have
-// checkpoints, their sizes and shard placement, and the adaptive
-// controller's bookkeeping (execution counts, refined c estimate).
+// checkpoints, their sizes and shard placement, the names each SkipBlock's
+// checkpoints hold, and the adaptive controller's bookkeeping (execution
+// counts, refined c estimate).
 //
 // A record run lives under a filesystem prefix (RunPaths):
 //   <prefix>/source.py     rendered program source (probe-diff baseline)
@@ -67,6 +68,12 @@ struct Manifest {
   int shard_count = 1;
   /// Per-loop execution counts at end of record (loop id -> ni).
   std::map<int32_t, int64_t> loop_executions;
+  /// Per SkipBlock loop that materialized: the names its checkpoints hold,
+  /// the augmented changeset record snapshotted (loop id -> names). Replay
+  /// planning reads weak init's exactness from these, so it reads no
+  /// checkpoint; a loop without an entry, as in manifests written before
+  /// these lines, plans strong.
+  std::map<int32_t, std::vector<std::string>> checkpoint_names;
   std::vector<CheckpointRecord> records;
 
   /// Sorted main-loop epochs that have a checkpoint for `loop_id`.
@@ -79,7 +86,9 @@ struct Manifest {
 
   /// At shard count 1 the output is byte-identical to the pre-sharding
   /// format (no shard fields); otherwise a `shards` line and a per-record
-  /// shard column are appended.
+  /// shard column are appended. Each checkpoint_names entry is one
+  /// `ckpt_names` line (loop id, then one field per name), so a run with
+  /// no SkipBlock checkpoint writes the same bytes as before these lines.
   std::string Serialize() const;
 
   /// Strict parse: any malformed, truncated, or non-numeric field returns

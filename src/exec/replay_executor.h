@@ -82,7 +82,9 @@ struct ReplayExecutorOptions {
   /// Log partitions (the paper's G). 0 = one per thread. May exceed
   /// num_threads: threads then steal the surplus partitions.
   int num_partitions = 0;
-  InitMode init_mode = InitMode::kStrong;
+  /// As ClusterPlanOptions::init_mode: weak where it is exact, strong
+  /// otherwise, unless a mode is requested explicitly.
+  InitMode init_mode = InitMode::kAuto;
   MaterializerCosts costs;
   std::vector<int64_t> sample_epochs;
   TierOptions tier;

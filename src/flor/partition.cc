@@ -8,7 +8,31 @@
 namespace flor {
 
 const char* InitModeName(InitMode m) {
-  return m == InitMode::kStrong ? "strong" : "weak";
+  switch (m) {
+    case InitMode::kStrong:
+      return "strong";
+    case InitMode::kWeak:
+      return "weak";
+    case InitMode::kAuto:
+      return "auto";
+  }
+  return "?";
+}
+
+bool DenseCheckpoints(int64_t epochs,
+                      const std::vector<int64_t>& ckpt_epochs) {
+  const std::set<int64_t> ckpts(ckpt_epochs.begin(), ckpt_epochs.end());
+  for (int64_t e = 0; e + 1 < epochs; ++e) {
+    if (!ckpts.count(e)) return false;
+  }
+  return true;
+}
+
+InitMode ResolveInitMode(InitMode requested, bool weak_exact, bool dense) {
+  if (requested == InitMode::kWeak) return InitMode::kWeak;
+  if (weak_exact && (requested == InitMode::kAuto || !dense))
+    return InitMode::kWeak;
+  return InitMode::kStrong;
 }
 
 namespace {
@@ -74,38 +98,28 @@ std::vector<int> LinearPartition(const std::vector<int64_t>& sizes,
 }  // namespace
 
 Result<PartitionPlan> PartitionMainLoop(
-    int64_t epochs, int num_workers, InitMode requested,
+    int64_t epochs, int num_workers, InitMode mode,
     const std::vector<int64_t>& ckpt_epochs) {
   if (epochs <= 0) return Status::InvalidArgument("epochs must be positive");
   if (num_workers <= 0)
     return Status::InvalidArgument("num_workers must be positive");
+  if (mode == InitMode::kAuto)
+    return Status::InvalidArgument("resolve an auto init mode first");
 
   const std::set<int64_t> ckpts(ckpt_epochs.begin(), ckpt_epochs.end());
 
-  // Dense = every epoch that precedes another epoch has a checkpoint.
-  bool dense = true;
-  for (int64_t e = 0; e + 1 < epochs; ++e) {
-    if (!ckpts.count(e)) {
-      dense = false;
-      break;
-    }
-  }
-
   PartitionPlan plan;
-  plan.mode = requested;
-  if (requested == InitMode::kStrong && !dense) {
-    // Strong initialization needs a checkpoint at every preceding epoch;
-    // sparse workloads fall back to weak (paper §5.4.2: "weak
-    // initialization is necessary when a workload is checkpointed sparsely
-    // or periodically on record, as are RTE & CoLA").
-    plan.mode = InitMode::kWeak;
-  }
+  plan.mode = mode;
 
   // Candidate segment starts: epoch 0, plus e+1 for each checkpointed e.
+  // Strong init restores every epoch before a start, so on sparse
+  // checkpoints its only start is epoch 0.
   std::vector<int64_t> starts;
   starts.push_back(0);
-  for (int64_t e : ckpt_epochs) {
-    if (e + 1 < epochs) starts.push_back(e + 1);
+  if (mode == InitMode::kWeak || DenseCheckpoints(epochs, ckpt_epochs)) {
+    for (int64_t e : ckpt_epochs) {
+      if (e + 1 < epochs) starts.push_back(e + 1);
+    }
   }
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());

@@ -11,10 +11,13 @@
 //
 // Initialization modes (§5.4.2):
 //   * strong — iterate every epoch before the work segment in init mode,
-//     restoring each from its checkpoint (the default; correctness follows
-//     from loop memoization).
-//   * weak — jump straight to epoch (start-1) and restore only it; required
-//     when checkpointing is sparse.
+//     restoring each from its checkpoint (correctness follows from loop
+//     memoization). It needs a checkpoint at every earlier epoch, so on
+//     sparse checkpoints it plans one partition from epoch 0.
+//   * weak — jump straight to epoch (start-1) and restore only it. Exact
+//     when the main-loop body meets analysis/weak_init.h's condition.
+//   * auto — the default request: weak where weak init is exact, strong
+//     otherwise (ResolveInitMode).
 
 #ifndef FLOR_FLOR_PARTITION_H_
 #define FLOR_FLOR_PARTITION_H_
@@ -26,10 +29,22 @@
 
 namespace flor {
 
-/// Worker start-state reconstruction strategy.
-enum class InitMode : uint8_t { kStrong = 0, kWeak = 1 };
+/// Worker start-state reconstruction strategy. A plan's mode, and so a
+/// replay's effective_init, is always kStrong or kWeak; kAuto is only ever
+/// requested.
+enum class InitMode : uint8_t { kStrong = 0, kWeak = 1, kAuto = 2 };
 
 const char* InitModeName(InitMode m);
+
+/// True when every epoch that precedes another has a checkpoint, so a
+/// partition may start anywhere.
+bool DenseCheckpoints(int64_t epochs, const std::vector<int64_t>& ckpt_epochs);
+
+/// The mode a replay request plans with. kWeak is honoured. kAuto plans
+/// weak when `weak_exact` and strong otherwise. kStrong is honoured, except
+/// on sparse checkpoints (`dense` false) where weak init is exact: there it
+/// plans weak, as the paper's sparse workloads replay (§5.4.2).
+InitMode ResolveInitMode(InitMode requested, bool weak_exact, bool dense);
 
 /// One worker's share of the main loop.
 struct WorkerPlan {
@@ -54,12 +69,13 @@ struct PartitionPlan {
   int64_t max_worker_epochs = 0;
 };
 
-/// Partitions `epochs` main-loop iterations over `num_workers` workers.
-/// `ckpt_epochs` lists epochs whose end state is checkpointed (sorted).
-/// `requested` falls back from kStrong to kWeak when checkpoints are
-/// sparse; the effective mode is in the returned plan.
+/// Partitions `epochs` main-loop iterations over `num_workers` workers
+/// with `mode`, kStrong or kWeak (resolve kAuto first). `ckpt_epochs` lists
+/// epochs whose end state is checkpointed (sorted). kStrong on sparse
+/// checkpoints plans one partition from epoch 0, which restores nothing
+/// before its work.
 Result<PartitionPlan> PartitionMainLoop(int64_t epochs, int num_workers,
-                                        InitMode requested,
+                                        InitMode mode,
                                         const std::vector<int64_t>&
                                             ckpt_epochs);
 

@@ -1,9 +1,30 @@
 #include "flor/record.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "analysis/augment.h"
 #include "common/strings.h"
 
 namespace flor {
+
+namespace {
+
+/// Each checkpointed name is a field of the manifest's tab-separated
+/// `ckpt_names` line, so it must be non-empty and hold no separator.
+Status CheckCheckpointNames(int32_t loop_id,
+                            const std::vector<std::string>& names) {
+  for (const auto& name : names) {
+    if (name.empty() || name.find_first_of("\t\n") != std::string::npos) {
+      return Status::InvalidArgument(
+          StrCat("a checkpointed name of L", loop_id,
+                 " is empty or contains a tab or a newline"));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 RecordSession::RecordSession(Env* env, RecordOptions options)
     : env_(env), options_(std::move(options)), paths_(options_.run_prefix),
@@ -39,6 +60,15 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   }
   RecordResult result;
   result.instrument = InstrumentProgram(program);
+  // The same holds for the names checkpoints hold. The static changesets
+  // are checked before any write; names that augmentation adds from the
+  // frame, before their loop's first checkpoint.
+  for (const ir::Loop* loop : program->AllLoops()) {
+    if (loop->analysis().instrumented) {
+      FLOR_RETURN_IF_ERROR(
+          CheckCheckpointNames(loop->id(), loop->analysis().changeset));
+    }
+  }
 
   // Save the source before executing — this is the version replay diffs
   // against ("Flor stores a copy of the code", §3.1).
@@ -121,6 +151,7 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
   // optimizers/schedulers in the changeset and pull in their referents.
   const std::vector<std::string> augmented =
       analysis::AugmentChangeset(*frame, loop->analysis().changeset);
+  FLOR_RETURN_IF_ERROR(CheckCheckpointNames(loop->id(), augmented));
 
   // Snapshot on the training thread (the COW copy), then hand off.
   NamedSnapshots snaps;
@@ -153,6 +184,18 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
                 nominal ? nominal : receipt.raw_bytes);
   rec.shard = store_->ShardOf(key);
   manifest_.records.push_back(std::move(rec));
+
+  // The manifest names what every checkpoint of the loop holds: replay
+  // planning decides weak init's exactness from these names alone.
+  auto [names, first] =
+      manifest_.checkpoint_names.emplace(loop->id(), augmented);
+  if (!first) {
+    std::vector<std::string> common;
+    std::set_intersection(names->second.begin(), names->second.end(),
+                          augmented.begin(), augmented.end(),
+                          std::back_inserter(common));
+    names->second = std::move(common);
+  }
   return Status::OK();
 }
 

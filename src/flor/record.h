@@ -8,7 +8,8 @@
 //      controller tests the Joint Invariant, and accepted checkpoints are
 //      snapshotted on the training thread and materialized in the
 //      background,
-//   4. the log stream and the checkpoint manifest are persisted.
+//   4. the log stream and the checkpoint manifest, with the names each
+//      SkipBlock's checkpoints hold, are persisted.
 //
 // The background lifecycle continues past materialization when configured:
 // with RecordOptions::spool_prefix set, the materializer's durability ack

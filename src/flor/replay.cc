@@ -159,44 +159,24 @@ Status ReplaySession::OnSkipBlockExit(ir::Loop*, const std::string&,
 
 Result<std::optional<exec::MainLoopPlan>> ReplaySession::PlanMainLoop(
     ir::Loop*, int64_t trip_count, exec::Frame*) {
-  const std::vector<int64_t> boundaries =
-      CheckpointBoundaryEpochs(program_, run_.manifest);
-
-  if (!options_.sample_epochs.empty()) {
-    FLOR_ASSIGN_OR_RETURN(
-        WorkerPlan plan,
-        PlanSampledEpochs(trip_count, options_.sample_epochs, boundaries));
-    result_->effective_init = InitMode::kWeak;
-    result_->partition_segments = static_cast<int64_t>(plan.iters.size());
-    result_->active_workers = 1;
-    result_->work_begin = plan.work_begin;
-    result_->work_end = plan.work_end;
-    exec::MainLoopPlan out;
-    out.covers_final_epoch = plan.work_end == trip_count;
-    out.iters = std::move(plan.iters);
-    return std::optional<exec::MainLoopPlan>(std::move(out));
-  }
-
-  FLOR_ASSIGN_OR_RETURN(PartitionPlan plan,
-                        PartitionMainLoop(trip_count, options_.num_workers,
-                                          options_.init_mode, boundaries));
+  FLOR_ASSIGN_OR_RETURN(
+      PartitionPlan plan,
+      PlanPartitions(program_, trip_count, run_.manifest, options_));
   result_->effective_init = plan.mode;
   result_->partition_segments = plan.segments;
   result_->active_workers = static_cast<int>(plan.workers.size());
+  exec::MainLoopPlan out;
   if (options_.worker_id >= static_cast<int>(plan.workers.size())) {
     // More workers than segments: this worker has nothing to do.
     result_->work_begin = result_->work_end = 0;
-    exec::MainLoopPlan out;
     out.covers_final_epoch = false;
     return std::optional<exec::MainLoopPlan>(std::move(out));
   }
-  const WorkerPlan& wp = plan.workers[static_cast<size_t>(
-      options_.worker_id)];
+  WorkerPlan& wp = plan.workers[static_cast<size_t>(options_.worker_id)];
   result_->work_begin = wp.work_begin;
   result_->work_end = wp.work_end;
-  exec::MainLoopPlan out;
   out.covers_final_epoch = wp.work_end == trip_count;
-  out.iters = wp.iters;
+  out.iters = std::move(wp.iters);
   return std::optional<exec::MainLoopPlan>(std::move(out));
 }
 

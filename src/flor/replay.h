@@ -41,9 +41,11 @@ struct ClusterPlanOptions {
   /// Requested log partitions (the paper's G). The effective worker count
   /// can be lower when the main loop is short or checkpoints are sparse.
   int num_workers = 1;
-  /// Requested worker-initialization mode; falls back to weak when the
-  /// record run checkpointed sparsely (§5.4.2).
-  InitMode init_mode = InitMode::kStrong;
+  /// Requested worker-initialization mode (§5.4.2). The default, kAuto,
+  /// plans weak init where it is exact for the program and the run's
+  /// checkpointed names (analysis/weak_init.h) and strong otherwise; an
+  /// explicit kStrong or kWeak is honoured (ResolveInitMode).
+  InitMode init_mode = InitMode::kAuto;
   /// Cost model for restore pricing (only charged under simulated clocks).
   MaterializerCosts costs;
   /// Non-empty selects iteration-sampling replay over these main-loop
@@ -69,6 +71,7 @@ struct ReplayResult {
   exec::LogStream logs;
   SkipBlockStats skipblocks;
   ir::ProbeReport probes;
+  /// The mode this worker's plan resolved to: kStrong or kWeak.
   InitMode effective_init = InitMode::kStrong;
   /// Partitioning granularity of the plan this worker came from.
   int64_t partition_segments = 0;

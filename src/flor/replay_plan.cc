@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "analysis/weak_init.h"
 #include "common/strings.h"
 #include "flor/instrument.h"
 #include "flor/partition.h"
@@ -12,6 +13,11 @@
 
 namespace flor {
 
+namespace {
+
+/// Main-loop epochs usable as partition boundaries for `program`: every
+/// skippable epoch-level loop has a checkpoint there (intersection across
+/// loops).
 std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
                                               const Manifest& manifest) {
   // Intersect checkpointed epochs across all skippable epoch-level loops:
@@ -35,6 +41,34 @@ std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
   return out;
 }
 
+}  // namespace
+
+Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
+                                     const Manifest& manifest,
+                                     const ClusterPlanOptions& request) {
+  const std::vector<int64_t> boundaries =
+      CheckpointBoundaryEpochs(program, manifest);
+  if (!request.sample_epochs.empty()) {
+    FLOR_ASSIGN_OR_RETURN(
+        WorkerPlan sampled,
+        PlanSampledEpochs(epochs, request.sample_epochs, boundaries));
+    PartitionPlan plan;
+    plan.mode = InitMode::kWeak;
+    plan.segments = static_cast<int64_t>(sampled.iters.size());
+    plan.max_worker_epochs = sampled.work_epochs();
+    plan.workers.push_back(std::move(sampled));
+    return plan;
+  }
+  const bool weak_exact =
+      request.init_mode != InitMode::kWeak &&
+      analysis::AnalyzeWeakInit(*program->MainLoop(),
+                                manifest.checkpoint_names)
+          .exact;
+  const InitMode mode = ResolveInitMode(
+      request.init_mode, weak_exact, DenseCheckpoints(epochs, boundaries));
+  return PartitionMainLoop(epochs, request.num_workers, mode, boundaries);
+}
+
 Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
                               const ClusterPlanOptions& options) {
@@ -50,11 +84,9 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
 
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
                         ReadManifest(fs, options.run_prefix));
-  const std::vector<int64_t> boundaries =
-      CheckpointBoundaryEpochs(instance.program.get(), manifest);
-  FLOR_ASSIGN_OR_RETURN(PartitionPlan plan,
-                        PartitionMainLoop(epochs, options.num_workers,
-                                          options.init_mode, boundaries));
+  FLOR_ASSIGN_OR_RETURN(
+      PartitionPlan plan,
+      PlanPartitions(instance.program.get(), epochs, manifest, options));
   return static_cast<int>(plan.workers.size());
 }
 
@@ -74,27 +106,16 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
 
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
                         ReadManifest(fs, options.run_prefix));
-  const std::vector<int64_t> boundaries =
-      CheckpointBoundaryEpochs(instance.program.get(), manifest);
+  FLOR_ASSIGN_OR_RETURN(
+      PartitionPlan plan,
+      PlanPartitions(instance.program.get(), epochs, manifest, options));
 
   // Union of init-mode iterations over all planned workers: exactly the
   // epochs whose checkpoints the replay restores before working.
   std::set<int64_t> restore;
-  if (!options.sample_epochs.empty()) {
-    FLOR_ASSIGN_OR_RETURN(
-        WorkerPlan plan,
-        PlanSampledEpochs(epochs, options.sample_epochs, boundaries));
-    for (const exec::PlannedIter& it : plan.iters) {
+  for (const WorkerPlan& wp : plan.workers) {
+    for (const exec::PlannedIter& it : wp.iters) {
       if (it.mode == exec::IterMode::kInit) restore.insert(it.index);
-    }
-  } else {
-    FLOR_ASSIGN_OR_RETURN(PartitionPlan plan,
-                          PartitionMainLoop(epochs, options.num_workers,
-                                            options.init_mode, boundaries));
-    for (const WorkerPlan& wp : plan.workers) {
-      for (const exec::PlannedIter& it : wp.iters) {
-        if (it.mode == exec::IterMode::kInit) restore.insert(it.index);
-      }
     }
   }
   return std::vector<int64_t>(restore.begin(), restore.end());
@@ -242,7 +263,17 @@ Result<MergedClusterReplay> ReplayMerger::Finish(
   const std::set<int32_t>& probe_uids = first.probes.probe_stmt_uids;
 
   for (const auto& [id, wres] : workers_) {
-    (void)id;
+    if (wres.effective_init != first.effective_init ||
+        wres.partition_segments != first.partition_segments ||
+        wres.active_workers != first.active_workers) {
+      return Status::Internal(StrCat(
+          "ReplayMerger: worker ", id, " ran a ",
+          InitModeName(wres.effective_init), " plan of ",
+          wres.active_workers, " worker(s) over ", wres.partition_segments,
+          " segment(s), worker ", workers_.front().first, " a ",
+          InitModeName(first.effective_init), " plan of ",
+          first.active_workers, " over ", first.partition_segments));
+    }
     out.worker_seconds.push_back(wres.runtime_seconds);
     out.merged_logs.ExtendWork(wres.logs);
     out.probe_entries.insert(out.probe_entries.end(),

@@ -6,7 +6,9 @@
 // merges with ReplayMerger, so the merged replay logs are byte-identical
 // across engines and partition counts. The engines differ only in where
 // ReplayPartition runs: on a pool thread, on a simulated or the wall
-// clock, or in a forked worker process.
+// clock, or in a forked worker process. PlanActiveWorkers,
+// PlannedRestoreEpochs and each worker's ReplaySession all plan with
+// PlanPartitions, so the plan, the GC pins and the workers agree.
 //
 // Checkpoint-store sharding is invisible at this layer by design: each
 // worker's ReplaySession reads the shard count from the record manifest
@@ -28,11 +30,19 @@ namespace flor {
 // ClusterPlanOptions, the replay request every engine consumes, is declared
 // in flor/replay.h next to the per-worker ReplayOptions built from it.
 
-/// Main-loop epochs usable as partition boundaries for `program`: every
-/// skippable epoch-level loop has a checkpoint there (intersection across
-/// loops). `program` must already be instrumented.
-std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
-                                              const Manifest& manifest);
+/// Plans the `epochs` main-loop iterations of `program` (instrumented, with
+/// a main loop) for `request` against the run's `manifest`:
+///   * boundaries: the epochs at which every SkipBlock of the main-loop
+///     body has a checkpoint;
+///   * init mode: ResolveInitMode of the request, with weak init's
+///     exactness from analysis::AnalyzeWeakInit over the manifest's
+///     checkpoint names, so planning reads no checkpoint;
+///   * partition: PartitionMainLoop, or for a sampling request one
+///     weak-initialized worker over the sampled epochs (PlanSampledEpochs),
+///     with one segment per planned iteration.
+Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
+                                     const Manifest& manifest,
+                                     const ClusterPlanOptions& request);
 
 /// Plans how many replay sessions a partitioned replay needs, without
 /// executing anything: builds a fresh instance, instruments it, reads the
@@ -56,7 +66,8 @@ Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
 /// Main-loop epochs whose checkpoints the replay planned by `options` will
 /// restore during worker initialization (weak init: each worker's single
 /// pre-segment epoch; strong init: every epoch before each work segment;
-/// sampling: the weak-init epoch before every non-contiguous jump), as a
+/// sampling: the weak-init epoch before every non-contiguous jump; an auto
+/// request follows the mode it resolves to), as a
 /// sorted, deduplicated list. Retention pins these
 /// (GcPolicy::pinned_epochs) so a replay planned before a GC pass still
 /// finds every checkpoint it restores — the GC-side half of "no engine
@@ -109,6 +120,9 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data);
 /// engine adds results from the coordinating thread after workers join).
 /// Results may come from in-process workers or be decoded from another
 /// process's result file (DecodeWorkerResult) — the merge is identical.
+/// Every worker reports the plan it ran (effective_init,
+/// partition_segments, active_workers); Finish fails with Internal when
+/// two workers disagree.
 class ReplayMerger {
  public:
   void Add(int worker_id, ReplayResult result);

@@ -332,7 +332,8 @@ struct SessionRecordOptions {
 
 /// Per-call replay knobs. Session::Replay turns `workers`, the run prefix
 /// and the connection's tier into one replay request (ClusterPlanOptions)
-/// with strong init and the default costs, and runs it with exec::Replay:
+/// with the default init mode (weak where it is exact, strong otherwise)
+/// and the default costs, and runs it with exec::Replay:
 /// the thread engine runs one thread per worker, and the process engine
 /// commits its results to a fresh scratch directory.
 struct SessionReplayOptions {

@@ -1,17 +1,21 @@
 // Unit tests: Table-1 rule matching, loop side-effect analysis with
-// loop-scoped filtering, instrumentation policy, runtime augmentation.
+// loop-scoped filtering, instrumentation policy, runtime augmentation, and
+// when weak initialization is exact.
 
 #include <gtest/gtest.h>
 
 #include "analysis/augment.h"
 #include "analysis/changeset.h"
 #include "analysis/side_effect.h"
+#include "analysis/weak_init.h"
 #include "flor/instrument.h"
 #include "ir/builder.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "test_util.h"
 #include "nn/scheduler.h"
+#include "workloads/programs.h"
+#include "workloads/profiles.h"
 
 namespace flor {
 namespace analysis {
@@ -277,6 +281,195 @@ TEST(Augment, NonReferenceChangesetUnchanged) {
   frame.Set("x", ir::Value::Int(1));
   auto augmented = AugmentChangeset(frame, {"x", "unbound"});
   EXPECT_EQ(augmented, (std::vector<std::string>{"unbound", "x"}));
+}
+
+// --- When weak initialization is exact (analysis/weak_init.h).
+
+using CheckpointNames = std::map<int32_t, std::vector<std::string>>;
+
+/// The names the workload program's training loop checkpoints: its
+/// changeset {optimizer}, augmented with net and scheduler.
+CheckpointNames WorkloadNames(ir::Program* program) {
+  const std::vector<ir::Loop*> loops = SkippableEpochLoops(program);
+  EXPECT_EQ(loops.size(), 1u);
+  return {{loops[0]->id(), {"net", "optimizer", "scheduler"}}};
+}
+
+std::unique_ptr<ir::Program> WorkloadProgram(uint32_t probes) {
+  auto profile = workloads::WorkloadByName("RsNt");
+  EXPECT_TRUE(profile.ok());
+  auto instance = workloads::MakeWorkloadFactory(*profile, probes)();
+  EXPECT_TRUE(instance.ok());
+  InstrumentProgram(instance->program.get());
+  return std::move(instance->program);
+}
+
+TEST(WeakInit, WorkloadProgramIsExact) {
+  for (uint32_t probes : {workloads::kProbeNone, workloads::kProbeOuter,
+                          workloads::kProbeInner}) {
+    auto program = WorkloadProgram(probes);
+    const WeakInitReport report =
+        AnalyzeWeakInit(*program->MainLoop(), WorkloadNames(program.get()));
+    EXPECT_TRUE(report.exact) << probes;
+    EXPECT_EQ(report.carried, (std::vector<std::string>{
+                                  "net", "optimizer", "scheduler"}));
+  }
+}
+
+TEST(WeakInit, WrittenBeforeReadIsNotCarried) {
+  // test_acc is assigned by evaluate() before the log reads it, every
+  // iteration; the loop-scoped temporaries are assigned before they are
+  // read too.
+  auto program = WorkloadProgram(workloads::kProbeOuter);
+  const WeakInitReport report =
+      AnalyzeWeakInit(*program->MainLoop(), WorkloadNames(program.get()));
+  for (const char* local : {"test_acc", "batch", "preds", "loss", "i"}) {
+    EXPECT_EQ(std::count(report.carried.begin(), report.carried.end(),
+                         local),
+              0)
+        << local;
+  }
+}
+
+/// The paper's example program, plus `best = max(best, test_acc)` and a
+/// log of best in the main-loop body.
+std::unique_ptr<ir::Program> BestProgram() {
+  ir::ProgramBuilder b;
+  b.CallAssign({"net"}, "build_model", {}, nullptr);
+  b.CallAssign({"optimizer"}, "make_optimizer", {"net"}, nullptr);
+  b.CallAssign({"scheduler"}, "make_scheduler", {"optimizer"}, nullptr);
+  b.CallAssign({"best"}, "zero", {}, nullptr);
+  b.BeginLoop("e", 10);
+  {
+    b.BeginLoop("i", 4);
+    {
+      b.CallAssign({"loss"}, "forward", {"net", "i"}, nullptr);
+      b.MethodCall("optimizer", "step", {}, nullptr);
+    }
+    b.EndLoop();
+    b.MethodCall("scheduler", "step", {}, nullptr);
+    b.CallAssign({"test_acc"}, "evaluate", {"net", "e"}, nullptr);
+    b.CallAssign({"best"}, "max", {"best", "test_acc"}, nullptr);
+    b.Log("best", nullptr, {"best"});
+  }
+  b.EndLoop();
+  auto program = b.Build();
+  InstrumentProgram(program.get());
+  return program;
+}
+
+TEST(WeakInit, CarriedStateNoCheckpointHoldsIsNotExact) {
+  auto program = BestProgram();
+  const WeakInitReport report =
+      AnalyzeWeakInit(*program->MainLoop(), WorkloadNames(program.get()));
+  EXPECT_FALSE(report.exact);
+  EXPECT_EQ(report.carried, (std::vector<std::string>{
+                                "best", "net", "optimizer", "scheduler"}));
+  // With best checkpointed too, the same walk is exact.
+  CheckpointNames with_best = WorkloadNames(program.get());
+  with_best.begin()->second.push_back("best");
+  EXPECT_TRUE(AnalyzeWeakInit(*program->MainLoop(), with_best).exact);
+}
+
+TEST(WeakInit, ARestoreAfterTheReadIsNotExact) {
+  // Both carried variables are checkpointed, but `a = g(b)` reads b before
+  // the second SkipBlock restores it: the init iteration recomputes a from
+  // the preamble's b, and the record's a came from epoch s-2's b.
+  ir::ProgramBuilder b;
+  b.CallAssign({"a"}, "init", {}, nullptr);
+  b.CallAssign({"b"}, "init", {}, nullptr);
+  b.BeginLoop("e", 10);
+  {
+    b.BeginLoop("i", 3);  // SkipBlock holding a
+    b.MethodCall("a", "update", {}, nullptr);
+    b.EndLoop();
+    b.CallAssign({"a"}, "g", {"b"}, nullptr);
+    b.BeginLoop("j", 3);  // SkipBlock holding b
+    b.MethodCall("b", "update", {}, nullptr);
+    b.EndLoop();
+  }
+  b.EndLoop();
+  auto program = b.Build();
+  InstrumentProgram(program.get());
+  const std::vector<ir::Loop*> loops = SkippableEpochLoops(program.get());
+  ASSERT_EQ(loops.size(), 2u);
+  const CheckpointNames names{{loops[0]->id(), {"a"}},
+                              {loops[1]->id(), {"b"}}};
+
+  const WeakInitReport report = AnalyzeWeakInit(*program->MainLoop(), names);
+  EXPECT_EQ(report.carried, (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(report.exact);
+}
+
+TEST(WeakInit, OpaqueCallArgumentsAreWrites) {
+  // history is read by an opaque call, which may mutate it: it is carried
+  // and no checkpoint restores it. Read by a rule-2 call instead, it is
+  // never written, so it keeps the preamble's value under either mode.
+  for (bool opaque : {true, false}) {
+    ir::ProgramBuilder b;
+    b.CallAssign({"net"}, "build_model", {}, nullptr);
+    b.CallAssign({"optimizer"}, "make_optimizer", {"net"}, nullptr);
+    b.CallAssign({"history"}, "make_history", {}, nullptr);
+    b.BeginLoop("e", 10);
+    {
+      b.BeginLoop("i", 4);
+      b.MethodCall("optimizer", "step", {}, nullptr);
+      b.EndLoop();
+      b.CallAssign({"test_acc"}, "evaluate", {"net", "e"}, nullptr);
+      if (opaque) {
+        b.OpaqueCall("append", {"history", "test_acc"}, nullptr);
+      } else {
+        b.CallAssign({"n"}, "len", {"history", "test_acc"}, nullptr);
+      }
+    }
+    b.EndLoop();
+    auto program = b.Build();
+    InstrumentProgram(program.get());
+    const CheckpointNames names{
+        {SkippableEpochLoops(program.get())[0]->id(), {"net", "optimizer"}}};
+
+    const WeakInitReport report =
+        AnalyzeWeakInit(*program->MainLoop(), names);
+    EXPECT_EQ(report.exact, !opaque) << opaque;
+    EXPECT_EQ(std::count(report.carried.begin(), report.carried.end(),
+                         "history"),
+              opaque ? 1 : 0);
+  }
+}
+
+TEST(WeakInit, SkipBlockWithoutNamesIsNotExact) {
+  // A manifest written before the names lines existed, or a loop that
+  // never checkpointed: nothing says what a restore makes fresh.
+  auto program = WorkloadProgram(workloads::kProbeOuter);
+  EXPECT_FALSE(AnalyzeWeakInit(*program->MainLoop(), {}).exact);
+  EXPECT_FALSE(
+      AnalyzeWeakInit(*program->MainLoop(), {{99, {"net"}}}).exact);
+}
+
+TEST(WeakInit, LoopOutsideASkipBlockLeavesItsWritesStale) {
+  // A refused inner loop runs in the init iteration; the pass does not
+  // trust what it computes, so a carried variable it writes stays stale.
+  ir::ProgramBuilder b;
+  b.CallAssign({"net"}, "build_model", {}, nullptr);
+  b.CallAssign({"optimizer"}, "make_optimizer", {"net"}, nullptr);
+  b.BeginLoop("e", 10);
+  {
+    b.BeginLoop("i", 4);
+    b.MethodCall("optimizer", "step", {}, nullptr);
+    b.EndLoop();
+    b.BeginLoop("k", 2);  // refused: rule 5
+    b.OpaqueCall("calibrate", {"net"}, nullptr);
+    b.EndLoop();
+  }
+  b.EndLoop();
+  auto program = b.Build();
+  InstrumentProgram(program.get());
+  const std::vector<ir::Loop*> loops = SkippableEpochLoops(program.get());
+  ASSERT_EQ(loops.size(), 1u);
+  const WeakInitReport report = AnalyzeWeakInit(
+      *program->MainLoop(), {{loops[0]->id(), {"net", "optimizer"}}});
+  EXPECT_FALSE(report.exact);
+  EXPECT_EQ(report.carried, (std::vector<std::string>{"net", "optimizer"}));
 }
 
 }  // namespace

@@ -356,6 +356,7 @@ Manifest ShardedManifest(int shard_count, int records) {
   m.c_estimate = 1.41;
   m.shard_count = shard_count;
   m.loop_executions[2] = 64;
+  m.checkpoint_names[2] = {"net", "optimizer", "scheduler"};
   ShardRouter router(shard_count);
   for (int e = 0; e < records; ++e) {
     CheckpointRecord rec;
@@ -417,6 +418,37 @@ TEST(Manifest, OldFormatDeserializesAsSingleShardAndRoundTrips) {
   ASSERT_EQ(m->records.size(), 2u);
   EXPECT_EQ(m->records[0].shard, 0);
   EXPECT_EQ(m->Serialize(), old_format);
+}
+
+TEST(Manifest, CheckpointNamesRoundTrip) {
+  Manifest m = ShardedManifest(/*shard_count=*/1, /*records=*/2);
+  m.checkpoint_names[5] = {};  // a checkpoint that holds no variable
+  const std::string bytes = m.Serialize();
+  EXPECT_NE(bytes.find("ckpt_names\t2\tnet\toptimizer\tscheduler\n"),
+            std::string::npos)
+      << bytes;
+  EXPECT_NE(bytes.find("ckpt_names\t5\n"), std::string::npos) << bytes;
+  auto back = Manifest::Deserialize(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->checkpoint_names, m.checkpoint_names);
+  EXPECT_EQ(back->Serialize(), bytes);
+
+  // Without names the bytes are the format that predates them.
+  m.checkpoint_names.clear();
+  EXPECT_EQ(m.Serialize().find("ckpt_names"), std::string::npos);
+}
+
+TEST(Manifest, MalformedCheckpointNamesAreCorruption) {
+  for (const char* bad : {
+           "ckpt_names\n",                        // no loop id
+           "ckpt_names\tL2\tnet\n",              // non-numeric loop id
+           "ckpt_names\t2\t\tnet\n",             // empty name
+           "ckpt_names\t2\tnet\t\n",             // cut at a separator
+           "ckpt_names\t2\tnet\nckpt_names\t2\tw\n",  // two lines, one loop
+       }) {
+    auto got = Manifest::Deserialize(bad);
+    EXPECT_TRUE(got.status().IsCorruption()) << bad;
+  }
 }
 
 TEST(Manifest, TruncatedInputNeverCrashesOrSilentlyDefaults) {

@@ -218,6 +218,24 @@ TEST(CheckpointGc, KeepLastKRetiresOldEpochsShardLocally) {
   EXPECT_EQ(again->retired_objects, 0);
 }
 
+TEST(CheckpointGc, RetiredManifestKeepsCheckpointNames) {
+  // Retention rewrites the manifest; the names each loop's checkpoints
+  // hold survive it, so a replay of the retired run still plans weak init
+  // where it is exact.
+  MemFileSystem fs;
+  const RecordResult rec = RecordOnto(&fs, GcProfile());
+  ASSERT_FALSE(rec.manifest.checkpoint_names.empty());
+
+  GcPolicy policy;
+  policy.keep_last_k = 2;
+  auto report = RetireRun(&fs, "run", policy);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->manifest_rewritten);
+  auto after = ReadManifest(&fs, "run");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->checkpoint_names, rec.manifest.checkpoint_names);
+}
+
 TEST(CheckpointGc, DisabledRetentionIsByteIdenticalNoOp) {
   MemFileSystem fs;
   RecordOnto(&fs, GcProfile(/*epochs=*/8, /*shards=*/1));

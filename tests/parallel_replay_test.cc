@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
+#include "ir/builder.h"
 #include "sim/cluster.h"
+#include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -185,7 +188,9 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
 
 // The simulated engine's modelled numbers for one recorded run, bit for
 // bit: worker count, every worker's seconds, latency and the P3.8xLarge
-// bill at G = 1, 3, 4 and 8. They do not depend on the test seed.
+// bill at G = 1, 3, 4 and 8, under the default request, which plans weak
+// init for the workload program: each worker after the first restores one
+// epoch before its segment. They do not depend on the test seed.
 TEST(ClusterReplay, SimulatedNumbersArePinned) {
   MemFileSystem fs;
   const WorkloadProfile profile = ParProfile();
@@ -202,21 +207,21 @@ TEST(ClusterReplay, SimulatedNumbersArePinned) {
       {1, 1, {0x1.334p+10}, 0x1.334p+10, 0x1.0b6e2eb1c432dp+2},
       {3,
        3,
-       {0x1.9dp+8, 0x1.a547cd466f501p+8, 0x1.ad8f9a8cdea03p+8},
-       0x1.ad8f9a8cdea03p+8,
-       0x1.75e3cd61a0989p+0},
+       {0x1.9dp+8, 0x1.9f11f3519bd4p+8, 0x1.9f11f3519bd4p+8},
+       0x1.9f11f3519bd4p+8,
+       0x1.6946eb8a9dc05p+0},
       {4,
        4,
-       {0x1.37p+8, 0x1.3d35d9f4d37c1p+8, 0x1.436bb3e9a6f82p+8,
-        0x1.49a18dde7a743p+8},
-       0x1.49a18dde7a743p+8,
-       0x1.1ee92fb4f2923p+0},
+       {0x1.37p+8, 0x1.3911f3519bd4p+8, 0x1.3911f3519bd4p+8,
+        0x1.3911f3519bd4p+8},
+       0x1.3911f3519bd4p+8,
+       0x1.107f09085d08dp+0},
       {8,
        6,
-       {0x1.a2p+7, 0x1.aa47cd466f501p+7, 0x1.b28f9a8cdea03p+7,
-        0x1.bad767d34df05p+7, 0x1.c31f3519bd406p+7, 0x1.cb6702602c908p+7},
-       0x1.cb6702602c908p+7,
-       0x1.88a810ba3e532p+0},
+       {0x1.a2p+7, 0x1.a623e6a337a8p+7, 0x1.a623e6a337a8p+7,
+        0x1.a623e6a337a8p+7, 0x1.a623e6a337a8p+7, 0x1.a623e6a337a8p+7},
+       0x1.a623e6a337a8p+7,
+       0x1.6f6e4d0c38a2ap+0},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.workers);
@@ -233,6 +238,142 @@ TEST(ClusterReplay, SimulatedNumbersArePinned) {
     EXPECT_EQ(sim::TotalClusterCost(
                   sim::PriceCluster(sim::kP3_8xLarge, result->worker_seconds)),
               pin.bill_dollars);
+  }
+}
+
+// --- A carried variable that no checkpoint holds.
+
+/// A training script whose main loop carries `best = max(best, test_acc)`
+/// and logs best every epoch. Its state is two scalars: w, which the
+/// training loop (the SkipBlock) shrinks each batch, and best, which no
+/// checkpoint holds. test_acc falls every epoch, so best stays at epoch
+/// 0's value, and a worker that starts later with the preamble's best
+/// logs other values.
+ProgramFactory BestFactory(int64_t epochs) {
+  return [epochs]() -> Result<ProgramInstance> {
+    ir::ProgramBuilder b;
+    b.CallAssign({"w"}, "init", {}, [](exec::Frame* f) {
+      f->Set("w", ir::Value::Float(1.0f));
+      return Status::OK();
+    });
+    b.CallAssign({"best"}, "zero", {}, [](exec::Frame* f) {
+      f->Set("best", ir::Value::Float(0.0f));
+      return Status::OK();
+    });
+    b.BeginLoop("e", epochs);
+    {
+      b.BeginLoop("i", 4);
+      b.CallAssign({"w"}, "step", {"w"}, [](exec::Frame* f) {
+         f->Set("w", ir::Value::Float(f->At("w").AsFloat() * 0.9f));
+         return Status::OK();
+       }).Cost(1.0);
+      b.EndLoop();
+      b.CallAssign({"test_acc"}, "evaluate", {"w"}, [](exec::Frame* f) {
+        f->Set("test_acc", ir::Value::Float(f->At("w").AsFloat()));
+        return Status::OK();
+      });
+      b.CallAssign({"best"}, "max", {"best", "test_acc"},
+                   [](exec::Frame* f) {
+                     f->Set("best", ir::Value::Float(std::max(
+                                        f->At("best").AsFloat(),
+                                        f->At("test_acc").AsFloat())));
+                     return Status::OK();
+                   });
+      b.Log("best",
+            [](exec::Frame* f) {
+              return StrFormat("%.6f", f->At("best").AsFloat());
+            },
+            {"best"});
+    }
+    b.EndLoop();
+    ProgramInstance instance;
+    instance.program = b.Build();
+    return instance;
+  };
+}
+
+TEST(ClusterReplay, SparseRecordOfCarriedStateReplaysFromEpochZero) {
+  constexpr int64_t kEpochs = 8;
+  const ProgramFactory factory = BestFactory(kEpochs);
+  MemFileSystem fs;
+  Env env(std::make_unique<SimClock>(), &fs);
+  {
+    // A checkpoint of about 1 s against 4 s of training loop: the
+    // adaptive controller checkpoints sparsely (the RTE regime).
+    RecordOptions opts;
+    opts.run_prefix = "run";
+    opts.materializer.costs = sim::PaperPlatformCosts();
+    opts.nominal_checkpoint_bytes = 165'000'000;
+    auto instance = factory();
+    ASSERT_TRUE(instance.ok());
+    RecordSession session(&env, opts);
+    exec::Frame frame;
+    auto rec = session.Run(instance->program.get(), &frame);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_GT(rec->manifest.records.size(), 0u);
+    ASSERT_LT(rec->manifest.records.size(),
+              static_cast<size_t>(kEpochs - 1));
+    ASSERT_EQ(rec->manifest.checkpoint_names.size(), 1u);
+    EXPECT_EQ(rec->manifest.checkpoint_names.begin()->second,
+              (std::vector<std::string>{"w"}));
+  }
+  std::string vanilla;
+  {
+    auto instance = factory();
+    ASSERT_TRUE(instance.ok());
+    exec::Frame frame;
+    auto run = VanillaRun(&env, instance->program.get(), &frame);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    vanilla = run->logs.Serialize();
+  }
+
+  // The default request: weak init is not exact, and strong init cannot
+  // start after epoch 0 on a sparse record, so one worker replays it all.
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.num_workers = 2;
+  for (ReplayEngine engine :
+       {ReplayEngine::kSimulated, ReplayEngine::kThreads}) {
+    auto replay = exec::Replay(engine, &fs, request, factory);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_EQ(replay->workers_used, 1);
+    EXPECT_EQ(replay->effective_init, InitMode::kStrong);
+    EXPECT_TRUE(replay->deferred.ok);
+    EXPECT_EQ(replay->merged_logs.Serialize(), vanilla);
+  }
+
+  // An explicit weak request is honoured: two workers, and the second
+  // logs best from the preamble's value, which the deferred check flags.
+  request.init_mode = InitMode::kWeak;
+  auto weak = exec::Replay(ReplayEngine::kSimulated, &fs, request, factory);
+  ASSERT_TRUE(weak.ok()) << weak.status().ToString();
+  EXPECT_EQ(weak->workers_used, 2);
+  EXPECT_EQ(weak->effective_init, InitMode::kWeak);
+  EXPECT_FALSE(weak->deferred.ok);
+  EXPECT_NE(weak->merged_logs.Serialize(), vanilla);
+}
+
+TEST(ReplayMerger, RejectsWorkersThatRanDifferentPlans) {
+  // Every worker reports the plan it ran; a merge of workers that planned
+  // differently would splice partitions of two different plans.
+  ReplayResult base;
+  base.effective_init = InitMode::kWeak;
+  base.partition_segments = 6;
+  base.active_workers = 3;
+  for (int field = 0; field < 3; ++field) {
+    ReplayResult odd = base;
+    if (field == 0) odd.effective_init = InitMode::kStrong;
+    if (field == 1) odd.partition_segments = 5;
+    if (field == 2) odd.active_workers = 2;
+    ReplayMerger merger;
+    merger.Add(0, base);
+    merger.Add(1, base);
+    merger.Add(2, odd);
+    MemFileSystem fs;  // holds no record logs: Finish fails before them
+    auto merged = merger.Finish(&fs, "run");
+    ASSERT_FALSE(merged.ok()) << field;
+    EXPECT_EQ(merged.status().code(), StatusCode::kInternal)
+        << merged.status().ToString();
   }
 }
 

@@ -61,9 +61,15 @@ TEST(Partition, DenseWeakHasSingleInitIteration) {
 TEST(Partition, SparseFallsBackToWeak) {
   // Checkpoints only at epochs 33, 66, ..., 198 (the RTE pattern).
   std::vector<int64_t> ckpts{33, 66, 99, 132, 165, 198};
-  auto plan = PartitionMainLoop(200, 4, InitMode::kStrong, ckpts);
+  ASSERT_FALSE(DenseCheckpoints(200, ckpts));
+  // A strong request falls back to weak where weak init is exact (§5.4.2).
+  const InitMode mode =
+      ResolveInitMode(InitMode::kStrong, /*weak_exact=*/true,
+                      /*dense=*/false);
+  EXPECT_EQ(mode, InitMode::kWeak);
+  auto plan = PartitionMainLoop(200, 4, mode, ckpts);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->mode, InitMode::kWeak);  // forced fallback (§5.4.2)
+  EXPECT_EQ(plan->mode, InitMode::kWeak);
   // 7 candidate segments: starts {0,34,67,100,133,166,199}.
   EXPECT_EQ(plan->segments, 7);
   CheckTiling(*plan, 200);
@@ -71,6 +77,44 @@ TEST(Partition, SparseFallsBackToWeak) {
   // grouping caps the largest share at 66 epochs — 66/200 = 33%, the
   // paper's "at best 2/6 = 33% replay time" for sparse workloads.
   EXPECT_EQ(plan->max_worker_epochs, 66);
+}
+
+TEST(Partition, SparseStrongPlansOnePartitionFromEpochZero) {
+  // Strong init would restore epochs no checkpoint holds, so where weak
+  // init is not exact a sparse record replays on one worker from epoch 0,
+  // which restores nothing before its work.
+  std::vector<int64_t> ckpts{33, 66, 99, 132, 165, 198};
+  for (InitMode requested : {InitMode::kStrong, InitMode::kAuto}) {
+    const InitMode mode =
+        ResolveInitMode(requested, /*weak_exact=*/false, /*dense=*/false);
+    EXPECT_EQ(mode, InitMode::kStrong);
+    auto plan = PartitionMainLoop(200, 4, mode, ckpts);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->mode, InitMode::kStrong);
+    EXPECT_EQ(plan->segments, 1);
+    ASSERT_EQ(plan->workers.size(), 1u);
+    EXPECT_EQ(plan->workers[0].work_begin, 0);
+    EXPECT_EQ(plan->workers[0].work_end, 200);
+    for (const auto& it : plan->workers[0].iters)
+      EXPECT_EQ(it.mode, exec::IterMode::kWork);
+  }
+}
+
+TEST(Partition, ResolveInitModeHonoursExplicitRequests) {
+  for (bool dense : {false, true}) {
+    for (bool exact : {false, true}) {
+      EXPECT_EQ(ResolveInitMode(InitMode::kWeak, exact, dense),
+                InitMode::kWeak);
+      EXPECT_EQ(ResolveInitMode(InitMode::kAuto, exact, dense),
+                exact ? InitMode::kWeak : InitMode::kStrong);
+    }
+    EXPECT_EQ(ResolveInitMode(InitMode::kStrong, false, dense),
+              InitMode::kStrong);
+  }
+  EXPECT_EQ(ResolveInitMode(InitMode::kStrong, true, /*dense=*/true),
+            InitMode::kStrong);
+  EXPECT_FALSE(PartitionMainLoop(12, 4, InitMode::kAuto, DenseCkpts(12))
+                   .ok());
 }
 
 TEST(Partition, SegmentBoundariesOnlyAtCheckpoints) {

@@ -773,6 +773,60 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
   EXPECT_TRUE(missing.status().IsNotFound());
 }
 
+// --- The default request plans weak init where it is exact.
+
+TEST_F(ProcessReplayTest, DefaultRequestPlansWeakInitWhereItIsExact) {
+  // The replay_partial shape at test size: 6 dense epochs, a probe outside
+  // the training loop (every training loop is restored), G = 3.
+  PosixFileSystem fs(root());
+  const WorkloadProfile profile = ProcProfile(/*epochs=*/6);
+  RecordOnto(&fs, profile);
+  const ProgramFactory factory =
+      MakeWorkloadFactory(profile, workloads::kProbeOuter);
+
+  ClusterPlanOptions automatic;  // the default init mode
+  automatic.run_prefix = "run";
+  automatic.num_workers = 3;
+  ClusterPlanOptions strong = automatic;
+  strong.init_mode = InitMode::kStrong;
+
+  // GC pins what the plan restores before each worker's segment.
+  auto pins = PlannedRestoreEpochs(factory, &fs, automatic);
+  ASSERT_TRUE(pins.ok()) << pins.status().ToString();
+  EXPECT_EQ(*pins, (std::vector<int64_t>{1, 3}));
+  pins = PlannedRestoreEpochs(factory, &fs, strong);
+  ASSERT_TRUE(pins.ok()) << pins.status().ToString();
+  EXPECT_EQ(*pins, (std::vector<int64_t>{0, 1, 2, 3}));
+
+  for (ReplayEngine engine : {ReplayEngine::kSimulated,
+                              ReplayEngine::kThreads,
+                              ReplayEngine::kProcesses}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    auto s = exec::Replay(engine, &fs, strong, factory);
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    EXPECT_TRUE(s->deferred.ok);
+    EXPECT_EQ(s->effective_init, InitMode::kStrong);
+    EXPECT_EQ(s->skipblocks.restores, 12);  // 2 + 4 + 6
+
+    auto a = exec::Replay(engine, &fs, automatic, factory);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_TRUE(a->deferred.ok);
+    EXPECT_EQ(a->effective_init, InitMode::kWeak);
+    EXPECT_EQ(a->skipblocks.restores, 8);  // 2 + 3 + 3
+    EXPECT_EQ(a->workers_used, 3);
+    EXPECT_EQ(a->merged_logs.Serialize(), s->merged_logs.Serialize());
+  }
+
+  // The thread engine's own spelling defaults the same way.
+  exec::ReplayExecutorOptions xopts;
+  xopts.run_prefix = "run";
+  xopts.num_threads = 3;
+  auto threaded = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  EXPECT_EQ(threaded->effective_init, InitMode::kWeak);
+  EXPECT_EQ(threaded->skipblocks.restores, 8);
+}
+
 TEST_F(ProcessReplayTest, MissingRecordRunFailsCleanly) {
   PosixFileSystem fs(root());  // nothing recorded
   const WorkloadProfile profile = ProcProfile();

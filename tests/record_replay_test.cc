@@ -4,6 +4,7 @@
 
 #include "flor/record.h"
 #include "flor/replay.h"
+#include "ir/builder.h"
 #include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
@@ -80,6 +81,79 @@ TEST(Record, MaterializesDenseCheckpoints) {
   EXPECT_TRUE(env->fs()->Exists("run/manifest.tsv"));
   // Per-batch loss + per-epoch test_acc + final norm.
   EXPECT_EQ(rec.logs.size(), 6u * 4u + 6u + 1u);
+}
+
+TEST(Record, ManifestNamesWhatTheCheckpointsHold) {
+  // The training loop's changeset {optimizer}, augmented at run time with
+  // the model it steps and the scheduler that drives it.
+  auto env = Env::NewSimEnv();
+  RecordResult rec = RecordTiny(env.get(), nullptr);
+  const std::map<int32_t, std::vector<std::string>> expect{
+      {2, {"net", "optimizer", "scheduler"}}};
+  EXPECT_EQ(rec.manifest.checkpoint_names, expect);
+  auto persisted = ReadManifest(env->fs(), "run");
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  EXPECT_EQ(persisted->checkpoint_names, expect);
+}
+
+TEST(Record, RunWithoutSkipBlockWritesTheManifestWithoutNames) {
+  // No SkipBlock, so no checkpoint and no names line: the manifest bytes
+  // are the format that predates the names.
+  ir::ProgramBuilder b;
+  b.CallAssign({"x"}, "init", {}, [](exec::Frame* f) {
+    f->Set("x", ir::Value::Int(0));
+    return Status::OK();
+  });
+  b.BeginLoop("e", 3);
+  b.CallAssign({"x"}, "inc", {"x"}, [](exec::Frame* f) {
+    f->Set("x", ir::Value::Int(f->At("x").AsInt() + 1));
+    return Status::OK();
+  });
+  b.EndLoop();
+  auto program = b.Build();
+
+  auto env = Env::NewSimEnv();
+  RecordOptions opts;
+  opts.run_prefix = "run";
+  opts.workload = "plain";
+  RecordSession session(env.get(), opts);
+  exec::Frame frame;
+  auto rec = session.Run(program.get(), &frame);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  auto bytes = env->fs()->ReadFile("run/manifest.tsv");
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes,
+            "workload\tplain\n"
+            "record_runtime\t0\n"
+            "vanilla_runtime\t0\n"
+            "c_estimate\t1\n");
+}
+
+TEST(Record, CheckpointedNameWithTabOrNewlineOrEmptyIsRejectedBeforeAnyWrite) {
+  // Each checkpointed name is a field of the manifest's tab-separated
+  // names line, so the record refuses the program before writing anything.
+  for (const std::string bad : {"bad\tname", "bad\nname", ""}) {
+    ir::ProgramBuilder b;
+    b.CallAssign({bad}, "init", {}, nullptr);
+    b.BeginLoop("e", 2);
+    b.BeginLoop("i", 2);
+    b.MethodCall(bad, "update", {}, nullptr);
+    b.EndLoop();
+    b.EndLoop();
+    auto program = b.Build();
+
+    MemFileSystem fs;
+    Env env = testutil::MakeSimEnv(&fs);
+    RecordOptions opts;
+    opts.run_prefix = "run";
+    RecordSession session(&env, opts);
+    exec::Frame frame;
+    auto rec = session.Run(program.get(), &frame);
+    ASSERT_FALSE(rec.ok());
+    EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument)
+        << rec.status().ToString();
+    EXPECT_TRUE(fs.ListPrefix("").empty());
+  }
 }
 
 TEST(Record, RuntimeMatchesSimulatedCosts) {
