@@ -53,16 +53,12 @@ int main() {
 
     // Refine c from a real (no-probe) replay against the adaptive run.
     {
-      Env env(std::make_unique<SimClock>(), &fs);
-      auto instance =
-          workloads::MakeWorkloadFactory(profile, workloads::kProbeNone)();
-      FLOR_CHECK(instance.ok());
-      ReplayOptions ropts;
-      ropts.run_prefix = "adaptive";
-      ropts.costs = sim::PaperPlatformCosts();
-      ReplaySession session(&env, ropts);
-      exec::Frame frame;
-      auto rr = session.Run(instance->program.get(), &frame);
+      ClusterPlanOptions request;
+      request.run_prefix = "adaptive";
+      request.costs = sim::PaperPlatformCosts();
+      auto rr = ReplayPartition(
+          workloads::MakeWorkloadFactory(profile, workloads::kProbeNone),
+          &fs, request, /*worker_id=*/0, /*simulated_clock=*/true);
       FLOR_CHECK(rr.ok()) << rr.status().ToString();
       if (rr->observed_c > 0) {
         c_sum += rr->observed_c;

@@ -22,8 +22,8 @@
 
 #include "common/strings.h"
 #include "data/loader.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "flor/replay.h"
 #include "sim/cost_model.h"
 #include "ir/builder.h"
 #include "nn/layers.h"
@@ -259,20 +259,18 @@ int main() {
   std::printf("  (in the paper Alice re-ran the full hour; here replay "
               "answers from the past)\n");
   {
-    auto instance = AliceScript(kBuggyWeightDecay, kSwaMaxLr, true);
-    FLOR_CHECK(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = "runs/alice_swa";
-    ropts.sample_epochs = {0, 3, 6, 9, 11};  // sampling replay (paper §8)
-    ropts.costs = sim::PaperPlatformCosts();
-    ReplaySession session(env.get(), ropts);
-    Frame frame;
-    auto result = session.Run(instance->program.get(), &frame);
+    ClusterPlanOptions request;
+    request.run_prefix = "runs/alice_swa";
+    request.sample_epochs = {0, 3, 6, 9, 11};  // sampling replay (paper §8)
+    request.costs = sim::PaperPlatformCosts();
+    auto result = exec::Replay(
+        ReplayEngine::kSimulated, env->fs(), request,
+        [&] { return AliceScript(kBuggyWeightDecay, kSwaMaxLr, true); });
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
         << "replay anomaly: " << result->deferred.anomalies[0];
     std::printf("  replay latency: %s; deferred checks passed\n",
-                HumanSeconds(result->runtime_seconds).c_str());
+                HumanSeconds(result->latency_seconds).c_str());
 
     std::printf("\n  epoch   grad |g|     weight |w|   (last batch of each "
                 "sampled epoch)\n");

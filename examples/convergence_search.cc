@@ -13,9 +13,9 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/query.h"
 #include "flor/record.h"
-#include "flor/replay.h"
 #include "flor/search.h"
 #include "sim/cost_model.h"
 #include "workloads/programs.h"
@@ -134,18 +134,14 @@ int main() {
     if (run.prefix == "runs/colleague93") p = DemoProfile(93);
     if (run.prefix != "runs/conv") p.epochs = 12;
 
-    Env env(std::make_unique<SimClock>(), &fs);
-    auto instance = MakeWorkloadFactory(p, kProbeInner)();
-    FLOR_CHECK(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = run.prefix;
+    ClusterPlanOptions request;
+    request.run_prefix = run.prefix;
     // Sample a handful of epochs: enough to see the shape cheaply.
     for (int64_t e = 0; e < p.epochs; e += std::max<int64_t>(1, p.epochs / 6))
-      ropts.sample_epochs.push_back(e);
-    ropts.costs = sim::PaperPlatformCosts();
-    ReplaySession session(&env, ropts);
-    exec::Frame frame;
-    auto rr = session.Run(instance->program.get(), &frame);
+      request.sample_epochs.push_back(e);
+    request.costs = sim::PaperPlatformCosts();
+    auto rr = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                           MakeWorkloadFactory(p, kProbeInner));
     FLOR_CHECK(rr.ok()) << rr.status().ToString();
     FLOR_CHECK(rr->deferred.ok);
 

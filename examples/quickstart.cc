@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "flor/replay.h"
 #include "sim/cost_model.h"
 #include "workloads/programs.h"
 
@@ -78,20 +78,17 @@ int main() {
   std::printf("  (the probe was never in the original script; no retraining"
               " happens)\n");
   {
-    auto instance = MakeWorkloadFactory(profile, kProbeOuter)();
-    FLOR_CHECK(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = "runs/quickstart";
-    ropts.costs = sim::PaperPlatformCosts();
-    ReplaySession session(env.get(), ropts);
-    exec::Frame frame;
-    auto result = session.Run(instance->program.get(), &frame);
+    ClusterPlanOptions request;
+    request.run_prefix = "runs/quickstart";
+    request.costs = sim::PaperPlatformCosts();
+    auto result = exec::Replay(ReplayEngine::kSimulated, env->fs(), request,
+                               MakeWorkloadFactory(profile, kProbeOuter));
     FLOR_CHECK(result.ok()) << result.status().ToString();
 
     std::printf("  replay latency: %s (vs %s of training) — %.0fx faster\n",
-                HumanSeconds(result->runtime_seconds).c_str(),
+                HumanSeconds(result->latency_seconds).c_str(),
                 HumanSeconds(profile.VanillaSeconds()).c_str(),
-                profile.VanillaSeconds() / result->runtime_seconds);
+                profile.VanillaSeconds() / result->latency_seconds);
     std::printf("  training loops skipped via memoization: %lld of %lld\n",
                 static_cast<long long>(result->skipblocks.skipped),
                 static_cast<long long>(profile.epochs));

@@ -125,15 +125,29 @@ fi
 echo "== plan lint =="
 # A replay is planned in one place: PlanPartitions (src/flor/replay_plan.h)
 # resolves the init mode and partitions the main loop, and
-# PlanActiveWorkers, PlannedRestoreEpochs and every worker's ReplaySession
-# call it, so the plan, the GC pins and the workers agree. Under src/, only
-# the partitioner (which declares and defines them) and that planner may
-# call PartitionMainLoop or PlanSampledEpochs.
-if grep -rnE '\b(PartitionMainLoop|PlanSampledEpochs) *\(' src/ \
+# PlanActiveWorkers, PlannedRestoreEpochs and every replay worker call it,
+# so the plan, the GC pins and the workers agree. Under src/, only the
+# partitioner (which declares and defines them) and that planner may call
+# PartitionMainLoop or PlanWorker.
+if grep -rnE '\b(PartitionMainLoop|PlanWorker) *\(' src/ \
      | grep -vE '^src/flor/(partition\.(h|cc)|replay_plan\.cc):'; then
-  echo "error: PartitionMainLoop or PlanSampledEpochs called in src/" >&2
+  echo "error: PartitionMainLoop or PlanWorker called in src/" >&2
   echo "outside src/flor/replay_plan.cc — plan with PlanPartitions" >&2
   echo "(src/flor/replay_plan.h)" >&2
+  exit 1
+fi
+
+echo "== worker lint =="
+# ReplayPartition (src/flor/replay.h) is the one way to run a replay
+# worker, and exec::Replay the one way to run a whole replay. The worker's
+# session class is private to src/flor/replay.cc and takes the replay
+# request itself, so no other file under src/, bench/, examples/ or tests/
+# may name a session or a per-worker options struct.
+if grep -rnwE 'ReplaySession|ReplayOptions' src/ bench/ examples/ tests/ \
+     | grep -vE '^src/flor/replay\.cc:'; then
+  echo "error: ReplaySession or ReplayOptions named outside" >&2
+  echo "src/flor/replay.cc — run one worker with ReplayPartition" >&2
+  echo "(src/flor/replay.h) or a whole replay with exec::Replay" >&2
   exit 1
 fi
 

@@ -78,8 +78,8 @@ struct ProcessReplayExecutorOptions : ClusterPlanOptions {
 
   /// Test-only fault-injection hooks, invoked inside the forked child
   /// with the worker id and the 1-based attempt number.
-  /// `before_session` runs before the child's ReplaySession,
-  /// `before_result_write` after the session but before the result file
+  /// `before_session` runs before the child's ReplayPartition,
+  /// `before_result_write` after the replay but before the result file
   /// is committed — a hook that kills the process at either point models
   /// a worker lost mid-partition.
   std::function<void(int worker_id, int attempt)> child_before_session{};

@@ -1,6 +1,7 @@
 #include "flor/partition.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "common/strings.h"
@@ -103,10 +104,6 @@ Result<PartitionPlan> PartitionMainLoop(
   if (epochs <= 0) return Status::InvalidArgument("epochs must be positive");
   if (num_workers <= 0)
     return Status::InvalidArgument("num_workers must be positive");
-  if (mode == InitMode::kAuto)
-    return Status::InvalidArgument("resolve an auto init mode first");
-
-  const std::set<int64_t> ckpts(ckpt_epochs.begin(), ckpt_epochs.end());
 
   PartitionPlan plan;
   plan.mode = mode;
@@ -136,31 +133,19 @@ Result<PartitionPlan> PartitionMainLoop(
   const int groups = assign.empty() ? 0 : assign.back() + 1;
 
   for (int g = 0; g < groups; ++g) {
-    WorkerPlan wp;
-    wp.worker_id = g;
-    wp.work_begin = -1;
+    int64_t begin = -1;
+    int64_t end = 0;
     for (size_t s = 0; s < sizes.size(); ++s) {
       if (assign[s] != g) continue;
-      if (wp.work_begin < 0) wp.work_begin = starts[s];
-      wp.work_end = s + 1 < starts.size() ? starts[s + 1] : epochs;
+      if (begin < 0) begin = starts[s];
+      end = s + 1 < starts.size() ? starts[s + 1] : epochs;
     }
-    // Init segment.
-    if (wp.work_begin > 0) {
-      if (plan.mode == InitMode::kStrong) {
-        for (int64_t e = 0; e < wp.work_begin; ++e)
-          wp.iters.push_back({e, exec::IterMode::kInit});
-      } else {
-        const int64_t prev = wp.work_begin - 1;
-        if (!ckpts.count(prev)) {
-          return Status::FailedPrecondition(
-              StrCat("no checkpoint at epoch ", prev,
-                     " for weak initialization of worker ", g));
-        }
-        wp.iters.push_back({prev, exec::IterMode::kInit});
-      }
-    }
-    for (int64_t e = wp.work_begin; e < wp.work_end; ++e)
-      wp.iters.push_back({e, exec::IterMode::kWork});
+    std::vector<int64_t> work(static_cast<size_t>(end - begin));
+    std::iota(work.begin(), work.end(), begin);
+    FLOR_ASSIGN_OR_RETURN(WorkerPlan wp,
+                          PlanWorker(epochs, std::move(work), mode,
+                                     ckpt_epochs));
+    wp.worker_id = g;
     plan.max_worker_epochs =
         std::max(plan.max_worker_epochs, wp.work_epochs());
     plan.workers.push_back(std::move(wp));
@@ -168,36 +153,35 @@ Result<PartitionPlan> PartitionMainLoop(
   return plan;
 }
 
-Result<WorkerPlan> PlanSampledEpochs(int64_t epochs,
-                                     const std::vector<int64_t>& sample,
-                                     const std::vector<int64_t>&
-                                         ckpt_epochs) {
+Result<WorkerPlan> PlanWorker(int64_t epochs, std::vector<int64_t> work,
+                              InitMode mode,
+                              const std::vector<int64_t>& ckpt_epochs) {
+  if (mode == InitMode::kAuto)
+    return Status::InvalidArgument("resolve an auto init mode first");
   const std::set<int64_t> ckpts(ckpt_epochs.begin(), ckpt_epochs.end());
+  std::sort(work.begin(), work.end());
+  work.erase(std::unique(work.begin(), work.end()), work.end());
   WorkerPlan wp;
-  wp.worker_id = 0;
-  std::vector<int64_t> sorted = sample;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  int64_t last_executed = -2;  // epoch whose end state we currently hold
-  for (int64_t k : sorted) {
+  int64_t next = 0;  // the epoch whose start state the worker holds
+  for (int64_t k : work) {
     if (k < 0 || k >= epochs)
-      return Status::OutOfRange(StrCat("sampled epoch ", k, " out of range"));
-    if (k != last_executed + 1) {
-      if (k > 0) {
-        if (!ckpts.count(k - 1)) {
-          return Status::FailedPrecondition(
-              StrCat("no checkpoint at epoch ", k - 1,
-                     " to random-access sampled epoch ", k));
-        }
-        wp.iters.push_back({k - 1, exec::IterMode::kInit});
+      return Status::OutOfRange(StrCat("epoch ", k, " out of range"));
+    const int64_t from =
+        mode == InitMode::kWeak ? std::max(next, k - 1) : next;
+    for (int64_t e = from; e < k; ++e) {
+      if (!ckpts.count(e)) {
+        return Status::FailedPrecondition(
+            StrCat("no checkpoint at epoch ", e, " for ", InitModeName(mode),
+                   " initialization of epoch ", k));
       }
+      wp.iters.push_back({e, exec::IterMode::kInit});
     }
     wp.iters.push_back({k, exec::IterMode::kWork});
-    last_executed = k;
+    next = k + 1;
   }
-  if (!sorted.empty()) {
-    wp.work_begin = sorted.front();
-    wp.work_end = sorted.back() + 1;
+  if (!work.empty()) {
+    wp.work_begin = work.front();
+    wp.work_end = work.back() + 1;
   }
   return wp;
 }

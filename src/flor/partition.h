@@ -18,6 +18,9 @@
 //     when the main-loop body meets analysis/weak_init.h's condition.
 //   * auto — the default request: weak where weak init is exact, strong
 //     otherwise (ResolveInitMode).
+// One builder, PlanWorker, lays out a worker's iterations in the resolved
+// mode over any set of epochs: a partition's contiguous segment, or the
+// sampled epochs that search random-accesses (§8).
 
 #ifndef FLOR_FLOR_PARTITION_H_
 #define FLOR_FLOR_PARTITION_H_
@@ -70,22 +73,25 @@ struct PartitionPlan {
 };
 
 /// Partitions `epochs` main-loop iterations over `num_workers` workers
-/// with `mode`, kStrong or kWeak (resolve kAuto first). `ckpt_epochs` lists
-/// epochs whose end state is checkpointed (sorted). kStrong on sparse
-/// checkpoints plans one partition from epoch 0, which restores nothing
-/// before its work.
+/// with `mode`, kStrong or kWeak (resolve kAuto first), and plans each
+/// worker's segment with PlanWorker. `ckpt_epochs` lists epochs whose end
+/// state is checkpointed (sorted). kStrong on sparse checkpoints plans one
+/// partition from epoch 0, which restores nothing before its work.
 Result<PartitionPlan> PartitionMainLoop(int64_t epochs, int num_workers,
                                         InitMode mode,
                                         const std::vector<int64_t>&
                                             ckpt_epochs);
 
-/// Sampling replay (paper §8, "Partial Replay: Search and Approximation"):
-/// plans the execution of an arbitrary sorted set of epochs, weak-
-/// initializing before each non-contiguous jump. Each sampled epoch k with
-/// k-1 not itself sampled-and-just-executed requires a checkpoint at k-1.
-Result<WorkerPlan> PlanSampledEpochs(int64_t epochs,
-                                     const std::vector<int64_t>& sample,
-                                     const std::vector<int64_t>& ckpt_epochs);
+/// Plans one worker's iterations: work iterations over the `work` epochs
+/// (any set, deduplicated and sorted; paper §8's random access when not
+/// contiguous), each preceded by the init iterations that rebuild its
+/// start state in `mode`, kStrong or kWeak (kAuto is InvalidArgument).
+/// Weak restores epoch k-1 before each jump to k; strong restores every
+/// epoch the worker has not yet run. Each restored epoch needs a
+/// checkpoint in `ckpt_epochs`, else FailedPrecondition naming it.
+Result<WorkerPlan> PlanWorker(int64_t epochs, std::vector<int64_t> work,
+                              InitMode mode,
+                              const std::vector<int64_t>& ckpt_epochs);
 
 }  // namespace flor
 

@@ -9,8 +9,8 @@
 // record runs on a filesystem, typed metric-series extraction from their
 // logs, and cross-run pattern queries (including an exploding/vanishing
 // detector matching the paper's example). The replay-side half — injecting
-// a probe into *many* runs — composes from the existing ReplaySession, one
-// run at a time, given each run's program factory.
+// a probe into *many* runs — composes from exec::Replay, one run at a
+// time, given each run's program factory.
 
 #ifndef FLOR_FLOR_QUERY_H_
 #define FLOR_FLOR_QUERY_H_

@@ -1,16 +1,62 @@
 #include "flor/replay.h"
 
-#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
 
 #include "common/logging.h"
 #include "common/strings.h"
 #include "flor/instrument.h"
+#include "flor/probe.h"
 #include "flor/replay_plan.h"
 
 namespace flor {
 
-ReplaySession::ReplaySession(Env* env, ReplayOptions options)
-    : env_(env), options_(std::move(options)), paths_(options_.run_prefix) {}
+namespace {
+
+/// Executes one replay worker: the interpreter hooks that plan the main
+/// loop (PlanPartitions) and restore or re-execute each SkipBlock.
+/// Single-use; ReplayPartition is its only caller.
+class ReplaySession : public exec::ExecHooks {
+ public:
+  ReplaySession(Env* env, ClusterPlanOptions request, int worker_id)
+      : env_(env), request_(std::move(request)), worker_id_(worker_id) {}
+
+  Result<ReplayResult> Run(ir::Program* current_program, exec::Frame* frame);
+
+  // --- ExecHooks (SkipBlock parameterization for replay) ---
+  Result<exec::LoopAction> OnSkipBlockEnter(ir::Loop* loop,
+                                            const std::string& ctx,
+                                            bool init_mode,
+                                            exec::Frame* frame) override;
+  Status OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
+                         exec::Frame* frame,
+                         double compute_seconds) override;
+  Result<std::optional<exec::MainLoopPlan>> PlanMainLoop(
+      ir::Loop* loop, int64_t trip_count, exec::Frame* frame) override;
+
+ private:
+  /// Restores a loop execution's side effects from its checkpoint.
+  Status RestoreSkipBlock(ir::Loop* loop, const CheckpointKey& key,
+                          exec::Frame* frame);
+
+  Env* env_;
+  const ClusterPlanOptions request_;
+  const int worker_id_;
+  /// Opened in Run(): the manifest's shard count decides the store layout,
+  /// so replay reads are shard-aware without probing (and pre-sharding
+  /// runs keep replaying as 1 shard).
+  OpenedRun run_;
+
+  ir::Program* program_ = nullptr;
+  std::map<std::string, const CheckpointRecord*> records_by_key_;
+  std::set<int32_t> probed_transitive_;
+  ReplayResult* result_ = nullptr;  // live during Run
+
+  double restore_ratio_sum_ = 0;
+  int64_t restore_ratio_count_ = 0;
+};
 
 Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
                                         exec::Frame* frame) {
@@ -23,8 +69,9 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   // side effects, so wrapped loops and changesets match the record run.
   InstrumentProgram(current_program);
 
-  FLOR_ASSIGN_OR_RETURN(std::string recorded_source,
-                        env_->fs()->ReadFile(paths_.Source()));
+  FLOR_ASSIGN_OR_RETURN(
+      std::string recorded_source,
+      env_->fs()->ReadFile(RunPaths(request_.run_prefix).Source()));
   FLOR_ASSIGN_OR_RETURN(result.probes,
                         ir::DiffForProbes(recorded_source,
                                           *current_program));
@@ -35,15 +82,10 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   // the whole tier (bucket, bloom sized and seeded from the manifest), the
   // same way GC and the service Connection open a finished run.
   FLOR_ASSIGN_OR_RETURN(run_,
-                        OpenRun(env_->fs(), options_.run_prefix,
-                                options_.tier));
+                        OpenRun(env_->fs(), request_.run_prefix,
+                                request_.tier));
   for (const auto& rec : run_.manifest.records)
     records_by_key_[rec.key.ToString()] = &rec;
-
-  FLOR_ASSIGN_OR_RETURN(std::string log_bytes,
-                        env_->fs()->ReadFile(paths_.Logs()));
-  FLOR_ASSIGN_OR_RETURN(record_logs_,
-                        exec::LogStream::Deserialize(log_bytes));
 
   exec::Interpreter interp(env_, &result.logs, this);
   const double start = env_->clock()->NowSeconds();
@@ -51,7 +93,6 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
 
   result.bloom_skipped_probes = run_.store->tier_stats().bloom_skipped_probes;
-  result.restore_seconds = result_->restore_seconds;
   result.observed_c =
       restore_ratio_count_ > 0
           ? restore_ratio_sum_ / static_cast<double>(restore_ratio_count_)
@@ -60,12 +101,6 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   for (const auto& e : result.logs.WorkEntries()) {
     if (result.probes.probe_stmt_uids.count(e.stmt_uid))
       result.probe_entries.push_back(e);
-  }
-
-  if (options_.run_deferred_check) {
-    result.deferred =
-        DeferredCheck(record_logs_.entries(), result.logs.WorkEntries(),
-                      result.probes.probe_stmt_uids);
   }
   result_ = nullptr;
   return result;
@@ -103,8 +138,8 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
     const uint64_t bytes =
         rec.nominal_raw_bytes ? rec.nominal_raw_bytes : rec.raw_bytes;
     const double ri = from_bucket
-                          ? options_.costs.BucketRestoreSeconds(bytes)
-                          : options_.costs.RestoreSeconds(bytes);
+                          ? request_.costs.BucketRestoreSeconds(bytes)
+                          : request_.costs.RestoreSeconds(bytes);
     if (env_->clock()->is_simulated())
       env_->clock()->AdvanceMicros(SecondsToMicros(ri));
     result_->restore_seconds += ri;
@@ -161,23 +196,42 @@ Result<std::optional<exec::MainLoopPlan>> ReplaySession::PlanMainLoop(
     ir::Loop*, int64_t trip_count, exec::Frame*) {
   FLOR_ASSIGN_OR_RETURN(
       PartitionPlan plan,
-      PlanPartitions(program_, trip_count, run_.manifest, options_));
+      PlanPartitions(program_, trip_count, run_.manifest, request_));
   result_->effective_init = plan.mode;
   result_->partition_segments = plan.segments;
   result_->active_workers = static_cast<int>(plan.workers.size());
   exec::MainLoopPlan out;
-  if (options_.worker_id >= static_cast<int>(plan.workers.size())) {
+  if (worker_id_ >= static_cast<int>(plan.workers.size())) {
     // More workers than segments: this worker has nothing to do.
     result_->work_begin = result_->work_end = 0;
     out.covers_final_epoch = false;
     return std::optional<exec::MainLoopPlan>(std::move(out));
   }
-  WorkerPlan& wp = plan.workers[static_cast<size_t>(options_.worker_id)];
+  WorkerPlan& wp = plan.workers[static_cast<size_t>(worker_id_)];
   result_->work_begin = wp.work_begin;
   result_->work_end = wp.work_end;
   out.covers_final_epoch = wp.work_end == trip_count;
   out.iters = std::move(wp.iters);
   return std::optional<exec::MainLoopPlan>(std::move(out));
+}
+
+}  // namespace
+
+Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
+                                     FileSystem* fs,
+                                     const ClusterPlanOptions& request,
+                                     int worker_id, bool simulated_clock) {
+  std::unique_ptr<Clock> clock;
+  if (simulated_clock) {
+    clock = std::make_unique<SimClock>();
+  } else {
+    clock = std::make_unique<WallClock>();
+  }
+  Env env(std::move(clock), fs);
+  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+  ReplaySession session(&env, request, worker_id);
+  exec::Frame frame;
+  return session.Run(instance.program.get(), &frame);
 }
 
 Result<VanillaRunResult> VanillaRun(Env* env, ir::Program* program,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 #include <set>
 
 #include "analysis/weak_init.h"
@@ -48,17 +47,6 @@ Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
                                      const ClusterPlanOptions& request) {
   const std::vector<int64_t> boundaries =
       CheckpointBoundaryEpochs(program, manifest);
-  if (!request.sample_epochs.empty()) {
-    FLOR_ASSIGN_OR_RETURN(
-        WorkerPlan sampled,
-        PlanSampledEpochs(epochs, request.sample_epochs, boundaries));
-    PartitionPlan plan;
-    plan.mode = InitMode::kWeak;
-    plan.segments = static_cast<int64_t>(sampled.iters.size());
-    plan.max_worker_epochs = sampled.work_epochs();
-    plan.workers.push_back(std::move(sampled));
-    return plan;
-  }
   const bool weak_exact =
       request.init_mode != InitMode::kWeak &&
       analysis::AnalyzeWeakInit(*program->MainLoop(),
@@ -66,21 +54,31 @@ Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
           .exact;
   const InitMode mode = ResolveInitMode(
       request.init_mode, weak_exact, DenseCheckpoints(epochs, boundaries));
-  return PartitionMainLoop(epochs, request.num_workers, mode, boundaries);
+  if (request.sample_epochs.empty())
+    return PartitionMainLoop(epochs, request.num_workers, mode, boundaries);
+  FLOR_ASSIGN_OR_RETURN(
+      WorkerPlan sampled,
+      PlanWorker(epochs, request.sample_epochs, mode, boundaries));
+  PartitionPlan plan;
+  plan.mode = mode;
+  plan.segments = static_cast<int64_t>(sampled.iters.size());
+  plan.max_worker_epochs = sampled.work_epochs();
+  plan.workers.push_back(std::move(sampled));
+  return plan;
 }
 
 Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
                               const ClusterPlanOptions& options) {
-  if (!options.sample_epochs.empty()) return 1;
-  if (options.num_workers <= 1) return 1;
+  const bool sampling = !options.sample_epochs.empty();
+  if (options.num_workers <= 1 && !sampling) return 1;
 
   FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
   InstrumentProgram(instance.program.get());
   ir::Loop* main_loop = instance.program->MainLoop();
   if (main_loop == nullptr) return 1;
   const int64_t epochs = main_loop->iter().fixed_count;
-  if (epochs < 0) return options.num_workers;  // dynamic trip count
+  if (epochs < 0) return sampling ? 1 : options.num_workers;  // dynamic
 
   FLOR_ASSIGN_OR_RETURN(Manifest manifest,
                         ReadManifest(fs, options.run_prefix));
@@ -123,15 +121,6 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
 
 namespace {
 
-/// Per-worker ReplayOptions: the request plus `worker_id`.
-ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
-                                  int worker_id) {
-  ReplayOptions ropts{options, worker_id,
-                      /*run_deferred_check=*/false};  // merged in ReplayMerger
-  if (!ropts.sample_epochs.empty()) ropts.num_workers = 1;
-  return ropts;
-}
-
 // Worker-result format: a sectioned message (serialize/sections.h) tagged
 // kResultTag. Section 0 is the meta block, sections 1-2 are LogStream
 // line encodings, sections 3-4 newline-joined statement uids.
@@ -156,23 +145,6 @@ Result<std::set<int32_t>> SplitUids(const std::string& data) {
 }
 
 }  // namespace
-
-Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
-                                     FileSystem* fs,
-                                     const ClusterPlanOptions& request,
-                                     int worker_id, bool simulated_clock) {
-  std::unique_ptr<Clock> clock;
-  if (simulated_clock) {
-    clock = std::make_unique<SimClock>();
-  } else {
-    clock = std::make_unique<WallClock>();
-  }
-  Env env(std::move(clock), fs);
-  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-  ReplaySession session(&env, WorkerReplayOptions(request, worker_id));
-  exec::Frame frame;
-  return session.Run(instance.program.get(), &frame);
-}
 
 std::string EncodeWorkerResult(const ReplayResult& result) {
   std::string meta =

@@ -1,19 +1,18 @@
-// Shared core of partitioned hindsight replay: planning, the partition
-// body and log merging.
+// Shared core of partitioned hindsight replay: planning and log merging.
 //
 // Every engine behind exec::Replay (exec/replay_executor.h) plans with
-// PlanActiveWorkers, replays each partition with ReplayPartition and
-// merges with ReplayMerger, so the merged replay logs are byte-identical
-// across engines and partition counts. The engines differ only in where
-// ReplayPartition runs: on a pool thread, on a simulated or the wall
-// clock, or in a forked worker process. PlanActiveWorkers,
-// PlannedRestoreEpochs and each worker's ReplaySession all plan with
+// PlanActiveWorkers, replays each partition with ReplayPartition
+// (flor/replay.h) and merges with ReplayMerger, so the merged replay logs
+// are byte-identical across engines and partition counts. The engines
+// differ only in where ReplayPartition runs: on a pool thread, on a
+// simulated or the wall clock, or in a forked worker process.
+// PlanActiveWorkers, PlannedRestoreEpochs and every worker plan with
 // PlanPartitions, so the plan, the GC pins and the workers agree.
 //
 // Checkpoint-store sharding is invisible at this layer by design: each
-// worker's ReplaySession reads the shard count from the record manifest
-// and routes object reads itself, so partition planning and log merging
-// are identical for flat and sharded stores.
+// worker reads the shard count from the record manifest and routes object
+// reads itself, so partition planning and log merging are identical for
+// flat and sharded stores.
 
 #ifndef FLOR_FLOR_REPLAY_PLAN_H_
 #define FLOR_FLOR_REPLAY_PLAN_H_
@@ -23,12 +22,13 @@
 #include <vector>
 
 #include "env/filesystem.h"
+#include "flor/deferred_check.h"
 #include "flor/replay.h"
 
 namespace flor {
 
 // ClusterPlanOptions, the replay request every engine consumes, is declared
-// in flor/replay.h next to the per-worker ReplayOptions built from it.
+// in flor/replay.h next to ReplayPartition, the worker that runs it.
 
 /// Plans the `epochs` main-loop iterations of `program` (instrumented, with
 /// a main loop) for `request` against the run's `manifest`:
@@ -37,43 +37,36 @@ namespace flor {
 ///   * init mode: ResolveInitMode of the request, with weak init's
 ///     exactness from analysis::AnalyzeWeakInit over the manifest's
 ///     checkpoint names, so planning reads no checkpoint;
-///   * partition: PartitionMainLoop, or for a sampling request one
-///     weak-initialized worker over the sampled epochs (PlanSampledEpochs),
-///     with one segment per planned iteration.
+///   * partition: PartitionMainLoop, or for a sampling request one worker
+///     over the sampled epochs (PlanWorker), with one segment per planned
+///     iteration. A sampling request resolves its mode the same way, so it
+///     plans strong where weak init is not exact, and fails where strong
+///     init lacks a checkpoint.
 Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
                                      const Manifest& manifest,
                                      const ClusterPlanOptions& request);
 
-/// Plans how many replay sessions a partitioned replay needs, without
-/// executing anything: builds a fresh instance, instruments it, reads the
-/// record manifest from `fs`, and partitions the main loop. Falls back to
-/// `options.num_workers` when the main-loop trip count is not statically
+/// Plans how many replay workers a replay needs, without executing
+/// anything. A one-worker partitioned request needs one; any other builds
+/// a fresh instance, instruments it, reads the record manifest from `fs`
+/// and plans the main loop, so a sampling request that cannot be planned
+/// fails before any worker runs. Falls back to `options.num_workers` (one
+/// worker for sampling) when the main-loop trip count is not statically
 /// known (surplus workers then plan themselves empty at run time).
 Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
                               const ClusterPlanOptions& options);
 
-/// Replays partition `worker_id` of `request`: builds a fresh program
-/// instance with `factory` and runs one ReplaySession over it against
-/// `fs`, on a fresh SimClock when `simulated_clock` is set and on the
-/// wall clock otherwise. The worker skips the deferred check: the merger
-/// checks the merged stream once. Every engine's worker body.
-Result<ReplayResult> ReplayPartition(const ProgramFactory& factory,
-                                     FileSystem* fs,
-                                     const ClusterPlanOptions& request,
-                                     int worker_id, bool simulated_clock);
-
 /// Main-loop epochs whose checkpoints the replay planned by `options` will
-/// restore during worker initialization (weak init: each worker's single
-/// pre-segment epoch; strong init: every epoch before each work segment;
-/// sampling: the weak-init epoch before every non-contiguous jump; an auto
-/// request follows the mode it resolves to), as a
-/// sorted, deduplicated list. Retention pins these
-/// (GcPolicy::pinned_epochs) so a replay planned before a GC pass still
-/// finds every checkpoint it restores — the GC-side half of "no engine
-/// ever observes a retired epoch it was planned against". Fails when
-/// the main-loop trip count is not statically known (such plans are made
-/// at run time and cannot be pinned ahead of a GC).
+/// restore during worker initialization (weak init: the epoch before each
+/// worker's segment, or before each jump between sampled epochs; strong
+/// init: every epoch a worker has not run before its work; an auto request
+/// follows the mode it resolves to), as a sorted, deduplicated list.
+/// Retention pins these (GcPolicy::pinned_epochs) so a replay planned
+/// before a GC pass still finds every checkpoint it restores — the
+/// GC-side half of "no engine ever observes a retired epoch it was planned
+/// against". Fails when the main-loop trip count is not statically known
+/// (such plans are made at run time and cannot be pinned ahead of a GC).
 Result<std::vector<int64_t>> PlannedRestoreEpochs(
     const ProgramFactory& factory, const FileSystem* fs,
     const ClusterPlanOptions& options);

@@ -1,34 +1,38 @@
 #include "flor/search.h"
 
 #include "common/strings.h"
-#include "flor/replay.h"
+#include "flor/replay_plan.h"
 
 namespace flor {
 
 namespace {
 
-/// Replays exactly one epoch (sampling replay) and evaluates the predicate
-/// on its work entries.
+/// Replays exactly one epoch (sampling replay) on one worker, checks its
+/// logs against the record's, and evaluates the predicate on the epoch's
+/// work entries.
 Result<bool> ProbeEpoch(Env* env, const ProgramFactory& factory,
                         const EpochPredicate& predicate, int64_t epoch,
                         const SearchOptions& options,
                         SearchResult* result) {
-  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-  ReplayOptions ropts;
-  ropts.run_prefix = options.run_prefix;
-  ropts.sample_epochs = {epoch};
-  ropts.costs = options.costs;
-  ReplaySession session(env, ropts);
-  exec::Frame frame;
-  FLOR_ASSIGN_OR_RETURN(ReplayResult rr,
-                        session.Run(instance.program.get(), &frame));
+  ClusterPlanOptions request;
+  request.run_prefix = options.run_prefix;
+  request.sample_epochs = {epoch};
+  request.costs = options.costs;
+  FLOR_ASSIGN_OR_RETURN(
+      ReplayResult worker,
+      ReplayPartition(factory, env->fs(), request, /*worker_id=*/0,
+                      env->clock()->is_simulated()));
+  ReplayMerger merger;
+  merger.Add(0, std::move(worker));
+  FLOR_ASSIGN_OR_RETURN(MergedClusterReplay rr,
+                        merger.Finish(env->fs(), options.run_prefix));
   FLOR_RETURN_IF_ERROR(rr.deferred.ToStatus());
   result->probed_epochs.push_back(epoch);
-  result->total_latency_seconds += rr.runtime_seconds;
+  result->total_latency_seconds += rr.latency_seconds;
   // Only entries from the sampled epoch's context.
   std::vector<exec::LogEntry> entries;
   const std::string prefix = StrCat("e=", epoch);
-  for (const auto& e : rr.logs.WorkEntries()) {
+  for (const auto& e : rr.merged_logs.entries()) {
     if (e.context == prefix ||
         StartsWith(e.context, prefix + "/")) {
       entries.push_back(e);

@@ -10,7 +10,8 @@
 // `SearchReplay` binary-searches the main-loop epochs of a finished record
 // run for the first epoch satisfying a user predicate over that epoch's
 // hindsight log output. Each probe of an epoch is one single-epoch sampling
-// replay (flor/partition.h random access), so the total work is
+// replay: one ReplayPartition worker, whose logs ReplayMerger checks
+// against the record's (flor/replay_plan.h). So the total work is
 // O(log E) epoch re-executions instead of a full scan.
 
 #ifndef FLOR_FLOR_SEARCH_H_

@@ -18,8 +18,8 @@
 #include "common/bloom.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
+#include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "flor/replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -257,23 +257,20 @@ TEST(BloomReplay, FilteredReplayMatchesFilterlessByteForByte) {
   }
 
   auto replay = [&fs](bool bloom) {
-    Env env(std::make_unique<SimClock>(), &fs);
-    auto instance = MakeWorkloadFactory(BloomProfile(), kProbeNone)();
-    EXPECT_TRUE(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = "run";
-    ropts.tier.bloom_filter = bloom;
-    ReplaySession session(&env, ropts);
-    exec::Frame frame;
-    auto result = session.Run(instance->program.get(), &frame);
+    ClusterPlanOptions request;
+    request.run_prefix = "run";
+    request.tier.bloom_filter = bloom;
+    auto result =
+        exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                     MakeWorkloadFactory(BloomProfile(), kProbeNone));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
   };
 
-  ReplayResult plain = replay(false);
-  ReplayResult filtered = replay(true);
-  EXPECT_EQ(filtered.logs.Serialize(), plain.logs.Serialize());
-  EXPECT_EQ(filtered.runtime_seconds, plain.runtime_seconds);
+  MergedClusterReplay plain = replay(false);
+  MergedClusterReplay filtered = replay(true);
+  EXPECT_EQ(filtered.merged_logs.Serialize(), plain.merged_logs.Serialize());
+  EXPECT_EQ(filtered.latency_seconds, plain.latency_seconds);
   EXPECT_EQ(filtered.skipblocks.skipped, plain.skipblocks.skipped);
   EXPECT_TRUE(filtered.deferred.ok);
   EXPECT_EQ(plain.bloom_skipped_probes, 0);

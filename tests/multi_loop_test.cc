@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/strings.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "flor/replay.h"
 #include "ir/builder.h"
 #include "test_util.h"
 
@@ -19,7 +20,7 @@ using exec::Frame;
 /// A script whose main loop contains TWO instrumented loops — a training
 /// loop and a validation loop — each mutating its own accumulator. This
 /// exercises the partition-boundary intersection across skippable loops
-/// (ReplaySession::BoundaryEpochs).
+/// (CheckpointBoundaryEpochs in flor/replay_plan.cc).
 Result<ProgramInstance> TwoLoopProgram(bool probe_valid) {
   // All state lives in frame variables, so the declared changesets are the
   // whole truth (contrast property_test.cc's HiddenSideEffectProgram).
@@ -102,14 +103,11 @@ TEST(MultiLoop, ProbingOneLoopSkipsTheOther) {
     Frame frame;
     ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
   }
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = TwoLoopProgram(true);  // probe only the validation loop
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request, [] {
+    return TwoLoopProgram(true);  // probe only the validation loop
+  });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Training loops all skipped (6), validation loops all executed (6).
   EXPECT_EQ(result->skipblocks.skipped, 6);
@@ -221,22 +219,21 @@ TEST(DeepNest, ReplaySkipsAtTheOutermostSkippableLevel) {
     Frame frame;
     ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
   }
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = DeepNestProgram();
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return DeepNestProgram(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The batch loop (direct child of main) skips; its nested micro loops
   // are never reached.
   EXPECT_EQ(result->skipblocks.skipped, 3);
   EXPECT_EQ(result->skipblocks.executed, 0);
   EXPECT_TRUE(result->deferred.ok);
-  EXPECT_NEAR(frame.At("acc").AsFloat(), 3 * 2 * (4 * 0.5 + 0.25 * 6),
-              1e-4);
+  ASSERT_FALSE(result->merged_logs.entries().empty());
+  const exec::LogEntry& last = result->merged_logs.entries().back();
+  EXPECT_EQ(last.label, "acc");
+  EXPECT_NEAR(std::strtod(last.text.c_str(), nullptr),
+              3 * 2 * (4 * 0.5 + 0.25 * 6), 1e-4);
 }
 
 using PosixEndToEnd = testutil::ScratchDirTest;
@@ -260,13 +257,10 @@ TEST_F(PosixEndToEnd, RecordReplayOnRealDisk) {
   }
   {
     auto env = NewPosixEnv();
-    auto instance = TwoLoopProgram(true);
-    ASSERT_TRUE(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = "run";
-    ReplaySession session(env.get(), ropts);
-    Frame frame;
-    auto result = session.Run(instance->program.get(), &frame);
+    ClusterPlanOptions request;
+    request.run_prefix = "run";
+    auto result = exec::Replay(ReplayEngine::kThreads, env->fs(), request,
+                               [] { return TwoLoopProgram(true); });
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->deferred.ok)
         << (result->deferred.anomalies.empty()

@@ -292,23 +292,33 @@ ProgramFactory BestFactory(int64_t epochs) {
   };
 }
 
+/// Records `factory` onto `fs` under "run". A sparse record prices a
+/// checkpoint at about 1 s against 4 s of training loop, so the adaptive
+/// controller checkpoints sparsely (the RTE regime); a dense one turns
+/// adaptive checkpointing off, so every epoch is checkpointed.
+Result<RecordResult> RecordBest(Env* env, const ProgramFactory& factory,
+                                bool sparse) {
+  RecordOptions opts;
+  opts.run_prefix = "run";
+  if (sparse) {
+    opts.materializer.costs = sim::PaperPlatformCosts();
+    opts.nominal_checkpoint_bytes = 165'000'000;
+  } else {
+    opts.adaptive.enabled = false;
+  }
+  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+  RecordSession session(env, opts);
+  exec::Frame frame;
+  return session.Run(instance.program.get(), &frame);
+}
+
 TEST(ClusterReplay, SparseRecordOfCarriedStateReplaysFromEpochZero) {
   constexpr int64_t kEpochs = 8;
   const ProgramFactory factory = BestFactory(kEpochs);
   MemFileSystem fs;
   Env env(std::make_unique<SimClock>(), &fs);
   {
-    // A checkpoint of about 1 s against 4 s of training loop: the
-    // adaptive controller checkpoints sparsely (the RTE regime).
-    RecordOptions opts;
-    opts.run_prefix = "run";
-    opts.materializer.costs = sim::PaperPlatformCosts();
-    opts.nominal_checkpoint_bytes = 165'000'000;
-    auto instance = factory();
-    ASSERT_TRUE(instance.ok());
-    RecordSession session(&env, opts);
-    exec::Frame frame;
-    auto rec = session.Run(instance->program.get(), &frame);
+    auto rec = RecordBest(&env, factory, /*sparse=*/true);
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     ASSERT_GT(rec->manifest.records.size(), 0u);
     ASSERT_LT(rec->manifest.records.size(),
@@ -351,6 +361,72 @@ TEST(ClusterReplay, SparseRecordOfCarriedStateReplaysFromEpochZero) {
   EXPECT_EQ(weak->effective_init, InitMode::kWeak);
   EXPECT_FALSE(weak->deferred.ok);
   EXPECT_NE(weak->merged_logs.Serialize(), vanilla);
+}
+
+// A sampling request resolves its init mode as a partitioned one does.
+// Weak init of epoch 5 restores w but starts best from the preamble's 0,
+// so on a dense record the sample plans strong: epochs 0-4 restore in
+// init, and 5-6 skip their training loop from its checkpoint.
+TEST(ClusterReplay, SamplingADenseRecordOfCarriedStatePlansStrong) {
+  constexpr int64_t kEpochs = 8;
+  const ProgramFactory factory = BestFactory(kEpochs);
+  MemFileSystem fs;
+  {
+    Env env(std::make_unique<SimClock>(), &fs);
+    auto rec = RecordBest(&env, factory, /*sparse=*/false);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(rec->manifest.records.size(), static_cast<size_t>(kEpochs));
+  }
+
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {5, 6};
+  for (ReplayEngine engine :
+       {ReplayEngine::kSimulated, ReplayEngine::kThreads}) {
+    auto replay = exec::Replay(engine, &fs, request, factory);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_EQ(replay->effective_init, InitMode::kStrong);
+    EXPECT_EQ(replay->skipblocks.restores, 7);
+    EXPECT_TRUE(replay->deferred.ok)
+        << (replay->deferred.anomalies.empty()
+                ? ""
+                : replay->deferred.anomalies[0]);
+  }
+  auto pinned = PlannedRestoreEpochs(factory, &fs, request);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(*pinned, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+}
+
+// On a sparse record neither mode can sample epochs 4-5 of the same
+// program: weak init is not exact, and strong init lacks epoch 0's
+// checkpoint. The plan refuses the request before any worker runs.
+TEST(ClusterReplay, SamplingASparseRecordOfCarriedStateIsRefused) {
+  constexpr int64_t kEpochs = 8;
+  const ProgramFactory factory = BestFactory(kEpochs);
+  MemFileSystem fs;
+  {
+    Env env(std::make_unique<SimClock>(), &fs);
+    auto rec = RecordBest(&env, factory, /*sparse=*/true);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(rec->manifest.EpochsWithCheckpoint(2),
+              (std::vector<int64_t>{3, 7}));
+  }
+
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {4, 5};
+  for (ReplayEngine engine :
+       {ReplayEngine::kSimulated, ReplayEngine::kThreads}) {
+    auto replay = exec::Replay(engine, &fs, request, factory);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kFailedPrecondition)
+        << replay.status().ToString();
+    EXPECT_NE(replay.status().message().find("epoch 0 "), std::string::npos)
+        << replay.status().ToString();
+    EXPECT_EQ(replay.status().message().find("replay worker"),
+              std::string::npos)
+        << replay.status().ToString();
+  }
 }
 
 TEST(ReplayMerger, RejectsWorkersThatRanDifferentPlans) {

@@ -1,10 +1,13 @@
 // Unit + property tests: main-loop iterator partitioning, strong/weak
-// initialization plans, and sampled-epoch plans (paper §5.4, §8).
+// initialization plans, and plans of sampled epochs (paper §5.4, §8).
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "flor/partition.h"
 
@@ -158,7 +161,7 @@ TEST(Partition, Fig13LoadBalanceCeiling) {
 }
 
 TEST(SamplePlan, WeakInitBeforeEachJump) {
-  auto plan = PlanSampledEpochs(20, {5, 6, 12}, DenseCkpts(20));
+  auto plan = PlanWorker(20, {5, 6, 12}, InitMode::kWeak, DenseCkpts(20));
   ASSERT_TRUE(plan.ok());
   // init 4, work 5, work 6 (contiguous, no re-init), init 11, work 12.
   ASSERT_EQ(plan->iters.size(), 5u);
@@ -173,24 +176,60 @@ TEST(SamplePlan, WeakInitBeforeEachJump) {
 }
 
 TEST(SamplePlan, EpochZeroNeedsNoInit) {
-  auto plan = PlanSampledEpochs(10, {0}, DenseCkpts(10));
+  auto plan = PlanWorker(10, {0}, InitMode::kWeak, DenseCkpts(10));
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->iters.size(), 1u);
   EXPECT_EQ(plan->iters[0].mode, exec::IterMode::kWork);
 }
 
 TEST(SamplePlan, MissingCheckpointRejected) {
-  EXPECT_FALSE(PlanSampledEpochs(10, {5}, {}).ok());
-  EXPECT_FALSE(PlanSampledEpochs(10, {50}, DenseCkpts(10)).ok());
+  EXPECT_FALSE(PlanWorker(10, {5}, InitMode::kWeak, {}).ok());
+  EXPECT_FALSE(PlanWorker(10, {50}, InitMode::kWeak, DenseCkpts(10)).ok());
 }
 
 TEST(SamplePlan, DeduplicatesAndSorts) {
-  auto plan = PlanSampledEpochs(10, {7, 3, 7}, DenseCkpts(10));
+  auto plan = PlanWorker(10, {7, 3, 7}, InitMode::kWeak, DenseCkpts(10));
   ASSERT_TRUE(plan.ok());
   // init 2, work 3, init 6, work 7.
   ASSERT_EQ(plan->iters.size(), 4u);
   EXPECT_EQ(plan->iters[1].index, 3);
   EXPECT_EQ(plan->iters[3].index, 7);
+}
+
+TEST(SamplePlan, StrongInitRestoresEveryEpochNotYetRun) {
+  auto plan = PlanWorker(20, {5, 6, 12}, InitMode::kStrong, DenseCkpts(20));
+  ASSERT_TRUE(plan.ok());
+  // init 0-4, work 5-6, init 7-11, work 12.
+  std::vector<std::pair<int64_t, exec::IterMode>> expected;
+  auto add = [&expected](int64_t first, int64_t last, exec::IterMode mode) {
+    for (int64_t e = first; e <= last; ++e) expected.push_back({e, mode});
+  };
+  add(0, 4, exec::IterMode::kInit);
+  add(5, 6, exec::IterMode::kWork);
+  add(7, 11, exec::IterMode::kInit);
+  add(12, 12, exec::IterMode::kWork);
+  std::vector<std::pair<int64_t, exec::IterMode>> got;
+  for (const auto& it : plan->iters) got.push_back({it.index, it.mode});
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(plan->work_begin, 5);
+  EXPECT_EQ(plan->work_end, 13);
+}
+
+TEST(SamplePlan, StrongInitNamesTheMissingCheckpoint) {
+  // Checkpoints at 3 and 7 only: strong init of epoch 4 needs epoch 0.
+  auto plan = PlanWorker(8, {4, 5}, InitMode::kStrong, {3, 7});
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find("epoch 0 "), std::string::npos)
+      << plan.status().ToString();
+  // Weak init of the same epochs needs only epoch 3.
+  EXPECT_TRUE(PlanWorker(8, {4, 5}, InitMode::kWeak, {3, 7}).ok());
+}
+
+TEST(SamplePlan, AutoModeIsResolvedFirst) {
+  auto plan = PlanWorker(10, {3}, InitMode::kAuto, DenseCkpts(10));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 }
 
 /// Property sweep: arbitrary (epochs, workers, checkpoint spacing) — plans

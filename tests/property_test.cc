@@ -72,20 +72,22 @@ TEST_P(MemoizationSweep, ReplayReproducesRecordedState) {
   MemFileSystem fs;
   const uint64_t recorded = RecordAndFingerprint(&fs, p);
 
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = MakeWorkloadFactory(p, kProbeNone)();
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  // Keep the replayed instance's context, which owns its model.
+  std::shared_ptr<void> context;
+  auto factory = [&context, &p]() -> Result<ProgramInstance> {
+    auto instance = MakeWorkloadFactory(p, kProbeNone)();
+    if (instance.ok()) context = instance->context;
+    return instance;
+  };
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request, factory);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok);
   EXPECT_EQ(result->skipblocks.executed, 0);
-  EXPECT_EQ(static_cast<WorkloadRuntime*>(instance->context.get())
-                ->net->StateFingerprint(),
-            recorded);
+  auto* rt = static_cast<WorkloadRuntime*>(context.get());
+  ASSERT_NE(rt, nullptr);
+  EXPECT_EQ(rt->net->StateFingerprint(), recorded);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,14 +113,10 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   // Sequential reference (one worker).
   std::vector<std::string> sequential;
   {
-    Env env = testutil::MakeSimEnv(&fs);
-    auto instance = factory();
-    ASSERT_TRUE(instance.ok());
-    ReplayOptions ropts;
-    ropts.run_prefix = "run";
-    ReplaySession session(&env, ropts);
-    Frame frame;
-    auto result = session.Run(instance->program.get(), &frame);
+    ClusterPlanOptions request;
+    request.run_prefix = "run";
+    auto result =
+        exec::Replay(ReplayEngine::kSimulated, &fs, request, factory);
     ASSERT_TRUE(result.ok());
     ASSERT_TRUE(result->deferred.ok);
     for (const auto& e : result->probe_entries)
@@ -213,17 +211,12 @@ TEST(DeferredChecks, HiddenSideEffectCaught) {
   // Replay with a worker segment that skips epochs 0-1 via init restore:
   // the checkpoint restores x but not the hidden accumulator, so the
   // logged hidden_acc diverges — and the deferred check must flag it.
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = HiddenSideEffectProgram(true);
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.worker_id = 1;
-  ropts.num_workers = 2;
-  ropts.init_mode = InitMode::kWeak;
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.num_workers = 2;
+  request.init_mode = InitMode::kWeak;
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return HiddenSideEffectProgram(true); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->deferred.ok)
       << "hidden side effect escaped the deferred check";
@@ -246,17 +239,12 @@ TEST(DeferredChecks, SameProgramWithoutHiddenLogPasses) {
     Frame frame;
     ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
   }
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = HiddenSideEffectProgram(false);
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.worker_id = 1;
-  ropts.num_workers = 2;
-  ropts.init_mode = InitMode::kWeak;
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.num_workers = 2;
+  request.init_mode = InitMode::kWeak;
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return HiddenSideEffectProgram(false); });
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->deferred.ok);
 }
@@ -335,15 +323,11 @@ void RecordProgram(FileSystem* fs, const ProgramFactory& factory) {
 TEST(DeferredChecks, RngInChangesetReplaysExactly) {
   MemFileSystem fs;
   RecordProgram(&fs, [] { return RngProgram(true); });
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = ProbedRngProgram(true);
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.sample_epochs = {2};  // random-access epoch 2: re-executes it
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {2};  // random-access epoch 2: re-executes it
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return ProbedRngProgram(true); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
       << (result->deferred.anomalies.empty()
@@ -354,15 +338,11 @@ TEST(DeferredChecks, RngInChangesetReplaysExactly) {
 TEST(DeferredChecks, RngMissedFromChangesetCaught) {
   MemFileSystem fs;
   RecordProgram(&fs, [] { return RngProgram(false); });
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = ProbedRngProgram(false);
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.sample_epochs = {2};
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {2};
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return ProbedRngProgram(false); });
   ASSERT_TRUE(result.ok());
   // The re-executed epoch draws from an unrestored stream: caught.
   EXPECT_FALSE(result->deferred.ok);
@@ -407,19 +387,18 @@ TEST(RefusedLoops, ReplayReexecutesAndMatches) {
   MemFileSystem fs;
   RecordProgram(&fs, [] { return RefusedLoopProgram(); });
 
-  Env env = testutil::MakeSimEnv(&fs);
-  auto instance = RefusedLoopProgram();
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(&env, ropts);
-  Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return RefusedLoopProgram(); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Nothing was instrumented, so nothing was skipped — but the logs match.
   EXPECT_EQ(result->skipblocks.skipped, 0);
   EXPECT_TRUE(result->deferred.ok);
-  EXPECT_EQ(frame.At("total").AsFloat(), 6.0);
+  ASSERT_FALSE(result->merged_logs.entries().empty());
+  const exec::LogEntry& last = result->merged_logs.entries().back();
+  EXPECT_EQ(last.label, "total");
+  EXPECT_EQ(last.text, "6.0");
 }
 
 TEST(RefusedLoops, NoCheckpointsMaterialized) {

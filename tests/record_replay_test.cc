@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flor/deferred_check.h"
 #include "flor/record.h"
 #include "flor/replay.h"
 #include "ir/builder.h"
@@ -58,6 +59,13 @@ RecordResult RecordTiny(Env* env, uint64_t* final_fingerprint,
   auto* rt = static_cast<WorkloadRuntime*>(instance->context.get());
   if (final_fingerprint) *final_fingerprint = rt->net->StateFingerprint();
   return std::move(result).value();
+}
+
+/// The deferred check of one replay worker's logs against the record's.
+DeferredCheckReport CheckAgainstRecord(const RecordResult& rec,
+                                       const ReplayResult& replay) {
+  return DeferredCheck(rec.logs.entries(), replay.logs.WorkEntries(),
+                       replay.probes.probe_stmt_uids);
 }
 
 TEST(Record, MaterializesDenseCheckpoints) {
@@ -170,28 +178,31 @@ TEST(Replay, NoProbesSkipsEverythingAndMatchesState) {
   uint64_t recorded_fp = 0;
   RecordResult rec = RecordTiny(env.get(), &recorded_fp);
 
-  auto factory = MakeWorkloadFactory(TinyProfile(), kProbeNone);
-  auto instance = factory();
-  ASSERT_TRUE(instance.ok());
+  // Keep the replayed instance's context, which owns its model.
+  std::shared_ptr<void> context;
+  auto factory = [&context]() -> Result<ProgramInstance> {
+    auto instance = MakeWorkloadFactory(TinyProfile(), kProbeNone)();
+    if (instance.ok()) context = instance->context;
+    return instance;
+  };
 
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = ReplayPartition(factory, env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_FALSE(result->probes.any());
   EXPECT_EQ(result->skipblocks.skipped, 6);
   EXPECT_EQ(result->skipblocks.executed, 0);
-  EXPECT_TRUE(result->deferred.ok)
-      << (result->deferred.anomalies.empty()
-              ? ""
-              : result->deferred.anomalies[0]);
+  const DeferredCheckReport deferred = CheckAgainstRecord(rec, *result);
+  EXPECT_TRUE(deferred.ok)
+      << (deferred.anomalies.empty() ? "" : deferred.anomalies[0]);
 
   // Restoring the memoized loops reproduces the recorded final model state
   // bit-exactly.
-  auto* rt = static_cast<WorkloadRuntime*>(instance->context.get());
+  auto* rt = static_cast<WorkloadRuntime*>(context.get());
+  ASSERT_NE(rt, nullptr);
   EXPECT_EQ(rt->net->StateFingerprint(), recorded_fp);
 
   // Partial replay is much faster than the record run on simulated time.
@@ -200,16 +211,13 @@ TEST(Replay, NoProbesSkipsEverythingAndMatchesState) {
 
 TEST(Replay, OuterProbeProducesHindsightLogsWithoutReexecution) {
   auto env = Env::NewSimEnv();
-  RecordTiny(env.get(), nullptr);
+  RecordResult rec = RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeOuter)();
-  ASSERT_TRUE(instance.ok());
-
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeOuter),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_TRUE(result->probes.any());
@@ -219,21 +227,18 @@ TEST(Replay, OuterProbeProducesHindsightLogsWithoutReexecution) {
   // One hindsight entry per epoch.
   ASSERT_EQ(result->probe_entries.size(), 6u);
   EXPECT_EQ(result->probe_entries[0].label, "weight_norm");
-  EXPECT_TRUE(result->deferred.ok);
+  EXPECT_TRUE(CheckAgainstRecord(rec, *result).ok);
 }
 
 TEST(Replay, InnerProbeForcesReexecutionAndMatchesRecordLogs) {
   auto env = Env::NewSimEnv();
   RecordResult rec = RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeInner)();
-  ASSERT_TRUE(instance.ok());
-
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeInner),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Probed training loops must re-execute.
@@ -243,11 +248,10 @@ TEST(Replay, InnerProbeForcesReexecutionAndMatchesRecordLogs) {
   EXPECT_EQ(result->probe_entries.size(), 6u * 4u);
   // Re-executed training reproduces the recorded loss values bit-exactly —
   // this is the deferred correctness check passing with real content.
-  EXPECT_TRUE(result->deferred.ok)
-      << (result->deferred.anomalies.empty()
-              ? ""
-              : result->deferred.anomalies[0]);
-  EXPECT_GT(result->deferred.entries_compared, 0);
+  const DeferredCheckReport deferred = CheckAgainstRecord(rec, *result);
+  EXPECT_TRUE(deferred.ok)
+      << (deferred.anomalies.empty() ? "" : deferred.anomalies[0]);
+  EXPECT_GT(deferred.entries_compared, 0);
   // Full re-execution costs about as much as training did.
   EXPECT_GT(result->runtime_seconds, rec.runtime_seconds * 0.8);
 }
@@ -259,32 +263,26 @@ TEST(Replay, NonLogEditIsRejected) {
   // Build a variant whose (non-log) structure differs: different epochs.
   WorkloadProfile altered = TinyProfile();
   altered.epochs = 7;
-  auto instance = MakeWorkloadFactory(altered, kProbeNone)();
-  ASSERT_TRUE(instance.ok());
 
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = ReplayPartition(MakeWorkloadFactory(altered, kProbeNone),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Replay, WorkerSegmentReplaysItsPartitionOnly) {
   auto env = Env::NewSimEnv();
-  RecordTiny(env.get(), nullptr);
+  RecordResult rec = RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeInner)();
-  ASSERT_TRUE(instance.ok());
-
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.worker_id = 1;
-  ropts.num_workers = 3;
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.num_workers = 3;
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeInner),
+                                env->fs(), request, /*worker_id=*/1,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->active_workers, 3);
@@ -296,31 +294,27 @@ TEST(Replay, WorkerSegmentReplaysItsPartitionOnly) {
     EXPECT_TRUE(e.context.find("e=2") == 0 || e.context.find("e=3") == 0)
         << e.context;
   }
-  EXPECT_TRUE(result->deferred.ok);
+  EXPECT_TRUE(CheckAgainstRecord(rec, *result).ok);
 }
 
 TEST(Replay, SamplingReplayRandomAccessesEpochs) {
   auto env = Env::NewSimEnv();
-  RecordTiny(env.get(), nullptr);
+  RecordResult rec = RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeInner)();
-  ASSERT_TRUE(instance.ok());
-
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.sample_epochs = {1, 4};
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {1, 4};
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeInner),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Two sampled epochs re-executed, two init restores (epochs 0 and 3).
   EXPECT_EQ(result->skipblocks.executed, 2);
   EXPECT_EQ(result->skipblocks.skipped, 2);
-  EXPECT_TRUE(result->deferred.ok)
-      << (result->deferred.anomalies.empty()
-              ? ""
-              : result->deferred.anomalies[0]);
+  const DeferredCheckReport deferred = CheckAgainstRecord(rec, *result);
+  EXPECT_TRUE(deferred.ok)
+      << (deferred.anomalies.empty() ? "" : deferred.anomalies[0]);
   std::set<std::string> contexts;
   for (const auto& e : result->logs.WorkEntries())
     if (!e.context.empty())
@@ -338,13 +332,11 @@ TEST(Replay, RestoreAccountingMovesTogether) {
   auto env = Env::NewSimEnv();
   RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeNone)();
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeNone),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->skipblocks.restores, result->skipblocks.skipped);
@@ -358,14 +350,12 @@ TEST(Replay, ObservedCMatchesCostModel) {
   auto env = Env::NewSimEnv();
   RecordTiny(env.get(), nullptr);
 
-  auto instance = MakeWorkloadFactory(TinyProfile(), kProbeNone)();
-  ASSERT_TRUE(instance.ok());
-  ReplayOptions ropts;
-  ropts.run_prefix = "run";
-  ropts.costs = sim::PaperPlatformCosts();
-  ReplaySession session(env.get(), ropts);
-  exec::Frame frame;
-  auto result = session.Run(instance->program.get(), &frame);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.costs = sim::PaperPlatformCosts();
+  auto result = ReplayPartition(MakeWorkloadFactory(TinyProfile(), kProbeNone),
+                                env->fs(), request, /*worker_id=*/0,
+                                /*simulated_clock=*/true);
   ASSERT_TRUE(result.ok());
   // restore = c * materialize with the paper's platform model.
   EXPECT_NEAR(result->observed_c, 1.38, 0.05);

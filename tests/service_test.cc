@@ -42,12 +42,10 @@ using workloads::kProbeNone;
 using workloads::MakeWorkloadFactory;
 using workloads::WorkloadProfile;
 
-// --- Options-dedup guards: the per-worker and process-engine options are
-// --- the one replay request plus their own knobs, and every tier carrier
+// --- Options-dedup guards: the process-engine options are the one
+// --- replay request plus their own knobs, and every tier carrier
 // --- holds the one TierOptions aggregate, so a new tier knob flows to all
 // --- of them or none.
-static_assert(std::is_base_of_v<ClusterPlanOptions, ReplayOptions>,
-              "ReplayOptions must extend the replay request");
 static_assert(
     std::is_base_of_v<ClusterPlanOptions, exec::ProcessReplayExecutorOptions>,
     "ProcessReplayExecutorOptions must extend the replay request");
@@ -1133,8 +1131,8 @@ TEST(ServiceTest, ThreadReplayReadsEachRunFileAPinnedNumberOfTimes) {
   ASSERT_TRUE(session.ok());
 
   // The plan reads the manifest once; each of the three workers reads the
-  // source, the manifest and the record logs; the merger reads the logs
-  // once more. Nothing lists the store.
+  // source and the manifest; the merger reads the record logs once.
+  // Nothing lists the store.
   fs.Reset();
   SessionReplayOptions sopts;
   sopts.engine = ReplayEngine::kThreads;
@@ -1145,7 +1143,7 @@ TEST(ServiceTest, ThreadReplayReadsEachRunFileAPinnedNumberOfTimes) {
   ASSERT_EQ(replay->workers_used, 3);
   EXPECT_TRUE(replay->deferred.ok);
   EXPECT_EQ(fs.reads("svc/alice/r1/manifest.tsv"), 4);
-  EXPECT_EQ(fs.reads("svc/alice/r1/logs.tsv"), 4);
+  EXPECT_EQ(fs.reads("svc/alice/r1/logs.tsv"), 1);
   EXPECT_EQ(fs.reads("svc/alice/r1/source.py"), 3);
   EXPECT_EQ(fs.lists(), 0);
 }
