@@ -292,10 +292,10 @@ ProgramFactory BestFactory(int64_t epochs) {
   };
 }
 
-/// Records `factory` onto `fs` under "run". A sparse record prices a
-/// checkpoint at about 1 s against 4 s of training loop, so the adaptive
-/// controller checkpoints sparsely (the RTE regime); a dense one turns
-/// adaptive checkpointing off, so every epoch is checkpointed.
+/// Records `factory` into `env`'s filesystem under "run". A sparse record
+/// prices a checkpoint at about 1 s against 4 s of training loop, so the
+/// adaptive controller checkpoints sparsely (the RTE regime); a dense one
+/// turns adaptive checkpointing off, so every epoch is checkpointed.
 Result<RecordResult> RecordBest(Env* env, const ProgramFactory& factory,
                                 bool sparse) {
   RecordOptions opts;
@@ -397,9 +397,9 @@ TEST(ClusterReplay, SamplingADenseRecordOfCarriedStatePlansStrong) {
   EXPECT_EQ(*pinned, (std::vector<int64_t>{0, 1, 2, 3, 4}));
 }
 
-// On a sparse record neither mode can sample epochs 4-5 of the same
-// program: weak init is not exact, and strong init lacks epoch 0's
-// checkpoint. The plan refuses the request before any worker runs.
+// On a sparse record, sampling epochs 4-5 of the same program has no
+// exact plan: weak init is not exact, and strong init lacks epoch 0's
+// checkpoint. The planner refuses the request before any worker runs.
 TEST(ClusterReplay, SamplingASparseRecordOfCarriedStateIsRefused) {
   constexpr int64_t kEpochs = 8;
   const ProgramFactory factory = BestFactory(kEpochs);

@@ -418,9 +418,10 @@ TEST_F(ProcessReplayTest, ChildReplayFailureReturnsPartitionStatus) {
   const WorkloadProfile profile = ProcProfile();
   RecordOnto(&fs, profile);
 
-  // Single-worker (sampling) plan whose child deletes the record logs
-  // before replaying: the session fails inside the child and the status
-  // must cross the process boundary through the framed error file.
+  // Single-worker (sampling) plan whose child deletes the record logs and
+  // manifest before replaying: the worker fails inside the child, on the
+  // manifest, and the status must cross the process boundary through the
+  // framed error file.
   const std::string run_root = root();
   exec::ProcessReplayExecutorOptions popts;
   popts.sample_epochs = {3};
