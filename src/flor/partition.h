@@ -18,7 +18,7 @@
 //     when the main-loop body meets analysis/weak_init.h's condition.
 //   * auto — the default request: weak where weak init is exact, strong
 //     otherwise (ResolveInitMode).
-// One builder, PlanWorker, lays out a worker's iterations in the resolved
+// One function, PlanWorker, lays out a worker's iterations in the resolved
 // mode over any set of epochs: a partition's contiguous segment, or the
 // sampled epochs that search random-accesses (§8).
 
