@@ -51,7 +51,6 @@ int main() {
       ClusterPlanOptions copts;
       copts.run_prefix = "run";
       copts.num_workers = 4;
-      copts.costs = sim::PaperPlatformCosts();
       auto replay = exec::Replay(
           ReplayEngine::kSimulated, &fs, copts,
           workloads::MakeWorkloadFactory(profile, workloads::kProbeInner));

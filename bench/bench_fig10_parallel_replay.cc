@@ -65,7 +65,6 @@ int main() {
       copts.run_prefix = "run";
       copts.num_workers = 4;
       copts.init_mode = requested[m];
-      copts.costs = sim::PaperPlatformCosts();
       auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
       FLOR_CHECK(result.ok()) << result.status().ToString();
       FLOR_CHECK(result->deferred.ok)
@@ -132,7 +131,6 @@ int main() {
     xopts.num_threads = threads;
     xopts.num_partitions = 4;  // the paper's 4 GPUs
     xopts.init_mode = InitMode::kWeak;
-    xopts.costs = sim::PaperPlatformCosts();
     exec::ReplayExecutor executor(&real_fs, xopts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
@@ -190,7 +188,6 @@ int main() {
     // partitions behind this host's core count.
     popts.max_concurrent_children = procs;
     popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
     exec::ProcessReplayExecutor executor(&real_fs, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();

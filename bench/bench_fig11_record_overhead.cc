@@ -49,7 +49,7 @@ RecordResult RunRecordConfig(FileSystem* fs,
   FLOR_CHECK(instance.ok()) << instance.status().ToString();
   RecordOptions opts = workloads::DefaultRecordOptions(profile, run_prefix);
   opts.materializer.group_commit_window = config.window;
-  opts.materializer.costs.durable_notify_seconds = config.notify_seconds;
+  opts.materializer.durable_notify_seconds = config.notify_seconds;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);

@@ -32,7 +32,6 @@ MergedClusterReplay BestOverPool(const ProgramFactory& factory,
     // epoch's unskippable statements per worker, erasing the gains of
     // partial replay (the paper's scale-out runs use weak init, Fig. 13).
     copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(ReplayEngine::kSimulated, fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);

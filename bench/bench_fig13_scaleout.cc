@@ -49,7 +49,6 @@ int main() {
     copts.run_prefix = "run";
     copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;  // the paper's Fig. 13 uses weak
-    copts.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
@@ -100,7 +99,6 @@ int main() {
     xopts.num_threads = threads;
     xopts.num_partitions = threads;  // scale-out: G grows with the pool
     xopts.init_mode = InitMode::kWeak;
-    xopts.costs = sim::PaperPlatformCosts();
     exec::ReplayExecutor executor(&real_fs, xopts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
@@ -143,7 +141,6 @@ int main() {
     // elastic sweep below is where the pool shrinks under G.
     popts.max_concurrent_children = procs;
     popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
     exec::ProcessReplayExecutor executor(&real_fs, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
@@ -192,7 +189,6 @@ int main() {
     popts.num_workers = elastic_parts;
     popts.max_concurrent_children = pool;
     popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
     exec::ProcessReplayExecutor executor(&real_fs, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();

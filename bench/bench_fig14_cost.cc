@@ -61,7 +61,6 @@ int main() {
     copts.run_prefix = "run";
     copts.num_workers = 4 * c.machines;
     copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(
         ReplayEngine::kSimulated, &fs, copts,
         workloads::MakeWorkloadFactory(profile, workloads::kProbeInner));
@@ -159,7 +158,6 @@ int main() {
       copts.run_prefix = "run";
       copts.num_workers = 4 * frontier_case.machines;
       copts.init_mode = InitMode::kWeak;
-      copts.costs = sim::PaperPlatformCosts();
       copts.tier.bucket_prefix = "s3";
       // Rehydration off: every bucket restore stays visible.
       copts.tier.bucket_rehydrate = false;

@@ -52,7 +52,6 @@ int main() {
         auto env = Env::NewSimEnv();
         MaterializerOptions mopts;
         mopts.strategy = strategy;
-        mopts.costs = sim::PaperPlatformCosts();
         Materializer materializer(env.get(), mopts);
         CheckpointStore store(env->fs(), "ckpt", shards);
 

@@ -13,7 +13,6 @@
 #include "flor/record.h"
 #include "flor/replay.h"
 #include "sim/cluster.h"
-#include "sim/cost_model.h"
 #include "workloads/profiles.h"
 #include "workloads/programs.h"
 

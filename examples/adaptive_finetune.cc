@@ -11,7 +11,6 @@
 #include "common/strings.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/cost_model.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -68,7 +67,6 @@ int main() {
   ClusterPlanOptions copts;
   copts.run_prefix = "runs/rte";
   copts.num_workers = 4;  // 4 GPUs
-  copts.costs = sim::PaperPlatformCosts();
   auto result =
       exec::Replay(ReplayEngine::kSimulated, &fs_adaptive, copts, factory);
   FLOR_CHECK(result.ok()) << result.status().ToString();

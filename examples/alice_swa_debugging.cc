@@ -24,7 +24,6 @@
 #include "data/loader.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/cost_model.h"
 #include "ir/builder.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -241,7 +240,6 @@ int main() {
     RecordOptions opts;
     opts.run_prefix = "runs/alice_swa";
     opts.workload = "alice-swa";
-    opts.materializer.costs = sim::PaperPlatformCosts();
     opts.nominal_checkpoint_bytes = 64ull << 20;
     RecordSession session(env.get(), opts);
     Frame frame;
@@ -262,7 +260,6 @@ int main() {
     ClusterPlanOptions request;
     request.run_prefix = "runs/alice_swa";
     request.sample_epochs = {0, 3, 6, 9, 11};  // sampling replay (paper §8)
-    request.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(
         ReplayEngine::kSimulated, env->fs(), request,
         [&] { return AliceScript(kBuggyWeightDecay, kSwaMaxLr, true); });

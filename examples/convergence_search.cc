@@ -17,7 +17,6 @@
 #include "flor/query.h"
 #include "flor/record.h"
 #include "flor/search.h"
-#include "sim/cost_model.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -71,7 +70,6 @@ int main() {
     SearchOptions opts;
     opts.run_prefix = "runs/conv";
     opts.confirm_epochs = 2;  // "look forward enough to be confident"
-    opts.costs = sim::PaperPlatformCosts();
     auto factory = MakeWorkloadFactory(profile, kProbeInner);
     auto result = SearchReplay(
         &env, factory,
@@ -139,7 +137,6 @@ int main() {
     // Sample a handful of epochs: enough to see the shape cheaply.
     for (int64_t e = 0; e < p.epochs; e += std::max<int64_t>(1, p.epochs / 6))
       request.sample_epochs.push_back(e);
-    request.costs = sim::PaperPlatformCosts();
     auto rr = exec::Replay(ReplayEngine::kSimulated, &fs, request,
                            MakeWorkloadFactory(p, kProbeInner));
     FLOR_CHECK(rr.ok()) << rr.status().ToString();

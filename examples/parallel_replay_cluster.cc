@@ -54,7 +54,6 @@ int main() {
     copts.run_prefix = "runs/rsnt";
     copts.num_workers = 4 * machines;
     copts.init_mode = InitMode::kWeak;
-    copts.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)

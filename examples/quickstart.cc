@@ -15,7 +15,6 @@
 #include "common/strings.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
-#include "sim/cost_model.h"
 #include "workloads/programs.h"
 
 using namespace flor;
@@ -80,7 +79,6 @@ int main() {
   {
     ClusterPlanOptions request;
     request.run_prefix = "runs/quickstart";
-    request.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(ReplayEngine::kSimulated, env->fs(), request,
                                MakeWorkloadFactory(profile, kProbeOuter));
     FLOR_CHECK(result.ok()) << result.status().ToString();

@@ -151,6 +151,21 @@ if grep -rnwE 'ReplaySession|ReplayOptions' src/ bench/ examples/ tests/ \
   exit 1
 fi
 
+echo "== cost lint =="
+# The simulated cost model is the paper platform's rates: constants in
+# src/checkpoint/materializer.h, read through MaterializeSeconds,
+# RestoreSeconds and BucketRestoreSeconds. durable_notify_seconds, a
+# MaterializerOptions field, is the one rate a caller sets. No preset may
+# restate the model, and no request or options struct may carry a copy.
+if grep -rn 'PaperPlatformCosts' src/ bench/ examples/ tests/ ||
+   grep -rnE '\bMaterializerCosts +[A-Za-z_][A-Za-z_0-9]* *[;={(]' \
+        src/ bench/ examples/ tests/ \
+     | grep -vE '^src/checkpoint/materializer\.(h|cc):'; then
+  echo "error: PaperPlatformCosts or a MaterializerCosts object — price" >&2
+  echo "with the constants in src/checkpoint/materializer.h" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

@@ -35,37 +35,28 @@ Materializer::~Materializer() { Drain(); }
 
 void Materializer::NotifyDurable(const CheckpointKey& key,
                                  std::string bytes) {
-  std::vector<std::pair<CheckpointKey, std::string>> closed;
-  {
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    gc_slot_.emplace_back(key, std::move(bytes));
-    ++gc_stats_.joins;
-    if (static_cast<int>(gc_slot_.size()) < options_.group_commit_window)
-      return;
-    closed.swap(gc_slot_);
-    ++gc_stats_.slots;
-    ++gc_stats_.syncs;
-    gc_stats_.max_slot_joins = std::max(
-        gc_stats_.max_slot_joins, static_cast<int64_t>(closed.size()));
-  }
-  // Deliver outside the slot lock: on_durable may copy the checkpoint to
-  // the bucket, and a slow delivery must not wedge other joiners.
-  if (options_.on_durable) {
-    for (const auto& [k, bytes] : closed) options_.on_durable(k, bytes);
-  }
+  std::unique_lock<std::mutex> lock(gc_mu_);
+  gc_slot_.emplace_back(key, std::move(bytes));
+  ++gc_stats_.joins;
+  if (static_cast<int>(gc_slot_.size()) >= options_.group_commit_window)
+    CloseSlot(std::move(lock));
 }
 
 void Materializer::FlushGroupCommitSlot() {
+  std::unique_lock<std::mutex> lock(gc_mu_);
+  if (!gc_slot_.empty()) CloseSlot(std::move(lock));
+}
+
+void Materializer::CloseSlot(std::unique_lock<std::mutex> lock) {
   std::vector<std::pair<CheckpointKey, std::string>> closed;
-  {
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    if (gc_slot_.empty()) return;
-    closed.swap(gc_slot_);
-    ++gc_stats_.slots;
-    ++gc_stats_.syncs;
-    gc_stats_.max_slot_joins = std::max(
-        gc_stats_.max_slot_joins, static_cast<int64_t>(closed.size()));
-  }
+  closed.swap(gc_slot_);
+  ++gc_stats_.slots;
+  ++gc_stats_.syncs;
+  gc_stats_.max_slot_joins = std::max(gc_stats_.max_slot_joins,
+                                      static_cast<int64_t>(closed.size()));
+  lock.unlock();
+  // Deliver outside the slot lock: on_durable may copy the checkpoint to
+  // the bucket, and a slow delivery must not wedge other joiners.
   if (options_.on_durable) {
     for (const auto& [k, bytes] : closed) options_.on_durable(k, bytes);
   }
@@ -78,10 +69,9 @@ GroupCommitStats Materializer::group_commit_stats() const {
 
 std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
                                                    double* bg_seconds) {
-  const MaterializerCosts& c = options_.costs;
   const double bytes = static_cast<double>(nominal_bytes);
-  const double ser = bytes / c.serialize_bps;
-  const double io = bytes / c.io_bps;
+  const double ser = bytes / kSerializeBps;
+  const double io = bytes / kIoBps;
   // Durability sync, amortized over the group-commit slot: the slot leader
   // pays one durable_notify_seconds and the window's checkpoints share it.
   // The durable *ack* gates the training thread in every strategy — a
@@ -91,7 +81,7 @@ std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
   // it entirely: bg time only surfaces through backpressure stalls.) This
   // is exactly the cost group commit exists to amortize. 0 by default —
   // identical to the pre-group-commit model.
-  const double notify = c.durable_notify_seconds /
+  const double notify = options_.durable_notify_seconds /
                         static_cast<double>(options_.group_commit_window);
 
   double main_s = 0;
@@ -106,12 +96,12 @@ std::pair<double, double> Materializer::AccountSim(uint64_t nominal_bytes,
       bg_s = io;
       break;
     case MaterializeStrategy::kIpcPlasma:
-      main_s = bytes / c.plasma_copy_bps +
-               c.plasma_per_object_s * kObjectsPerBatch;
+      main_s = bytes / kPlasmaCopyBps +
+               kPlasmaPerObjectSeconds * kObjectsPerBatch;
       bg_s = io;
       break;
     case MaterializeStrategy::kFork:
-      main_s = bytes / c.snapshot_bps + c.fork_batch_overhead_s;
+      main_s = bytes / kSnapshotBps + kForkBatchOverheadSeconds;
       bg_s = ser + io;
       break;
   }
@@ -200,8 +190,7 @@ Result<MaterializeReceipt> Materializer::Materialize(
         NotifyDurable(key, std::move(bytes));
       });
       receipt.main_thread_seconds = env_->clock()->NowSeconds() - start;
-      receipt.background_seconds =
-          options_.costs.MaterializeSeconds(nominal);
+      receipt.background_seconds = MaterializeSeconds(nominal);
     }
   }
 

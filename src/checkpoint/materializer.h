@@ -16,12 +16,13 @@
 //
 // The materializer always performs the real serialize/compress/write (state
 // correctness is never simulated). Time is accounted two ways:
-//   * SimClock env: phase durations come from `MaterializerCosts` applied to
-//     the checkpoint's *nominal* byte size, charged to the simulated clock;
-//     background work occupies a simulated single worker with bounded
-//     in-flight depth (the paper batches to keep ≤ ~2 live children), and
-//     the main thread stalls when the buffer is full — this is what makes
-//     fine-tuning workloads blow up without adaptive checkpointing (Fig 7).
+//   * SimClock env: phase durations come from the paper platform's rates
+//     (the constants below) applied to the checkpoint's *nominal* byte
+//     size, charged to the simulated clock; background work occupies a
+//     simulated single worker with bounded in-flight depth (the paper
+//     batches to keep ≤ ~2 live children), and the main thread stalls when
+//     the buffer is full — this is what makes fine-tuning workloads blow up
+//     without adaptive checkpointing (Fig 7).
 //   * WallClock env: phases run for real; blocking portions are measured,
 //     background work goes through a BackgroundQueue.
 
@@ -52,49 +53,38 @@ enum class MaterializeStrategy : uint8_t {
 
 const char* MaterializeStrategyName(MaterializeStrategy s);
 
-/// Throughput model for the simulated-time mode. Defaults are calibrated to
-/// the paper's platform (§5.1/§6): EBS at 7 Gbps, serialization ~4.3× the
-/// I/O cost, memcpy-speed snapshots.
-struct MaterializerCosts {
-  double snapshot_bps = 4.0e9;     ///< COW page-copy / memcpy rate
-  double serialize_bps = 203.5e6;  ///< 875e6 / 4.3 (paper's 4.3x factor)
-  double io_bps = 875e6;           ///< EBS 7 Gbps
-  double fork_batch_overhead_s = 0.004;  ///< fork() + bookkeeping per batch
-  double plasma_copy_bps = 3.0e9;  ///< shm copy slightly below memcpy
-  double plasma_per_object_s = 5e-7;  ///< object-table overhead per object
-  double restore_factor = 1.38;  ///< c: restore time = c * materialize time
-  /// Cost of making one checkpoint's durability *visible* — the fsync (or
-  /// bucket round trip) behind each durable notification. 0 (the default)
-  /// models buffered writes, reproducing the pre-group-commit timings
-  /// exactly; production-rate benches set an fsync-scale value. The ack
-  /// gates the training thread in every strategy, so the charge lands on
-  /// the main-thread leg, amortized as durable_notify_seconds /
-  /// group_commit_window per checkpoint: one sync per closed slot,
-  /// piggybacked by the slot's followers (WiredTiger log-slot style).
-  double durable_notify_seconds = 0.0;
+/// The simulated-time cost model: the paper's platform (§5.1/§6), EBS at
+/// 7 Gbps, serialization 4.3x the I/O cost, memcpy-speed snapshots, and the
+/// restore factor c = 1.38 measured on it (§5.3.2). Every simulated record
+/// and replay prices its phases with these rates.
+inline constexpr double kSnapshotBps = 4.0e9;   ///< COW page-copy / memcpy
+inline constexpr double kIoBps = 875e6;         ///< EBS 7 Gbps
+inline constexpr double kSerializeBps = kIoBps / 4.3;  ///< 4.3x I/O cost
+inline constexpr double kForkBatchOverheadSeconds = 0.004;  ///< per batch
+inline constexpr double kPlasmaCopyBps = 3.0e9;  ///< shm copy below memcpy
+inline constexpr double kPlasmaPerObjectSeconds = 5e-7;  ///< object table
+inline constexpr double kRestoreFactor = 1.38;  ///< c: Ri = c * Mi
+/// Bucket reads run at S3 GET throughput (~2.1 Gbps, same order as the
+/// paper's spool pricing platform) instead of EBS.
+inline constexpr double kS3ReadBps = 262.5e6;
 
-  /// Mi: full background materialization time for `bytes`.
-  double MaterializeSeconds(uint64_t bytes) const {
-    return static_cast<double>(bytes) / serialize_bps +
-           static_cast<double>(bytes) / io_bps;
-  }
-  /// Bucket reads run at S3 GET throughput instead of EBS: scale the I/O
-  /// leg of a bucket-tier restore by io_bps / s3_read_bps (~2.1 Gbps,
-  /// same order as the paper's spool pricing platform).
-  double s3_read_bps = 262.5e6;
+/// Mi: full background materialization time for `bytes`.
+inline double MaterializeSeconds(uint64_t bytes) {
+  return static_cast<double>(bytes) / kSerializeBps +
+         static_cast<double>(bytes) / kIoBps;
+}
 
-  /// Ri = c * Mi.
-  double RestoreSeconds(uint64_t bytes) const {
-    return restore_factor * MaterializeSeconds(bytes);
-  }
+/// Ri = c * Mi.
+inline double RestoreSeconds(uint64_t bytes) {
+  return kRestoreFactor * MaterializeSeconds(bytes);
+}
 
-  /// Ri for a restore served by the bucket tier: the serialize leg is
-  /// unchanged, the I/O leg runs at bucket read throughput.
-  double BucketRestoreSeconds(uint64_t bytes) const {
-    return restore_factor * (static_cast<double>(bytes) / serialize_bps +
-                             static_cast<double>(bytes) / s3_read_bps);
-  }
-};
+/// Ri for a restore served by the bucket tier: the serialize leg is
+/// unchanged, the I/O leg runs at bucket read throughput.
+inline double BucketRestoreSeconds(uint64_t bytes) {
+  return kRestoreFactor * (static_cast<double>(bytes) / kSerializeBps +
+                           static_cast<double>(bytes) / kS3ReadBps);
+}
 
 /// Group-commit slot accounting across a materializer's lifetime.
 struct GroupCommitStats {
@@ -125,7 +115,6 @@ inline constexpr int kMaxInFlightMaterializations = 2;
 /// Options for the materializer.
 struct MaterializerOptions {
   MaterializeStrategy strategy = MaterializeStrategy::kFork;
-  MaterializerCosts costs;
   /// Group-commit slot size: durable notifications are batched until a slot
   /// holds this many checkpoints, then delivered together behind one
   /// amortized sync (the slot leader pays durable_notify_seconds, followers
@@ -133,6 +122,15 @@ struct MaterializerOptions {
   /// byte-identical to the per-checkpoint path. End-of-run Drain() flushes
   /// a partial slot, so no acked checkpoint's notification is ever lost.
   int group_commit_window = 1;
+  /// Cost of making one checkpoint's durability *visible*, the fsync (or
+  /// bucket round trip) behind each durable notification, in simulated
+  /// seconds. 0 (the default) models buffered writes; production-rate
+  /// benches set an fsync-scale value. The ack gates the training thread in
+  /// every strategy, so the charge lands on the main-thread leg, amortized
+  /// as durable_notify_seconds / group_commit_window per checkpoint: one
+  /// sync per closed slot, piggybacked by the slot's followers (WiredTiger
+  /// log-slot style).
+  double durable_notify_seconds = 0.0;
   /// The durability ack: invoked once per checkpoint whose bytes are in
   /// the store (PutBytes returned OK), after its group-commit slot closes,
   /// with the encoded bytes that were stored (their size is the stored
@@ -189,19 +187,23 @@ class Materializer {
                                        double* bg_seconds);
 
   /// Group-commit entry point for one durably stored checkpoint and its
-  /// encoded bytes: joins the open slot and, when the slot reaches
-  /// group_commit_window, delivers the slot's on_durable notifications in
-  /// store order (outside the slot lock, so a slow delivery, such as a
-  /// bucket copy, never holds it) and frees their buffers. Called inline
-  /// on the training thread (sim / Baseline) or on the background worker
-  /// (wall mode).
+  /// encoded bytes: joins the open slot and closes it (CloseSlot) when it
+  /// reaches group_commit_window. Called inline on the training thread
+  /// (sim / Baseline) or on the background worker (wall mode).
   void NotifyDurable(const CheckpointKey& key, std::string bytes);
 
-  /// Delivers a partial slot at end of run (one more amortized sync when
+  /// Closes a partial slot at end of run (one more amortized sync when
   /// non-empty). Drain() calls this after the queue join, preserving the
   /// "every acked checkpoint's notification fired before Drain returns"
   /// contract the record session relies on.
   void FlushGroupCommitSlot();
+
+  /// Closes the open slot under `lock` (held on gc_mu_): counts one slot
+  /// and its sync, then releases the lock and delivers the slot's
+  /// on_durable notifications in store order (outside the lock, so a slow
+  /// delivery, such as a bucket copy, never holds it) and frees their
+  /// buffers.
+  void CloseSlot(std::unique_lock<std::mutex> lock);
 
   Env* env_;
   MaterializerOptions options_;

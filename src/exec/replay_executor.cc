@@ -157,8 +157,7 @@ ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
       request_{options.run_prefix,
                options.num_partitions > 0 ? options.num_partitions
                                           : options.num_threads,
-               options.init_mode, options.costs, options.sample_epochs,
-               options.tier},
+               options.init_mode, options.sample_epochs, options.tier},
       num_threads_(options.num_threads) {}
 
 Result<ReplayExecutorResult> ReplayExecutor::Run(

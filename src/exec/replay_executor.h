@@ -85,7 +85,6 @@ struct ReplayExecutorOptions {
   /// As ClusterPlanOptions::init_mode: weak where it is exact, strong
   /// otherwise, unless a mode is requested explicitly.
   InitMode init_mode = InitMode::kAuto;
-  MaterializerCosts costs;
   std::vector<int64_t> sample_epochs;
   TierOptions tier;
 };

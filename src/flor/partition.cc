@@ -155,7 +155,8 @@ Result<PartitionPlan> PartitionMainLoop(
 
 Result<WorkerPlan> PlanWorker(int64_t epochs, std::vector<int64_t> work,
                               InitMode mode,
-                              const std::vector<int64_t>& ckpt_epochs) {
+                              const std::vector<int64_t>& ckpt_epochs,
+                              bool init_restores) {
   if (mode == InitMode::kAuto)
     return Status::InvalidArgument("resolve an auto init mode first");
   const std::set<int64_t> ckpts(ckpt_epochs.begin(), ckpt_epochs.end());
@@ -169,7 +170,7 @@ Result<WorkerPlan> PlanWorker(int64_t epochs, std::vector<int64_t> work,
     const int64_t from =
         mode == InitMode::kWeak ? std::max(next, k - 1) : next;
     for (int64_t e = from; e < k; ++e) {
-      if (!ckpts.count(e)) {
+      if (init_restores && !ckpts.count(e)) {
         return Status::FailedPrecondition(
             StrCat("no checkpoint at epoch ", e, " for ", InitModeName(mode),
                    " initialization of epoch ", k));

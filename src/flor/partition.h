@@ -88,10 +88,13 @@ Result<PartitionPlan> PartitionMainLoop(int64_t epochs, int num_workers,
 /// start state in `mode`, kStrong or kWeak (kAuto is InvalidArgument).
 /// Weak restores epoch k-1 before each jump to k; strong restores every
 /// epoch the worker has not yet run. Each restored epoch needs a
-/// checkpoint in `ckpt_epochs`, else FailedPrecondition naming it.
+/// checkpoint in `ckpt_epochs`, else FailedPrecondition naming it. With
+/// `init_restores` false (the main-loop body holds no SkipBlock) an init
+/// iteration restores nothing and re-executes its epoch, so it needs none.
 Result<WorkerPlan> PlanWorker(int64_t epochs, std::vector<int64_t> work,
                               InitMode mode,
-                              const std::vector<int64_t>& ckpt_epochs);
+                              const std::vector<int64_t>& ckpt_epochs,
+                              bool init_restores = true);
 
 }  // namespace flor
 

@@ -131,7 +131,7 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
   const uint64_t nominal = options_.nominal_checkpoint_bytes;
   double mi_estimate;
   if (nominal > 0) {
-    mi_estimate = options_.materializer.costs.MaterializeSeconds(nominal);
+    mi_estimate = MaterializeSeconds(nominal);
   } else {
     // Estimate from the (cheaply computable) snapshot size of the changeset
     // variables currently in the frame.
@@ -140,7 +140,7 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
       auto v = frame->Get(name);
       if (v.ok()) bytes += ir::SnapshotValue(*v).ApproxBytes();
     }
-    mi_estimate = options_.materializer.costs.MaterializeSeconds(bytes);
+    mi_estimate = MaterializeSeconds(bytes);
   }
   if (!adaptive_.ShouldMaterialize(loop->id(), compute_seconds,
                                    mi_estimate)) {
@@ -180,8 +180,7 @@ Status RecordSession::OnSkipBlockExit(ir::Loop* loop, const std::string& ctx,
   rec.materialize_seconds =
       receipt.background_seconds > 0
           ? receipt.background_seconds
-          : options_.materializer.costs.MaterializeSeconds(
-                nominal ? nominal : receipt.raw_bytes);
+          : MaterializeSeconds(nominal ? nominal : receipt.raw_bytes);
   rec.shard = store_->ShardOf(key);
   manifest_.records.push_back(std::move(rec));
 

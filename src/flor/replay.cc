@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "checkpoint/materializer.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "flor/instrument.h"
@@ -38,7 +39,7 @@ class ReplaySession : public exec::ExecHooks {
 
  private:
   /// Restores a loop execution's side effects from its checkpoint.
-  Status RestoreSkipBlock(ir::Loop* loop, const CheckpointKey& key,
+  Status RestoreSkipBlock(ir::Loop* loop, const CheckpointRecord& rec,
                           exec::Frame* frame);
 
   Env* env_;
@@ -53,9 +54,6 @@ class ReplaySession : public exec::ExecHooks {
   std::map<std::string, const CheckpointRecord*> records_by_key_;
   std::set<int32_t> probed_transitive_;
   ReplayResult* result_ = nullptr;  // live during Run
-
-  double restore_ratio_sum_ = 0;
-  int64_t restore_ratio_count_ = 0;
 };
 
 Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
@@ -93,10 +91,6 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
   result.runtime_seconds = env_->clock()->NowSeconds() - start;
 
   result.bloom_skipped_probes = run_.store->tier_stats().bloom_skipped_probes;
-  result.observed_c =
-      restore_ratio_count_ > 0
-          ? restore_ratio_sum_ / static_cast<double>(restore_ratio_count_)
-          : 0;
 
   for (const auto& e : result.logs.WorkEntries()) {
     if (result.probes.probe_stmt_uids.count(e.stmt_uid))
@@ -107,18 +101,15 @@ Result<ReplayResult> ReplaySession::Run(ir::Program* current_program,
 }
 
 Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
-                                       const CheckpointKey& key,
+                                       const CheckpointRecord& rec,
                                        exec::Frame* frame) {
   // result_ is only non-null while Run() is live, and RestoreSkipBlock is
-  // only reached through the interpreter Run() drives — it used to guard
-  // the timing accumulation on result_ but dereference the stats counter
-  // unconditionally six lines later. Make the invariant explicit instead
-  // of half-guarded.
+  // only reached through the interpreter Run() drives.
   FLOR_CHECK(result_ != nullptr)
       << "RestoreSkipBlock outside a live ReplaySession::Run";
   bool from_bucket = false;
   FLOR_ASSIGN_OR_RETURN(std::string bytes,
-                        run_.store->GetBytes(key, &from_bucket));
+                        run_.store->GetBytes(rec.key, &from_bucket));
   FLOR_RETURN_IF_ERROR(RestoreCheckpoint(
       bytes, [&](const std::string& name) -> Result<ir::Value*> {
         if (!frame->Has(name)) {
@@ -130,23 +121,13 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
       }));
   if (from_bucket) ++result_->bucket_faults;
 
-  // Charge the restore latency (Ri) under a simulated clock and refine c.
-  // A bucket-served restore pays the slower bucket read throughput.
-  auto it = records_by_key_.find(key.ToString());
-  if (it != records_by_key_.end()) {
-    const CheckpointRecord& rec = *it->second;
-    const uint64_t bytes =
+  // Charge the restore latency (Ri) under a simulated clock. A
+  // bucket-served restore pays the slower bucket read throughput.
+  if (env_->clock()->is_simulated()) {
+    const uint64_t nominal =
         rec.nominal_raw_bytes ? rec.nominal_raw_bytes : rec.raw_bytes;
-    const double ri = from_bucket
-                          ? request_.costs.BucketRestoreSeconds(bytes)
-                          : request_.costs.RestoreSeconds(bytes);
-    if (env_->clock()->is_simulated())
-      env_->clock()->AdvanceMicros(SecondsToMicros(ri));
-    result_->restore_seconds += ri;
-    if (rec.materialize_seconds > 0) {
-      restore_ratio_sum_ += ri / rec.materialize_seconds;
-      ++restore_ratio_count_;
-    }
+    env_->clock()->AdvanceMicros(SecondsToMicros(
+        from_bucket ? BucketRestoreSeconds(nominal) : RestoreSeconds(nominal)));
   }
   ++result_->skipblocks.restores;
   return Status::OK();
@@ -155,18 +136,20 @@ Status ReplaySession::RestoreSkipBlock(ir::Loop* loop,
 Result<exec::LoopAction> ReplaySession::OnSkipBlockEnter(
     ir::Loop* loop, const std::string& ctx, bool init_mode,
     exec::Frame* frame) {
-  CheckpointKey key{loop->id(), ctx};
-  const bool have_ckpt = records_by_key_.count(key.ToString()) > 0;
+  const CheckpointKey key{loop->id(), ctx};
+  const auto it = records_by_key_.find(key.ToString());
+  const CheckpointRecord* rec =
+      it != records_by_key_.end() ? it->second : nullptr;
 
   if (init_mode) {
     // Replay initialization: SkipBlocks always restore; a missing
     // checkpoint here means the partition plan was invalid.
-    if (!have_ckpt) {
+    if (rec == nullptr) {
       return Status::FailedPrecondition(
           StrCat("initialization needs checkpoint ", key.ToString(),
                  " which was not materialized on record"));
     }
-    FLOR_RETURN_IF_ERROR(RestoreSkipBlock(loop, key, frame));
+    FLOR_RETURN_IF_ERROR(RestoreSkipBlock(loop, *rec, frame));
     ++result_->skipblocks.skipped;
     return exec::LoopAction::kSkip;
   }
@@ -177,8 +160,8 @@ Result<exec::LoopAction> ReplaySession::OnSkipBlockEnter(
     ++result_->skipblocks.executed;
     return exec::LoopAction::kExecute;
   }
-  if (have_ckpt) {
-    FLOR_RETURN_IF_ERROR(RestoreSkipBlock(loop, key, frame));
+  if (rec != nullptr) {
+    FLOR_RETURN_IF_ERROR(RestoreSkipBlock(loop, *rec, frame));
     ++result_->skipblocks.skipped;
     return exec::LoopAction::kSkip;
   }

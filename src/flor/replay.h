@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/materializer.h"
 #include "checkpoint/store.h"
 #include "env/env.h"
 #include "exec/interpreter.h"
@@ -44,8 +43,6 @@ struct ClusterPlanOptions {
   /// checkpointed names (analysis/weak_init.h) and strong otherwise; an
   /// explicit kStrong or kWeak is honoured (ResolveInitMode).
   InitMode init_mode = InitMode::kAuto;
-  /// Cost model for restore pricing (only charged under simulated clocks).
-  MaterializerCosts costs;
   /// Non-empty selects iteration-sampling replay over these main-loop
   /// epochs on a single worker instead of contiguous partitions.
   std::vector<int64_t> sample_epochs;
@@ -70,9 +67,6 @@ struct ReplayResult {
   int64_t work_end = -1;
   /// Convenience: the hindsight (probe) log entries this worker produced.
   std::vector<exec::LogEntry> probe_entries;
-  double restore_seconds = 0;
-  /// Mean observed restore/materialize ratio (refines c, §5.3.2).
-  double observed_c = 0;
   /// Restores served by the bucket tier (local store miss, bucket hit).
   int64_t bucket_faults = 0;
   /// Store lookups the bloom filter answered definite-miss without

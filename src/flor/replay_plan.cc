@@ -40,6 +40,17 @@ std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
   return out;
 }
 
+/// True when `block` holds a SkipBlock at any depth: only then does a
+/// main-loop init iteration restore a checkpoint instead of re-executing.
+bool HoldsSkipBlock(const ir::Block& block) {
+  for (const ir::Node& node : block.nodes) {
+    if (node.is_loop() && (node.loop->analysis().instrumented ||
+                           HoldsSkipBlock(node.loop->body())))
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
@@ -58,7 +69,8 @@ Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
     return PartitionMainLoop(epochs, request.num_workers, mode, boundaries);
   FLOR_ASSIGN_OR_RETURN(
       WorkerPlan sampled,
-      PlanWorker(epochs, request.sample_epochs, mode, boundaries));
+      PlanWorker(epochs, request.sample_epochs, mode, boundaries,
+                 HoldsSkipBlock(program->MainLoop()->body())));
   PartitionPlan plan;
   plan.mode = mode;
   plan.segments = static_cast<int64_t>(sampled.iters.size());
@@ -150,8 +162,6 @@ std::string EncodeWorkerResult(const ReplayResult& result) {
   std::string meta =
       MetaWriter()
           .Double("runtime_seconds", result.runtime_seconds)
-          .Double("restore_seconds", result.restore_seconds)
-          .Double("observed_c", result.observed_c)
           .Int("effective_init", static_cast<int64_t>(result.effective_init))
           .Int("partition_segments", result.partition_segments)
           .Int("active_workers", result.active_workers)
@@ -187,8 +197,6 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   FLOR_RETURN_IF_ERROR(
       MetaReader(sections[0])
           .Double("runtime_seconds", &out.runtime_seconds)
-          .Double("restore_seconds", &out.restore_seconds)
-          .Double("observed_c", &out.observed_c)
           .Int("effective_init", &init)
           .Int("partition_segments", &out.partition_segments)
           .Int("active_workers", &out.active_workers)

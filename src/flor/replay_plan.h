@@ -41,7 +41,8 @@ namespace flor {
 ///     over the sampled epochs (PlanWorker), with one segment per planned
 ///     iteration. A sampling request resolves its mode the same way, so it
 ///     plans strong where weak init is not exact, and fails where strong
-///     init lacks a checkpoint.
+///     init lacks a checkpoint it restores (a main-loop body without a
+///     SkipBlock restores none: its init iterations re-execute).
 Result<PartitionPlan> PlanPartitions(ir::Program* program, int64_t epochs,
                                      const Manifest& manifest,
                                      const ClusterPlanOptions& request);

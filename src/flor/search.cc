@@ -17,7 +17,6 @@ Result<bool> ProbeEpoch(Env* env, const ProgramFactory& factory,
   ClusterPlanOptions request;
   request.run_prefix = options.run_prefix;
   request.sample_epochs = {epoch};
-  request.costs = options.costs;
   FLOR_ASSIGN_OR_RETURN(
       ReplayResult worker,
       ReplayPartition(factory, env->fs(), request, /*worker_id=*/0,
@@ -46,12 +45,19 @@ Result<bool> ProbeEpoch(Env* env, const ProgramFactory& factory,
 Result<SearchResult> SearchReplay(Env* env, const ProgramFactory& factory,
                                   const EpochPredicate& predicate,
                                   const SearchOptions& options) {
-  // Discover the epoch count from the recorded manifest's loop executions.
-  FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                        ReadManifest(env->fs(), options.run_prefix));
-  int64_t epochs = 0;
-  for (const auto& [loop_id, ni] : manifest.loop_executions)
-    epochs = std::max(epochs, ni);
+  // The epoch count is the main loop's static trip count. A dynamic main
+  // loop falls back to the manifest's loop executions, which count
+  // SkipBlock executions only.
+  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+  const ir::Loop* main_loop = instance.program->MainLoop();
+  int64_t epochs = main_loop != nullptr ? main_loop->iter().fixed_count : -1;
+  if (epochs < 0) {
+    FLOR_ASSIGN_OR_RETURN(Manifest manifest,
+                          ReadManifest(env->fs(), options.run_prefix));
+    epochs = 0;
+    for (const auto& [loop_id, ni] : manifest.loop_executions)
+      epochs = std::max(epochs, ni);
+  }
   if (epochs == 0)
     return Status::FailedPrecondition(
         "record run has no loop executions to search");

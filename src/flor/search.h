@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/materializer.h"
 #include "env/env.h"
 #include "exec/log_stream.h"
 #include "flor/skipblock.h"
@@ -40,7 +39,6 @@ using EpochPredicate =
 /// Search configuration.
 struct SearchOptions {
   std::string run_prefix = "run";
-  MaterializerCosts costs;
   /// Confirm this many epochs after the found frontier also satisfy the
   /// predicate ("look forward enough to be confident the pattern is
   /// permanent"). 0 disables confirmation.

@@ -128,10 +128,10 @@ Result<std::vector<double>> Session::MetricSeries(
 
 Result<bool> Session::Exists(const std::string& run,
                              const CheckpointKey& key) const {
+  FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
   conn_->BumpQuery(tenant_);
-  FLOR_ASSIGN_OR_RETURN(const std::string prefix, RunPrefix(run));
   FLOR_ASSIGN_OR_RETURN(
       OpenedRun opened,
       OpenRun(conn_->env()->fs(), prefix, conn_->options().tier));

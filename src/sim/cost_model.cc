@@ -7,17 +7,5 @@ double InstanceCost(const Ec2Instance& instance, double seconds) {
   return instance.dollars_per_hour * seconds / 3600.0;
 }
 
-MaterializerCosts PaperPlatformCosts() {
-  MaterializerCosts costs;
-  costs.io_bps = 875e6;              // EBS 7 Gbps
-  costs.serialize_bps = 875e6 / 4.3; // serialization 4.3x I/O cost
-  costs.snapshot_bps = 4.0e9;        // COW copy at memcpy speed
-  costs.plasma_copy_bps = 3.0e9;
-  costs.plasma_per_object_s = 5e-7;
-  costs.fork_batch_overhead_s = 0.004;
-  costs.restore_factor = 1.38;       // measured average c (paper §5.3.2)
-  return costs;
-}
-
 }  // namespace sim
 }  // namespace flor

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "checkpoint/materializer.h"
-
 namespace flor {
 namespace sim {
 
@@ -28,11 +26,6 @@ inline constexpr Ec2Instance kP3_8xLarge{"P3.8xLarge", 4, 12.24};
 
 /// Dollar cost of running `instance` for `seconds` (billed continuously).
 double InstanceCost(const Ec2Instance& instance, double seconds);
-
-/// Default materializer throughputs for the paper's platform: EBS at
-/// 7 Gbps, serialization 4.3x the I/O cost (§5.1), restore factor c = 1.38
-/// (§5.3.2).
-MaterializerCosts PaperPlatformCosts();
 
 }  // namespace sim
 }  // namespace flor

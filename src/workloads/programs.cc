@@ -5,7 +5,6 @@
 #include "common/strings.h"
 #include "ir/builder.h"
 #include "nn/loss.h"
-#include "sim/cost_model.h"
 #include "tensor/ops.h"
 
 namespace flor {
@@ -236,7 +235,6 @@ RecordOptions DefaultRecordOptions(const WorkloadProfile& profile,
   opts.workload = profile.name;
   opts.ckpt_shards = profile.ckpt_shards;
   opts.materializer.strategy = MaterializeStrategy::kFork;
-  opts.materializer.costs = sim::PaperPlatformCosts();
   opts.adaptive.enabled = true;
   opts.adaptive.epsilon = 1.0 / 15.0;
   opts.nominal_checkpoint_bytes = profile.sim_ckpt_raw_bytes;

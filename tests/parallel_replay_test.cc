@@ -59,7 +59,6 @@ TEST(ClusterReplay, InnerProbeScalesAcrossWorkers) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;
-  copts.costs = sim::PaperPlatformCosts();
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
@@ -88,7 +87,6 @@ TEST(ClusterReplay, WeakAndStrongInitAgree) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;
-  copts.costs = sim::PaperPlatformCosts();
 
   copts.init_mode = InitMode::kStrong;
   auto strong = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
@@ -119,7 +117,6 @@ TEST(ClusterReplay, SpeedupBoundedByLoadBalanceCeiling) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;
-  copts.costs = sim::PaperPlatformCosts();
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
                              MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
@@ -136,7 +133,6 @@ TEST(ClusterReplay, MoreWorkersThanEpochsUsesEpochCount) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 8;  // 8 GPUs for 3 epochs
-  copts.costs = sim::PaperPlatformCosts();
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
                              MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
@@ -152,7 +148,6 @@ TEST(ClusterReplay, OuterProbeIsCheapAndParallel) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;
-  copts.costs = sim::PaperPlatformCosts();
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
                              MakeWorkloadFactory(profile, kProbeOuter));
   ASSERT_TRUE(result.ok());
@@ -173,7 +168,6 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = 4;
-  copts.costs = sim::PaperPlatformCosts();
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
                              MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok());
@@ -228,7 +222,6 @@ TEST(ClusterReplay, SimulatedNumbersArePinned) {
     ClusterPlanOptions copts;
     copts.run_prefix = "run";
     copts.num_workers = pin.workers;
-    copts.costs = sim::PaperPlatformCosts();
     auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts,
                                MakeWorkloadFactory(profile, kProbeInner));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -301,7 +294,6 @@ Result<RecordResult> RecordBest(Env* env, const ProgramFactory& factory,
   RecordOptions opts;
   opts.run_prefix = "run";
   if (sparse) {
-    opts.materializer.costs = sim::PaperPlatformCosts();
     opts.nominal_checkpoint_bytes = 165'000'000;
   } else {
     opts.adaptive.enabled = false;

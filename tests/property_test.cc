@@ -12,7 +12,6 @@
 #include "flor/record.h"
 #include "ir/builder.h"
 #include "flor/replay.h"
-#include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -127,7 +126,6 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   ClusterPlanOptions copts;
   copts.run_prefix = "run";
   copts.num_workers = gpus;
-  copts.costs = sim::PaperPlatformCosts();
   auto result = exec::Replay(ReplayEngine::kSimulated, &fs, copts, factory);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
@@ -352,36 +350,7 @@ TEST(DeferredChecks, RngMissedFromChangesetCaught) {
 // Property 5: a loop refused by the analysis (rule 5 in its body) is never
 // memoized, and replay still reproduces record by re-executing it.
 
-Result<ProgramInstance> RefusedLoopProgram() {
-  auto ctx = std::make_shared<double>(0.0);
-  ir::ProgramBuilder b;
-  b.Assign({"total"}, {"0"}, [ctx](Frame* f) {
-    *ctx = 0;
-    f->Set("total", ir::Value::Float(0));
-    return Status::OK();
-  });
-  b.BeginLoop("e", 3);
-  {
-    b.BeginLoop("i", 2);
-    {
-      // Rule-5 statement: the inner loop is refused.
-      b.OpaqueCall("mutate_world", {"total"}, [ctx](Frame* f) {
-        *ctx += 1;
-        f->Set("total", ir::Value::Float(*ctx));
-        return Status::OK();
-      });
-    }
-    b.EndLoop();
-    b.Log("total", [](Frame* f) {
-      return StrFormat("%.1f", f->At("total").AsFloat());
-    });
-  }
-  b.EndLoop();
-  ProgramInstance instance;
-  instance.program = b.Build();
-  instance.context = ctx;
-  return instance;
-}
+using testutil::RefusedLoopProgram;
 
 TEST(RefusedLoops, ReplayReexecutesAndMatches) {
   MemFileSystem fs;
@@ -399,6 +368,29 @@ TEST(RefusedLoops, ReplayReexecutesAndMatches) {
   const exec::LogEntry& last = result->merged_logs.entries().back();
   EXPECT_EQ(last.label, "total");
   EXPECT_EQ(last.text, "6.0");
+}
+
+TEST(RefusedLoops, SamplingReexecutesInitEpochs) {
+  // No SkipBlock in the main-loop body, so the record holds no checkpoint:
+  // an init iteration restores nothing and re-executes its epoch, which
+  // makes strong init exact without one.
+  MemFileSystem fs;
+  RecordProgram(&fs, [] { return RefusedLoopProgram(); });
+
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.sample_epochs = {2};
+  auto result = exec::Replay(ReplayEngine::kSimulated, &fs, request,
+                             [] { return RefusedLoopProgram(); });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->effective_init, InitMode::kStrong);
+  EXPECT_EQ(result->skipblocks.restores, 0);
+  EXPECT_TRUE(result->deferred.ok);
+  ASSERT_EQ(result->merged_logs.entries().size(), 1u);
+  const exec::LogEntry& work = result->merged_logs.entries().front();
+  EXPECT_EQ(work.context, "e=2");
+  EXPECT_EQ(work.label, "total");
+  EXPECT_EQ(work.text, "6.0");
 }
 
 TEST(RefusedLoops, NoCheckpointsMaterialized) {

@@ -7,7 +7,6 @@
 #include "flor/query.h"
 #include "flor/record.h"
 #include "flor/search.h"
-#include "sim/cost_model.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -64,7 +63,6 @@ TEST(SearchReplay, FindsFrontierInLogProbes) {
   Env env = testutil::MakeSimEnv(&fs);
   SearchOptions opts;
   opts.run_prefix = "run";
-  opts.costs = sim::PaperPlatformCosts();
   auto factory = MakeWorkloadFactory(p, kProbeInner);
   auto result = SearchReplay(&env, factory, FrontierAt(11), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -159,13 +157,45 @@ TEST(SearchReplay, CheaperThanFullReplayForLargeRuns) {
   Env env = testutil::MakeSimEnv(&fs);
   SearchOptions opts;
   opts.run_prefix = "run";
-  opts.costs = sim::PaperPlatformCosts();
   auto factory = MakeWorkloadFactory(p, kProbeInner);
   auto result = SearchReplay(&env, factory, FrontierAt(40), opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->found_epoch, 40);
   // <= 8 single-epoch probes vs a 64-epoch full re-execution.
   EXPECT_LT(result->total_latency_seconds, p.VanillaSeconds() / 4);
+}
+
+TEST(SearchReplay, SearchesAMainLoopWithoutSkipBlocks) {
+  // The record of a loop no SkipBlock memoizes counts no loop execution,
+  // so the epoch count comes from the main loop's trip count, and each
+  // probe re-executes the epochs before the one it samples.
+  MemFileSystem fs;
+  Env env = testutil::MakeSimEnv(&fs);
+  {
+    auto instance = testutil::RefusedLoopProgram();
+    ASSERT_TRUE(instance.ok());
+    RecordOptions ropts;
+    ropts.run_prefix = "run";
+    RecordSession session(&env, ropts);
+    exec::Frame frame;
+    ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
+  }
+
+  SearchOptions opts;
+  opts.run_prefix = "run";
+  auto result = SearchReplay(
+      &env, [] { return testutil::RefusedLoopProgram(); },
+      [](int64_t, const std::vector<exec::LogEntry>& entries)
+          -> Result<bool> {
+        double total = 0;
+        if (entries.size() != 1 || !ParseF64(entries[0].text, &total))
+          return Status::Internal("expected one logged total");
+        return total >= 4.0;
+      },
+      opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->found_epoch, 1);
+  EXPECT_EQ(result->probed_epochs, (std::vector<int64_t>{2, 1, 0}));
 }
 
 TEST(Query, ListRunsFindsAllManifests) {

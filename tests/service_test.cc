@@ -241,12 +241,16 @@ TEST(ServiceTest, TenantsAreInvisibleToEachOtherThroughEveryTier) {
   EXPECT_FALSE(*bob_sees);
 
   // A run bob never recorded is NotFound for him even though alice has it
-  // — and he cannot reach hers by name escape.
+  // — and he cannot reach hers by name escape. A rejected name is not a
+  // query served.
   EXPECT_FALSE((*bob)->MetricSeries("other", "loss").ok());
+  const int64_t bob_queries =
+      (*conn)->stats().tenants.at("bob").queries_served;
   auto escape = (*bob)->Exists("../alice", alice_key);
   EXPECT_FALSE(escape.ok());
   EXPECT_TRUE(escape.status().code() == StatusCode::kInvalidArgument)
       << escape.status().ToString();
+  EXPECT_EQ((*conn)->stats().tenants.at("bob").queries_served, bob_queries);
 }
 
 /// Records runs "a" and "b" for tenants t1 and t10 on a connection over
@@ -595,15 +599,13 @@ TEST(ServiceTest, MaintenanceRequiresQuiescence) {
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
 }
 
-// --- Wire-format guard: the options dedup (TierOptions bases) must not
-// --- move a byte of the process-worker result encoding. Golden captured
-// --- from the pre-refactor encoder; a change here is a wire break for
-// --- mixed-version parent/child fleets.
+// --- Wire-format guard: the process-worker result encoding is pinned
+// --- byte for byte. Workers are forks of the parent, so no two versions
+// --- ever talk; the pin catches format drift nobody intended, and a
+// --- deliberate format change updates the golden.
 TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   ReplayResult r;
   r.runtime_seconds = 1.5;
-  r.restore_seconds = 0.25;
-  r.observed_c = 0.625;
   r.effective_init = InitMode::kWeak;
   r.partition_segments = 8;
   r.active_workers = 4;
@@ -635,18 +637,17 @@ TEST(ServiceTest, WorkerResultWireFormatIsPinned) {
   r.probe_entries = {e1};
 
   const char* kGoldenHex =
-      "8b7fd9a50a666c6f7272657331093539ca4d31870272756e74696d655f7365636f6e"
-      "6473093078312e38702b300a726573746f72655f7365636f6e647309307831702d32"
-      "0a6f627365727665645f63093078312e34702d310a6566666563746976655f696e69"
-      "7409310a706172746974696f6e5f7365676d656e747309380a6163746976655f776f"
-      "726b65727309340a776f726b5f626567696e09320a776f726b5f656e6409340a7362"
-      "5f657865637574656409330a73625f736b697070656409350a73625f726573746f72"
-      "657309320a73625f6d6174657269616c697a656409310a6275636b65745f6661756c"
-      "747309370a626c6f6f6d5f736b69707065645f70726f62657309390a707265616d62"
-      "6c655f70726f62656409310ac6369e332f313109653d322f693d300930096c6f7373"
-      "09302e3132350a313309653d33093109677261645f6e6f726d09322e350a57744858"
-      "18313109653d322f693d300930096c6f737309302e3132350aad4cb6330631310a31"
-      "330a2862fbc804320a350a";
+      "8b7fd9a50a666c6f72726573310935b1b8c421dc0172756e74696d655f7365636f6e"
+      "6473093078312e38702b300a6566666563746976655f696e697409310a7061727469"
+      "74696f6e5f7365676d656e747309380a6163746976655f776f726b65727309340a77"
+      "6f726b5f626567696e09320a776f726b5f656e6409340a73625f6578656375746564"
+      "09330a73625f736b697070656409350a73625f726573746f72657309320a73625f6d"
+      "6174657269616c697a656409310a6275636b65745f6661756c747309370a626c6f6f"
+      "6d5f736b69707065645f70726f62657309390a707265616d626c655f70726f626564"
+      "09310ac6369e332f313109653d322f693d300930096c6f737309302e3132350a3133"
+      "09653d33093109677261645f6e6f726d09322e350a5774485818313109653d322f69"
+      "3d300930096c6f737309302e3132350aad4cb6330631310a31330a2862fbc804320a"
+      "350a";
   std::string golden;
   for (const char* p = kGoldenHex; p[0] != '\0' && p[1] != '\0'; p += 2) {
     auto nibble = [](char c) {

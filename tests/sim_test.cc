@@ -26,15 +26,6 @@ TEST(CostModel, InstanceCostProRated) {
   EXPECT_DOUBLE_EQ(InstanceCost(kP3_8xLarge, 0), 0.0);
 }
 
-TEST(CostModel, PaperPlatformRatios) {
-  MaterializerCosts costs = PaperPlatformCosts();
-  // Serialization 4.3x I/O (§5.1); restore factor c = 1.38 (§5.3.2).
-  EXPECT_NEAR(costs.io_bps / costs.serialize_bps, 4.3, 1e-9);
-  EXPECT_DOUBLE_EQ(costs.restore_factor, 1.38);
-  // EBS 7 Gbps = 875 MB/s.
-  EXPECT_DOUBLE_EQ(costs.io_bps, 875e6);
-}
-
 TEST(Cluster, PriceClusterAssignsWorkersInOrder) {
   // 6 workers: first 4 on machine 0, last 2 on machine 1.
   std::vector<double> workers{100, 200, 150, 50, 300, 250};

@@ -336,7 +336,7 @@ RecordResult RecordGroupCommit(FileSystem* fs, int window,
   opts.adaptive.enabled = false;
   opts.spool_prefix = "s3";
   opts.materializer.group_commit_window = window;
-  opts.materializer.costs.durable_notify_seconds = notify_seconds;
+  opts.materializer.durable_notify_seconds = notify_seconds;
   RecordSession session(&env, opts);
   exec::Frame frame;
   auto result = session.Run(instance->program.get(), &frame);

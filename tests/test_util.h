@@ -1,6 +1,7 @@
-// Shared test scaffolding: scratch directories, Env construction, and
-// deterministic seeding. Every suite that touches the real filesystem or
-// draws randomness should come through here instead of hand-rolling setup.
+// Shared test scaffolding: scratch directories, Env construction,
+// deterministic seeding, and a program no SkipBlock memoizes. Every suite
+// that touches the real filesystem or draws randomness should come through
+// here instead of hand-rolling setup.
 
 #ifndef FLOR_TESTS_TEST_UTIL_H_
 #define FLOR_TESTS_TEST_UTIL_H_
@@ -20,7 +21,11 @@
 #include "checkpoint/store.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "env/env.h"
+#include "exec/frame.h"
+#include "flor/skipblock.h"
+#include "ir/builder.h"
 #include "serialize/coding.h"
 
 namespace flor {
@@ -235,6 +240,41 @@ class ScratchDirTest : public ::testing::Test {
  private:
   std::string root_;
 };
+
+/// A training loop that no SkipBlock memoizes: the inner loop of each of
+/// its 3 epochs makes an opaque call (rule 5), so the analysis refuses it
+/// and a record materializes no checkpoint. Each epoch logs the running
+/// `total`: 2.0, 4.0, 6.0.
+inline Result<ProgramInstance> RefusedLoopProgram() {
+  auto ctx = std::make_shared<double>(0.0);
+  ir::ProgramBuilder b;
+  b.Assign({"total"}, {"0"}, [ctx](exec::Frame* f) {
+    *ctx = 0;
+    f->Set("total", ir::Value::Float(0));
+    return Status::OK();
+  });
+  b.BeginLoop("e", 3);
+  {
+    b.BeginLoop("i", 2);
+    {
+      // Rule-5 statement: the inner loop is refused.
+      b.OpaqueCall("mutate_world", {"total"}, [ctx](exec::Frame* f) {
+        *ctx += 1;
+        f->Set("total", ir::Value::Float(*ctx));
+        return Status::OK();
+      });
+    }
+    b.EndLoop();
+    b.Log("total", [](exec::Frame* f) {
+      return StrFormat("%.1f", f->At("total").AsFloat());
+    });
+  }
+  b.EndLoop();
+  ProgramInstance instance;
+  instance.program = b.Build();
+  instance.context = ctx;
+  return instance;
+}
 
 }  // namespace testutil
 }  // namespace flor
