@@ -14,7 +14,7 @@
 // tiers, then replays through the tiered store with rehydration off so
 // every bucket fault is visible. Reported per point: bytes held on each
 // tier, the S3 monthly bill for the bucket tier, replay latency (bucket
-// restores are charged at s3_read_bps by the cost model), bucket fault
+// restores are charged at kS3ReadBps by the cost model), bucket fault
 // count, and cluster cost — the storage-vs-replay-latency trade-off an
 // operator tunes K/K' against. Merged replay logs must stay
 // byte-identical to the unretired baseline at every point.
