@@ -720,11 +720,7 @@ TEST_F(MaterializerScratchTest, WallModeWritesForReal) {
 }
 
 TEST(Materializer, CostModelHelpers) {
-  // The paper's platform: EBS at 7 Gbps = 875 MB/s, serialization 4.3x the
-  // I/O cost (§5.1), restore factor c = 1.38 (§5.3.2).
-  EXPECT_DOUBLE_EQ(kIoBps, 875e6);
-  EXPECT_NEAR(kIoBps / kSerializeBps, 4.3, 1e-9);
-  EXPECT_DOUBLE_EQ(kRestoreFactor, 1.38);
+  // The rates themselves are checked in CostModel.PaperPlatformRatios.
   const uint64_t gb = 1ull << 30;
   EXPECT_NEAR(RestoreSeconds(gb) / MaterializeSeconds(gb), 1.38, 1e-9);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint/materializer.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
 
@@ -24,6 +25,14 @@ TEST(CostModel, InstanceCostProRated) {
   EXPECT_DOUBLE_EQ(InstanceCost(kP3_2xLarge, 3600), 3.06);
   EXPECT_DOUBLE_EQ(InstanceCost(kP3_2xLarge, 1800), 1.53);
   EXPECT_DOUBLE_EQ(InstanceCost(kP3_8xLarge, 0), 0.0);
+}
+
+TEST(CostModel, PaperPlatformRatios) {
+  // Serialization 4.3x I/O (§5.1); restore factor c = 1.38 (§5.3.2).
+  EXPECT_NEAR(kIoBps / kSerializeBps, 4.3, 1e-9);
+  EXPECT_DOUBLE_EQ(kRestoreFactor, 1.38);
+  // EBS 7 Gbps = 875 MB/s.
+  EXPECT_DOUBLE_EQ(kIoBps, 875e6);
 }
 
 TEST(Cluster, PriceClusterAssignsWorkersInOrder) {
