@@ -92,7 +92,6 @@ int main() {
       // nothing for a workload this small, leaving replay un-partitionable.
       s.adaptive.enabled = false;
       s.nominal_checkpoint_bytes = defaults.nominal_checkpoint_bytes;
-      s.vanilla_runtime_seconds = defaults.vanilla_runtime_seconds;
       return s;
     }();
     const ProgramFactory record_factory =
@@ -209,7 +208,6 @@ int main() {
       s.adaptive = defaults.adaptive;
       s.adaptive.enabled = false;
       s.nominal_checkpoint_bytes = defaults.nominal_checkpoint_bytes;
-      s.vanilla_runtime_seconds = defaults.vanilla_runtime_seconds;
       return s;
     }();
     const ProgramFactory record_factory =

@@ -166,6 +166,23 @@ if grep -rn 'PaperPlatformCosts' src/ bench/ examples/ tests/ ||
   exit 1
 fi
 
+echo "== manifest lint =="
+# A record's manifest holds only what a reader reads. The Joint
+# Invariant's c is kRestoreFactor, so no c estimate is kept, and no
+# vanilla runtime or loop execution count is written. Under src/, only
+# the reader in src/checkpoint/store.cc may name the lines older records
+# wrote (it checks and drops them), and the fields and options that
+# filled them stay deleted everywhere.
+if grep -rnE 'c_estimate|vanilla_runtime|loop_exec' src/ \
+     | grep -vE '^src/checkpoint/store\.cc:' ||
+   grep -rnE 'initial_c|ObserveRestore|loop_executions|vanilla_runtime_seconds' \
+        src/ bench/ examples/ tests/; then
+  echo "error: a retired manifest line or its field named outside the" >&2
+  echo "manifest reader (src/checkpoint/store.cc) — the Joint Invariant's" >&2
+  echo "c is kRestoreFactor (src/checkpoint/materializer.h)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 

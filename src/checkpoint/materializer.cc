@@ -196,8 +196,6 @@ Result<MaterializeReceipt> Materializer::Materialize(
 
   total_main_seconds_ += receipt.main_thread_seconds;
   total_stall_seconds_ += receipt.stall_seconds;
-  total_bg_seconds_ += receipt.background_seconds;
-  ++count_;
   return receipt;
 }
 

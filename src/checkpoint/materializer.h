@@ -172,8 +172,6 @@ class Materializer {
   /// Totals across all Materialize calls.
   double total_main_thread_seconds() const { return total_main_seconds_; }
   double total_stall_seconds() const { return total_stall_seconds_; }
-  double total_background_seconds() const { return total_bg_seconds_; }
-  int64_t checkpoint_count() const { return count_; }
 
   /// Slot accounting. Stable after Drain(); safe to call concurrently with
   /// background notifications (internally locked).
@@ -226,8 +224,6 @@ class Materializer {
 
   double total_main_seconds_ = 0;
   double total_stall_seconds_ = 0;
-  double total_bg_seconds_ = 0;
-  int64_t count_ = 0;
 };
 
 }  // namespace flor

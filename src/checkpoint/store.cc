@@ -58,11 +58,7 @@ std::string Manifest::Serialize() const {
   std::string out;
   out += StrCat("workload\t", workload, "\n");
   out += StrFormat("record_runtime\t%.9g\n", record_runtime_seconds);
-  out += StrFormat("vanilla_runtime\t%.9g\n", vanilla_runtime_seconds);
-  out += StrFormat("c_estimate\t%.9g\n", c_estimate);
   if (sharded) out += StrCat("shards\t", shard_count, "\n");
-  for (const auto& [loop_id, n] : loop_executions)
-    out += StrCat("loop_exec\t", loop_id, "\t", n, "\n");
   for (const auto& [loop_id, names] : checkpoint_names) {
     out += StrCat("ckpt_names\t", loop_id);
     for (const auto& name : names) out += StrCat("\t", name);
@@ -91,19 +87,21 @@ Result<Manifest> Manifest::Deserialize(const std::string& data) {
       ok = true;
     } else if (tag == "record_runtime" && fields.size() == 2) {
       ok = ParseF64(fields[1], &m.record_runtime_seconds);
-    } else if (tag == "vanilla_runtime" && fields.size() == 2) {
-      ok = ParseF64(fields[1], &m.vanilla_runtime_seconds);
-    } else if (tag == "c_estimate" && fields.size() == 2) {
-      ok = ParseF64(fields[1], &m.c_estimate);
+    } else if ((tag == "vanilla_runtime" || tag == "c_estimate") &&
+               fields.size() == 2) {
+      // Lines older records wrote and nothing reads: a torn one is still
+      // Corruption, a whole one is dropped.
+      double dropped = 0;
+      ok = ParseF64(fields[1], &dropped);
     } else if (tag == "shards" && fields.size() == 2) {
       int64_t n = 0;
       ok = ParseI64(fields[1], &n) && n >= 1 && n <= 1 << 20;
       if (ok) m.shard_count = static_cast<int>(n);
     } else if (tag == "loop_exec" && fields.size() == 3) {
+      // Also an older record's line: checked, then dropped.
       int32_t loop_id = 0;
       int64_t n = 0;
       ok = ParseI32(fields[1], &loop_id) && ParseI64(fields[2], &n);
-      if (ok) m.loop_executions[loop_id] = n;
     } else if (tag == "ckpt_names" && fields.size() >= 2) {
       // One line per loop, and no empty name: a line cut at a separator
       // must not parse as a shorter list.

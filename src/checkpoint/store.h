@@ -9,14 +9,13 @@
 // replaying. A store's read tier (bucket fall-through, bloom filters) is
 // fixed when it is built (CheckpointStore::Open). The manifest is the
 // record-session index replay needs: which loop executions have
-// checkpoints, their sizes and shard placement, the names each SkipBlock's
-// checkpoints hold, and the adaptive controller's bookkeeping (execution
-// counts, refined c estimate).
+// checkpoints, their sizes and shard placement, and the names each
+// SkipBlock's checkpoints hold.
 //
 // A record run lives under a filesystem prefix (RunPaths):
 //   <prefix>/source.py     rendered program source (probe-diff baseline)
 //   <prefix>/logs.tsv      record log stream
-//   <prefix>/manifest.tsv  checkpoint index + adaptive stats
+//   <prefix>/manifest.tsv  checkpoint index
 //   <prefix>/ckpt/...      Loop End Checkpoints
 // Every reader of a finished run goes through ReadManifest or OpenRun, so
 // replay workers, the planner, retention and the service all see the
@@ -60,14 +59,10 @@ struct CheckpointRecord {
 /// Record-session index.
 struct Manifest {
   std::string workload;
-  double record_runtime_seconds = 0;   ///< wall/sim time of the record run
-  double vanilla_runtime_seconds = 0;  ///< same run without checkpointing
-  double c_estimate = 1.0;             ///< refined restore/materialize ratio
+  double record_runtime_seconds = 0;  ///< wall/sim time of the record run
   /// Shard count of the run's checkpoint store. Manifests written before
   /// sharding carry no shard fields and deserialize as shard count 1.
   int shard_count = 1;
-  /// Per-loop execution counts at end of record (loop id -> ni).
-  std::map<int32_t, int64_t> loop_executions;
   /// Per SkipBlock loop that materialized: the names its checkpoints hold,
   /// the augmented changeset record snapshotted (loop id -> names). Replay
   /// planning reads weak init's exactness from these, so it reads no
@@ -84,15 +79,17 @@ struct Manifest {
   /// Sum of nominal_raw_bytes (falls back to raw_bytes when nominal is 0).
   uint64_t TotalNominalBytes() const;
 
-  /// At shard count 1 the output is byte-identical to the pre-sharding
-  /// format (no shard fields); otherwise a `shards` line and a per-record
-  /// shard column are appended. Each checkpoint_names entry is one
-  /// `ckpt_names` line (loop id, then one field per name), so a run with
-  /// no SkipBlock checkpoint writes the same bytes as before these lines.
+  /// Writes the `workload` and `record_runtime` lines, a `shards` line
+  /// when shard_count is not 1, one `ckpt_names` line per checkpoint_names
+  /// entry (loop id, then one field per name) and one `ckpt` line per
+  /// record. At shard count 1 the `ckpt` lines carry no shard column, as
+  /// in the pre-sharding format.
   std::string Serialize() const;
 
   /// Strict parse: any malformed, truncated, or non-numeric field returns
   /// Status::Corruption — never a crash or a silently defaulted value.
+  /// The lines older records wrote that nothing reads are validated the
+  /// same way and then dropped.
   static Result<Manifest> Deserialize(const std::string& data);
 };
 

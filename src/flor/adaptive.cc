@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "checkpoint/materializer.h"
+
 namespace flor {
 
 AdaptiveController::AdaptiveController(AdaptiveOptions options)
@@ -33,7 +35,8 @@ bool AdaptiveController::ShouldMaterialize(int32_t loop_id,
   // Joint Invariant (Eq. 4). Degenerate compute times (Ci == 0 can happen
   // for empty loops on a simulated clock) are treated as failing the test —
   // a zero-cost loop is never worth checkpointing.
-  const double bound = std::min(1.0 / (1.0 + c()), options_.epsilon);
+  const double bound =
+      std::min(1.0 / (1.0 + kRestoreFactor), options_.epsilon);
   const double threshold =
       static_cast<double>(state.ni) / static_cast<double>(state.ki + 1) *
       bound;
@@ -46,18 +49,6 @@ bool AdaptiveController::ShouldMaterialize(int32_t loop_id,
   trace_.push_back(d);
   if (d.materialize) ++state.ki;
   return d.materialize;
-}
-
-void AdaptiveController::ObserveRestore(double restore_seconds,
-                                        double materialize_seconds) {
-  if (materialize_seconds <= 0) return;
-  c_ratio_sum_ += restore_seconds / materialize_seconds;
-  ++c_observations_;
-}
-
-double AdaptiveController::c() const {
-  if (c_observations_ == 0) return options_.initial_c;
-  return c_ratio_sum_ / static_cast<double>(c_observations_);
 }
 
 int64_t AdaptiveController::executions(int32_t loop_id) const {

@@ -12,9 +12,10 @@
 // enormous checkpoints and short epochs get periodic/sparse checkpointing,
 // which is exactly what caps RTE/CoLA overhead in Fig. 7.
 //
-// The scaling factor c (restore/materialize time ratio) starts at 1.0 and
-// is refined from observed record-replay measurements (paper: measured
-// average c = 1.38 across Table 3 workloads).
+// The scaling factor c (restore/materialize time ratio) is the paper's
+// measured average across Table 3 workloads, kRestoreFactor = 1.38
+// (checkpoint/materializer.h), the same c the simulated replay prices Ri
+// with. It binds only when ε > 1/(1+c) ≈ 0.42.
 
 #ifndef FLOR_FLOR_ADAPTIVE_H_
 #define FLOR_FLOR_ADAPTIVE_H_
@@ -34,8 +35,6 @@ struct AdaptiveOptions {
   /// "asking that we only memoize loops whose computation times are at
   /// least 15× larger than the expected materialization times."
   double epsilon = 1.0 / 15.0;
-  /// Initial c (restore ≈ materialize until observed otherwise).
-  double initial_c = 1.0;
 };
 
 /// One decision, kept for tests/benches to audit the invariants.
@@ -61,12 +60,6 @@ class AdaptiveController {
   bool ShouldMaterialize(int32_t loop_id, double compute_seconds,
                          double materialize_seconds);
 
-  /// Feeds an observed (restore, materialize) pair to refine c.
-  void ObserveRestore(double restore_seconds, double materialize_seconds);
-
-  /// Current c estimate (initial_c until observations arrive).
-  double c() const;
-
   int64_t executions(int32_t loop_id) const;
   int64_t checkpoints(int32_t loop_id) const;
 
@@ -82,8 +75,6 @@ class AdaptiveController {
   AdaptiveOptions options_;
   std::map<int32_t, LoopState> loops_;
   std::vector<AdaptiveDecision> trace_;
-  double c_ratio_sum_ = 0;
-  int64_t c_observations_ = 0;
 };
 
 }  // namespace flor

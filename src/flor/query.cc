@@ -1,6 +1,6 @@
 #include "flor/query.h"
 
-#include <cstdlib>
+#include <cstring>
 
 #include "checkpoint/store.h"
 #include "common/strings.h"
@@ -34,9 +34,8 @@ Result<std::vector<double>> MetricSeries(const FileSystem* fs,
   std::vector<double> out;
   for (const auto& e : logs.entries()) {
     if (e.label != label) continue;
-    char* end = nullptr;
-    const double v = std::strtod(e.text.c_str(), &end);
-    if (end == e.text.c_str()) {
+    double v = 0;
+    if (!ParseF64(e.text, &v)) {
       return Status::InvalidArgument(
           StrCat("log '", label, "' has non-numeric text: ", e.text));
     }

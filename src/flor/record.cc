@@ -76,7 +76,6 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
       env_->fs()->WriteFile(paths_.Source(), program->RenderSource()));
 
   manifest_.workload = options_.workload;
-  manifest_.vanilla_runtime_seconds = options_.vanilla_runtime_seconds;
   manifest_.shard_count = store_->num_shards();
 
   exec::Interpreter interp(env_, &result.logs, this);
@@ -95,12 +94,7 @@ Result<RecordResult> RecordSession::Run(ir::Program* program,
   result.spool_report = spool_report_;
 
   // Persist logs + manifest.
-  for (ir::Loop* loop : program->AllLoops()) {
-    const int64_t ni = adaptive_.executions(loop->id());
-    if (ni > 0) manifest_.loop_executions[loop->id()] = ni;
-  }
   manifest_.record_runtime_seconds = result.runtime_seconds;
-  manifest_.c_estimate = adaptive_.c();
   FLOR_RETURN_IF_ERROR(
       env_->fs()->WriteFile(paths_.Logs(), result.logs.Serialize()));
   FLOR_RETURN_IF_ERROR(

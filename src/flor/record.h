@@ -66,9 +66,6 @@ struct RecordOptions {
   /// Nominal (paper-scale) raw bytes per checkpoint for the simulated cost
   /// model; 0 = use actual snapshot sizes.
   uint64_t nominal_checkpoint_bytes = 0;
-  /// Optional vanilla runtime of the same program (stored in the manifest
-  /// so benches can report overhead without re-deriving it).
-  double vanilla_runtime_seconds = 0;
 };
 
 /// Outcome of a record run.

@@ -45,22 +45,16 @@ Result<bool> ProbeEpoch(Env* env, const ProgramFactory& factory,
 Result<SearchResult> SearchReplay(Env* env, const ProgramFactory& factory,
                                   const EpochPredicate& predicate,
                                   const SearchOptions& options) {
-  // The epoch count is the main loop's static trip count. A dynamic main
-  // loop falls back to the manifest's loop executions, which count
-  // SkipBlock executions only.
+  // The epoch count is the main loop's static trip count: a dynamic one is
+  // known only at run time, so there is no range to search.
   FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
   const ir::Loop* main_loop = instance.program->MainLoop();
-  int64_t epochs = main_loop != nullptr ? main_loop->iter().fixed_count : -1;
-  if (epochs < 0) {
-    FLOR_ASSIGN_OR_RETURN(Manifest manifest,
-                          ReadManifest(env->fs(), options.run_prefix));
-    epochs = 0;
-    for (const auto& [loop_id, ni] : manifest.loop_executions)
-      epochs = std::max(epochs, ni);
-  }
-  if (epochs == 0)
+  const int64_t epochs =
+      main_loop != nullptr ? main_loop->iter().fixed_count : -1;
+  if (epochs <= 0) {
     return Status::FailedPrecondition(
-        "record run has no loop executions to search");
+        "SearchReplay: no main loop with a static, non-zero trip count");
+  }
 
   SearchResult result;
 

@@ -61,6 +61,9 @@ struct SearchResult {
 /// Binary-searches the record run at `options.run_prefix` (on `env`'s
 /// filesystem) for the first epoch satisfying `predicate`. `factory` builds
 /// the (possibly probed) program version whose logs the predicate reads.
+/// The epochs searched are the main loop's static trip count: a program
+/// whose main loop has a dynamic one fails with FailedPrecondition before
+/// any probe.
 Result<SearchResult> SearchReplay(Env* env, const ProgramFactory& factory,
                                   const EpochPredicate& predicate,
                                   const SearchOptions& options);

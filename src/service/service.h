@@ -315,9 +315,9 @@ class Connection {
   ConnectionStats stats_;
 };
 
-/// Per-call record knobs — the workload-shaped layer (cost models,
-/// adaptive controller); everything store/tier/GC-shaped is connection
-/// state.
+/// Per-call record knobs — the workload-shaped layer (materializer,
+/// adaptive controller, nominal checkpoint size); everything
+/// store/tier/GC-shaped is connection state.
 struct SessionRecordOptions {
   /// Workload name stored in the manifest (informational).
   std::string workload;
@@ -326,8 +326,6 @@ struct SessionRecordOptions {
   /// Nominal (paper-scale) raw bytes per checkpoint for the simulated
   /// cost model; 0 = actual snapshot sizes.
   uint64_t nominal_checkpoint_bytes = 0;
-  /// Optional vanilla runtime of the same program (manifest field).
-  double vanilla_runtime_seconds = 0;
 };
 
 /// Per-call replay knobs. Session::Replay turns `workers`, the run prefix
@@ -388,7 +386,8 @@ class Session {
   /// This tenant's runs whose record logs satisfy `predicate`.
   Result<std::vector<RunInfo>> Query(const RunPredicate& predicate) const;
 
-  /// Numeric series of `label` from a run's record logs.
+  /// Numeric series of `label` from a run's record logs (flor::MetricSeries:
+  /// a text that is not wholly one number fails with InvalidArgument).
   Result<std::vector<double>> MetricSeries(const std::string& run,
                                            const std::string& label) const;
 

@@ -54,7 +54,6 @@ Result<SessionRecordResult> Session::Record(
   ropts.materializer = options.materializer;
   ropts.adaptive = options.adaptive;
   ropts.nominal_checkpoint_bytes = options.nominal_checkpoint_bytes;
-  ropts.vanilla_runtime_seconds = options.vanilla_runtime_seconds;
   // The session mirrors its run to the connection's bucket tier; the
   // background worker retires after the run's artifacts, its bucket mirror
   // included, are durable.

@@ -238,7 +238,6 @@ RecordOptions DefaultRecordOptions(const WorkloadProfile& profile,
   opts.adaptive.enabled = true;
   opts.adaptive.epsilon = 1.0 / 15.0;
   opts.nominal_checkpoint_bytes = profile.sim_ckpt_raw_bytes;
-  opts.vanilla_runtime_seconds = profile.VanillaSeconds();
   return opts;
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "checkpoint/materializer.h"
 #include "flor/adaptive.h"
 
 namespace flor {
@@ -16,7 +17,6 @@ AdaptiveOptions DefaultOpts() {
   AdaptiveOptions opts;
   opts.enabled = true;
   opts.epsilon = kEps;
-  opts.initial_c = 1.0;
   return opts;
 }
 
@@ -68,7 +68,7 @@ TEST(Adaptive, RecordOverheadInvariantHolds) {
 TEST(Adaptive, ReplayLatencyInvariantHolds) {
   // Eq. 3: Mi + Ri < (ni/ki) Ci with Ri = c*Mi, whenever ki > 0.
   AdaptiveController ctrl(DefaultOpts());
-  const double ci = 10.0, mi = 22.0, c = 1.0;
+  const double ci = 10.0, mi = 22.0, c = kRestoreFactor;
   for (int i = 0; i < 300; ++i) ctrl.ShouldMaterialize(1, ci, mi);
   const double ki = static_cast<double>(ctrl.checkpoints(1));
   ASSERT_GT(ki, 0);
@@ -88,25 +88,20 @@ TEST(Adaptive, TraceRecordsDecisions) {
   EXPECT_NEAR(ctrl.trace()[1].ratio, 20.0, 1e-9);
 }
 
-TEST(Adaptive, CRefinement) {
-  AdaptiveController ctrl(DefaultOpts());
-  EXPECT_DOUBLE_EQ(ctrl.c(), 1.0);  // initial
-  ctrl.ObserveRestore(13.8, 10.0);
-  ctrl.ObserveRestore(27.6, 20.0);
-  EXPECT_NEAR(ctrl.c(), 1.38, 1e-9);
-  ctrl.ObserveRestore(5.0, 0.0);  // ignored: bad denominator
-  EXPECT_NEAR(ctrl.c(), 1.38, 1e-9);
-}
-
-TEST(Adaptive, LargerCBindsTighterThanEpsilon) {
-  // With c large, 1/(1+c) < eps takes over as the binding threshold.
+TEST(Adaptive, RestoreFactorBindsAtLargeEpsilon) {
+  // c = kRestoreFactor = 1.38, so the bound is min(1/(1+c), eps) with
+  // 1/(1+c) ≈ 0.42: at eps = 1 the c term binds, at the default eps not.
+  const double c_bound = 1.0 / (1.0 + kRestoreFactor);
+  EXPECT_NEAR(c_bound, 0.42, 0.001);
   AdaptiveOptions opts = DefaultOpts();
-  opts.initial_c = 30.0;  // 1/(1+c) = 1/31 < 1/15
-  AdaptiveController tight(opts);
-  AdaptiveController loose(DefaultOpts());
-  // Ratio just under eps: loose materializes at ni=1, tight does not.
-  EXPECT_TRUE(loose.ShouldMaterialize(1, 100.0, 6.0));   // 0.06 < 1/15
-  EXPECT_FALSE(tight.ShouldMaterialize(1, 100.0, 6.0));  // 0.06 > 1/31
+  opts.epsilon = 1.0;
+  AdaptiveController eps_one(opts);
+  EXPECT_TRUE(eps_one.ShouldMaterialize(1, 100.0, 41.0));   // 0.41 < 0.42
+  EXPECT_FALSE(eps_one.ShouldMaterialize(2, 100.0, 43.0));  // 0.43 > 0.42
+  EXPECT_DOUBLE_EQ(eps_one.trace()[0].threshold, c_bound);
+  AdaptiveController eps_default(DefaultOpts());
+  EXPECT_FALSE(eps_default.ShouldMaterialize(1, 100.0, 41.0));
+  EXPECT_DOUBLE_EQ(eps_default.trace()[0].threshold, kEps);
 }
 
 TEST(Adaptive, IndependentPerLoopState) {
@@ -136,8 +131,8 @@ TEST_P(AdaptiveInvariantSweep, JointInvariantImpliesBothBounds) {
   // Eq. 1 (allow the one-decision slack inherent in testing post-hoc).
   EXPECT_LE(ki * mi, ni * kEps * ci + mi + 1e-9);
   if (ki > 0) {
-    // Eq. 3 with c = 1.
-    EXPECT_LT(mi + 1.0 * mi, ni / ki * ci + mi + 1e-9);
+    // Eq. 3 with c = kRestoreFactor.
+    EXPECT_LT(mi + kRestoreFactor * mi, ni / ki * ci + mi + 1e-9);
   }
 }
 

@@ -316,9 +316,6 @@ TEST(Manifest, SerializeRoundTrip) {
   Manifest m;
   m.workload = "RTE";
   m.record_runtime_seconds = 123.5;
-  m.vanilla_runtime_seconds = 120.0;
-  m.c_estimate = 1.38;
-  m.loop_executions[2] = 200;
   for (int64_t e : {33, 66, 99}) {
     CheckpointRecord rec;
     rec.key = {2, StrCat("e=", e)};
@@ -332,8 +329,7 @@ TEST(Manifest, SerializeRoundTrip) {
   auto back = Manifest::Deserialize(m.Serialize());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->workload, "RTE");
-  EXPECT_DOUBLE_EQ(back->c_estimate, 1.38);
-  EXPECT_EQ(back->loop_executions.at(2), 200);
+  EXPECT_DOUBLE_EQ(back->record_runtime_seconds, 123.5);
   ASSERT_EQ(back->records.size(), 3u);
   EXPECT_EQ(back->records[1].epoch, 66);
   EXPECT_EQ(back->records[1].nominal_raw_bytes, 4ull << 30);
@@ -352,10 +348,7 @@ Manifest ShardedManifest(int shard_count, int records) {
   Manifest m;
   m.workload = "RsNt";
   m.record_runtime_seconds = 50.25;
-  m.vanilla_runtime_seconds = 48.5;
-  m.c_estimate = 1.41;
   m.shard_count = shard_count;
-  m.loop_executions[2] = 64;
   m.checkpoint_names[2] = {"net", "optimizer", "scheduler"};
   ShardRouter router(shard_count);
   for (int e = 0; e < records; ++e) {
@@ -384,9 +377,9 @@ TEST(Manifest, ShardCountRoundTrips) {
 }
 
 TEST(Manifest, UnshardedSerializationIsByteStableLegacyFormat) {
-  // At shard count 1 the output must carry no shard fields at all: the
-  // bytes are identical to what the pre-sharding code wrote, so old and
-  // new manifests are interchangeable for unsharded runs.
+  // At shard count 1 the output must carry no shard fields at all, like
+  // the pre-sharding format, so old and new manifests are interchangeable
+  // for unsharded runs.
   Manifest m = ShardedManifest(/*shard_count=*/1, /*records=*/3);
   const std::string bytes = m.Serialize();
   EXPECT_EQ(bytes.find("shards"), std::string::npos);
@@ -403,21 +396,25 @@ TEST(Manifest, UnshardedSerializationIsByteStableLegacyFormat) {
 TEST(Manifest, OldFormatDeserializesAsSingleShardAndRoundTrips) {
   // A manifest written before sharding existed (8-field ckpt lines, no
   // `shards` line) must load as shard count 1 and survive a round trip
-  // through the new code unchanged.
+  // through the new code with its records unchanged. The vanilla_runtime,
+  // c_estimate and loop_exec lines it carries are dropped.
+  const std::string records =
+      "ckpt\t2\te=33\t33\t1000\t600\t4294967296\t24.5\n"
+      "ckpt\t2\te=66\t66\t1000\t600\t4294967296\t24.5\n";
   const std::string old_format =
       "workload\tRTE\n"
       "record_runtime\t123.5\n"
       "vanilla_runtime\t120\n"
       "c_estimate\t1.38\n"
-      "loop_exec\t2\t200\n"
-      "ckpt\t2\te=33\t33\t1000\t600\t4294967296\t24.5\n"
-      "ckpt\t2\te=66\t66\t1000\t600\t4294967296\t24.5\n";
+      "loop_exec\t2\t200\n" +
+      records;
   auto m = Manifest::Deserialize(old_format);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   EXPECT_EQ(m->shard_count, 1);
   ASSERT_EQ(m->records.size(), 2u);
   EXPECT_EQ(m->records[0].shard, 0);
-  EXPECT_EQ(m->Serialize(), old_format);
+  EXPECT_EQ(m->Serialize(),
+            "workload\tRTE\nrecord_runtime\t123.5\n" + records);
 }
 
 TEST(Manifest, CheckpointNamesRoundTrip) {
@@ -488,6 +485,9 @@ TEST(Manifest, NonNumericFieldsAreCorruptionNotZero) {
                   .status()
                   .IsCorruption());
   EXPECT_TRUE(Manifest::Deserialize("c_estimate\t1.2.3\n")
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(Manifest::Deserialize("vanilla_runtime\t\n")
                   .status()
                   .IsCorruption());
   EXPECT_TRUE(Manifest::Deserialize("shards\tmany\n")

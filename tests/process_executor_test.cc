@@ -828,6 +828,62 @@ TEST_F(ProcessReplayTest, DefaultRequestPlansWeakInitWhereItIsExact) {
   EXPECT_EQ(threaded->skipblocks.restores, 8);
 }
 
+// --- A manifest that an older record wrote.
+
+TEST_F(ProcessReplayTest, ManifestWithRetiredLinesReplaysAndRetiresAway) {
+  // Older records also wrote vanilla_runtime, c_estimate and loop_exec
+  // lines, which nothing reads. Spliced into a fresh record's manifest,
+  // they change no engine's replay, and the next retirement drops them.
+  PosixFileSystem fs(root());
+  const WorkloadProfile profile = ProcProfile(/*epochs=*/6);
+  RecordOnto(&fs, profile);
+  const ProgramFactory factory = MakeWorkloadFactory(profile, kProbeInner);
+  ClusterPlanOptions request;
+  request.run_prefix = "run";
+  request.num_workers = 2;
+  const std::vector<ReplayEngine> engines = {
+      ReplayEngine::kSimulated, ReplayEngine::kThreads,
+      ReplayEngine::kProcesses};
+  std::vector<std::string> fresh;
+  for (ReplayEngine engine : engines) {
+    auto r = exec::Replay(engine, &fs, request, factory);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    fresh.push_back(r->merged_logs.Serialize());
+  }
+
+  const std::string path = RunPaths("run").Manifest();
+  const std::vector<std::string> retired = {"vanilla_runtime", "c_estimate",
+                                            "loop_exec"};
+  auto manifest = fs.ReadFile(path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (const auto& tag : retired)
+    EXPECT_EQ(manifest->find(tag), std::string::npos) << tag;
+  // Where older records wrote them: right after the record runtime.
+  std::string old_format = *manifest;
+  const size_t at = old_format.find('\n', old_format.find("record_runtime"));
+  old_format.insert(at + 1,
+                    "vanilla_runtime\t707\nc_estimate\t1\nloop_exec\t2\t6\n");
+  ASSERT_TRUE(fs.WriteFile(path, old_format).ok());
+
+  for (size_t i = 0; i < engines.size(); ++i) {
+    SCOPED_TRACE(static_cast<int>(engines[i]));
+    auto r = exec::Replay(engines[i], &fs, request, factory);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->deferred.ok);
+    EXPECT_EQ(r->merged_logs.Serialize(), fresh[i]);
+  }
+
+  GcPolicy policy;
+  policy.keep_last_k = 3;
+  auto gc = RetireRun(&fs, "run", policy);
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
+  EXPECT_TRUE(gc->manifest_rewritten);
+  auto rewritten = fs.ReadFile(path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  for (const auto& tag : retired)
+    EXPECT_EQ(rewritten->find(tag), std::string::npos) << tag;
+}
+
 TEST_F(ProcessReplayTest, MissingRecordRunFailsCleanly) {
   PosixFileSystem fs(root());  // nothing recorded
   const WorkloadProfile profile = ProcProfile();

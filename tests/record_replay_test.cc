@@ -104,8 +104,8 @@ TEST(Record, ManifestNamesWhatTheCheckpointsHold) {
 }
 
 TEST(Record, RunWithoutSkipBlockWritesTheManifestWithoutNames) {
-  // No SkipBlock, so no checkpoint and no names line: the manifest bytes
-  // are the format that predates the names.
+  // No SkipBlock, so no checkpoint and no names line: the manifest holds
+  // the workload and the record runtime only.
   ir::ProgramBuilder b;
   b.CallAssign({"x"}, "init", {}, [](exec::Frame* f) {
     f->Set("x", ir::Value::Int(0));
@@ -131,9 +131,7 @@ TEST(Record, RunWithoutSkipBlockWritesTheManifestWithoutNames) {
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes,
             "workload\tplain\n"
-            "record_runtime\t0\n"
-            "vanilla_runtime\t0\n"
-            "c_estimate\t1\n");
+            "record_runtime\t0\n");
 }
 
 TEST(Record, CheckpointedNameWithTabOrNewlineOrEmptyIsRejectedBeforeAnyWrite) {

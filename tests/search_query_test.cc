@@ -7,6 +7,7 @@
 #include "flor/query.h"
 #include "flor/record.h"
 #include "flor/search.h"
+#include "ir/builder.h"
 #include "test_util.h"
 #include "workloads/programs.h"
 
@@ -166,9 +167,9 @@ TEST(SearchReplay, CheaperThanFullReplayForLargeRuns) {
 }
 
 TEST(SearchReplay, SearchesAMainLoopWithoutSkipBlocks) {
-  // The record of a loop no SkipBlock memoizes counts no loop execution,
-  // so the epoch count comes from the main loop's trip count, and each
-  // probe re-executes the epochs before the one it samples.
+  // The epoch count comes from the main loop's trip count, and with no
+  // SkipBlock to restore, each probe re-executes the epochs before the
+  // one it samples.
   MemFileSystem fs;
   Env env = testutil::MakeSimEnv(&fs);
   {
@@ -196,6 +197,58 @@ TEST(SearchReplay, SearchesAMainLoopWithoutSkipBlocks) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->found_epoch, 1);
   EXPECT_EQ(result->probed_epochs, (std::vector<int64_t>{2, 1, 0}));
+}
+
+TEST(SearchReplay, DynamicMainLoopIsRefusedBeforeAnyProbe) {
+  // A main loop over a frame variable has no static epoch count. The
+  // innermost SkipBlock runs 3 times per epoch, so a count of SkipBlock
+  // executions is no epoch count either: the search is refused before any
+  // probe.
+  auto program = [] {
+    ir::ProgramBuilder b;
+    b.CallAssign({"epochs", "w"}, "init", {}, [](exec::Frame* f) {
+      f->Set("epochs", ir::Value::Int(4));
+      f->Set("w", ir::Value::Int(0));
+      return Status::OK();
+    });
+    b.BeginLoopVar("e", "epochs");
+    b.BeginLoop("j", 3);
+    b.BeginLoop("i", 2);
+    b.MethodCall("w", "update", {}, [](exec::Frame* f) {
+       f->Set("w", ir::Value::Int(f->At("w").AsInt() + 1));
+       return Status::OK();
+     }).Cost(1.0);
+    b.EndLoop();
+    b.EndLoop();
+    b.Log("w", [](exec::Frame* f) { return StrCat(f->At("w").AsInt()); });
+    b.EndLoop();
+    ProgramInstance instance;
+    instance.program = b.Build();
+    return Result<ProgramInstance>(std::move(instance));
+  };
+  MemFileSystem mem;
+  testutil::CountingFileSystem fs(&mem);
+  Env env = testutil::MakeSimEnv(&fs);
+  {
+    auto instance = program();
+    ASSERT_TRUE(instance.ok());
+    RecordOptions ropts;
+    ropts.run_prefix = "run";
+    RecordSession session(&env, ropts);
+    exec::Frame frame;
+    auto rec = session.Run(instance->program.get(), &frame);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_FALSE(rec->manifest.records.empty());
+  }
+
+  fs.Reset();
+  SearchOptions opts;
+  opts.run_prefix = "run";
+  auto result = SearchReplay(&env, program, FrontierAt(1), opts);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+  // Nothing read at all: no checkpoint, and not the manifest either.
+  EXPECT_EQ(fs.total_reads(), 0);
 }
 
 TEST(Query, ListRunsFindsAllManifests) {
@@ -226,6 +279,21 @@ TEST(Query, MetricSeriesExtractsNumbers) {
   ASSERT_TRUE(losses.ok());
   EXPECT_EQ(losses->size(), 4u * 4u);  // per batch
   EXPECT_TRUE(MetricSeries(&fs, "run", "nope")->empty());
+}
+
+TEST(Query, MetricSeriesRejectsTextsThatAreNotOneNumber) {
+  // The whole text must be one number: a unit suffix or a second value
+  // is InvalidArgument, not the number in front of it.
+  for (const std::string bad : {"0.5ms", "0.25 0.75", "", "loss"}) {
+    MemFileSystem fs;
+    exec::LogStream logs;
+    logs.Append({1, "e=0", false, "loss", "0.5"});
+    logs.Append({1, "e=1", false, "loss", bad});
+    ASSERT_TRUE(fs.WriteFile("run/logs.tsv", logs.Serialize()).ok());
+    auto series = MetricSeries(&fs, "run", "loss");
+    EXPECT_EQ(series.status().code(), StatusCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(Query, FindRunsByPredicate) {

@@ -64,7 +64,6 @@ SessionRecordOptions ServerRecordOptions(const WorkloadProfile& profile) {
   s.materializer = o.materializer;
   s.adaptive = o.adaptive;
   s.nominal_checkpoint_bytes = o.nominal_checkpoint_bytes;
-  s.vanilla_runtime_seconds = o.vanilla_runtime_seconds;
   return s;
 }
 

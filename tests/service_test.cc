@@ -86,7 +86,6 @@ SessionRecordOptions SessionRecordFrom(const RecordOptions& o) {
   s.materializer = o.materializer;
   s.adaptive = o.adaptive;
   s.nominal_checkpoint_bytes = o.nominal_checkpoint_bytes;
-  s.vanilla_runtime_seconds = o.vanilla_runtime_seconds;
   return s;
 }
 

@@ -196,7 +196,6 @@ TEST(Factory, DefaultRecordOptionsWired) {
   EXPECT_TRUE(opts.adaptive.enabled);
   EXPECT_NEAR(opts.adaptive.epsilon, 1.0 / 15.0, 1e-12);
   EXPECT_EQ(opts.materializer.strategy, MaterializeStrategy::kFork);
-  EXPECT_NEAR(opts.vanilla_runtime_seconds, p.VanillaSeconds(), 1e-9);
 }
 
 /// Records `name` at its real model size for 3 epochs with every epoch
