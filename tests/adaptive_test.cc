@@ -88,7 +88,30 @@ TEST(Adaptive, TraceRecordsDecisions) {
   EXPECT_NEAR(ctrl.trace()[1].ratio, 20.0, 1e-9);
 }
 
-TEST(Adaptive, RestoreFactorBindsAtLargeEpsilon) {
+TEST(Adaptive, CRefinement) {
+  // c is the paper's refined restore factor (§5.3.2) from the first decision
+  // on, and no decision re-estimates it: every threshold is ni/(ki+1) times
+  // the same bound 1/(1+kRestoreFactor).
+  EXPECT_DOUBLE_EQ(kRestoreFactor, 1.38);
+  const double c_bound = 1.0 / (1.0 + kRestoreFactor);
+  AdaptiveOptions opts = DefaultOpts();
+  opts.epsilon = 1.0;
+  AdaptiveController ctrl(opts);
+  // Ratio 0.45 lies between 1/(1+1.38) and the 1/(1+1) = 0.5 of an
+  // unrefined c = 1, so the first decision declines.
+  EXPECT_FALSE(ctrl.ShouldMaterialize(1, 100.0, 45.0));
+  const double mis[] = {45.0, 10.0, 80.0, 30.0, 45.0, 5.0, 60.0};
+  for (double mi : mis) ctrl.ShouldMaterialize(1, 100.0, mi);
+  ASSERT_EQ(ctrl.trace().size(), 8u);
+  for (const AdaptiveDecision& d : ctrl.trace()) {
+    EXPECT_NEAR(d.threshold * static_cast<double>(d.ki + 1) /
+                    static_cast<double>(d.ni),
+                c_bound, 1e-12)
+        << "decision ni=" << d.ni;
+  }
+}
+
+TEST(Adaptive, LargerCBindsTighterThanEpsilon) {
   // c = kRestoreFactor = 1.38, so the bound is min(1/(1+c), eps) with
   // 1/(1+c) ≈ 0.42: at eps = 1 the c term binds, at the default eps not.
   const double c_bound = 1.0 / (1.0 + kRestoreFactor);
